@@ -36,8 +36,11 @@
 //     (internal/dc.ScanIndex, keyed on table.Generation).
 //   - In-place repair protocol (internal/repair.ScratchRepairer): the
 //     black boxes themselves no longer Clone() per run. RepairInto
-//     refreshes a pooled work table (table.CopyFrom logs per-cell deltas)
-//     and repairs it in place with pooled per-run buffers — statistics
+//     refreshes a pooled work table (table.CopyFrom logs per-cell deltas;
+//     a refresh from the source of the previous copy visits only the
+//     cells either table's edit log names since, so a coalition step costs
+//     its few masked cells plus the repair's own writes, not the whole
+//     table) and repairs it in place with pooled per-run buffers — statistics
 //     (table.Stats.Reset), scan indexes, candidate domains — so the whole
 //     eval→repair round trip allocates nothing in steady state. Both cell
 //     and group games drive the samplers through CoalitionWalk, and pooled
@@ -58,6 +61,8 @@
 //     descriptor, packed coalition) — a single uint64 bitmask up to 64
 //     players, packed []uint64 words above (allocation-free lookups; the
 //     same packed keys replaced the per-game cache's string fallback).
+//     Above 64 players only the TopK racing rounds still bind, since they
+//     re-probe prefixes within one run.
 //     Where per-game caches died with their game, this one survives it:
 //     the constraint ranking, the interaction matrix, the Banzhaf
 //     ablation, the why-not search and repeat explains of the same cell
@@ -94,9 +99,10 @@
 // The engine also materializes what repeat queries share — three layers,
 // each invalidated by exactly the events that can change its answer:
 //
-//   - Repair-target cache (exec.RepairCache): the clean-table *diff* of
-//     the full black-box repair, keyed by a repair descriptor (algorithm +
-//     constraint-set fingerprint) and stamped with the table generation.
+//   - Result memo (exec.Memo, Engine.RepairTargets): the clean-table
+//     *diff* of the full black-box repair, keyed by a repair descriptor
+//     (algorithm + constraint-set fingerprint) and stamped with the table
+//     generation.
 //     Every explain entry point re-resolves its target through
 //     core.Explainer.Target; within one session state that is a pure
 //     function of the inputs, so the first call per generation runs the
@@ -104,7 +110,13 @@
 //     without materializing a clean table at all, Repair reconstructs
 //     clone-plus-patch. SetCell invalidates by generation; AddDC/RemoveDC
 //     re-key the descriptor (Engine.InvalidateCache). Golden tests pin
-//     replayed answers to engine-free runs for all four black boxes.
+//     replayed answers to engine-free runs for all four black boxes. The
+//     same generation-stamped, Txn-staged memo holds the finished
+//     estimates of sampled cell and group explains per (game descriptor,
+//     Samples, Seed, Policy) — not Workers, which never changes an
+//     estimate — so a repeat sampled explain runs no black box and probes
+//     no coalition cache. A store at a newer generation drops the older
+//     ones; at most a few entries live per generation.
 //   - Incremental statistics (table.Stats.Sync): the per-column
 //     distributions and row snapshot behind repair rules and column
 //     sampling catch up from the table's edit log instead of rebuilding
@@ -116,10 +128,11 @@
 //     loop's per-evaluation statistics cost follows the edit, not the
 //     table.
 //   - Cache-aware deterministic sampling (exec.Binding): null-policy
-//     coalition evaluations inside SampleAll, SamplePlayer and TopK
-//     consult the shared coalition cache through a per-game binding —
-//     the walks look up their membership mirror before running the black
-//     box and memoize misses under the Lookup's generation stamp. Values
+//     coalition evaluations inside SampleAll over rosters of at most 64
+//     players, SamplePlayer and TopK consult the shared coalition cache
+//     through a per-game binding — the walks look up their membership
+//     mirror before running the black box and memoize misses under the
+//     Lookup's generation stamp. Values
 //     are deterministic per (coalition, generation) and the null policy
 //     consumes no RNG during evaluation, so cache participation can never
 //     change an estimate: Workers=1 ≡ Workers=N bit-identity and the
@@ -127,7 +140,11 @@
 //     Sampled and exact paths over the same player roster intern one
 //     descriptor, so a screen switch replays the other path's values.
 //     Stochastic (ReplaceFromColumn) games never bind: a realization must
-//     not be memoized as a value.
+//     not be memoized as a value. A SampleAll explain over more than 64
+//     players does not bind either: on a cold explain almost none of its
+//     coalitions recur, and packing, staging and republishing each one
+//     cost more than the hits saved, so the result memo serves its repeats
+//     whole instead.
 //
 // # The edit model
 //
@@ -229,7 +246,9 @@
 //     edited row's pairs and re-derives them against the row's current
 //     bucket; a full re-derivation (first query, log overrun, table
 //     switch) fans out across disjoint buckets on a worker pool for large
-//     tables. Lists are golden-tested bit-identical to full rescans under
+//     tables. Every table keeps materialized lists, however small: the
+//     coalition scratch copies of small tables are where per-edit
+//     maintenance pays most, so there is no small-table rescan bypass. Lists are golden-tested bit-identical to full rescans under
 //     randomized edit sequences. All four black boxes consume it (the
 //     rule and detect loops read lists, the FD chase visits only
 //     violating groups), core.Session serves it to the edit loop

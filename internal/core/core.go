@@ -182,20 +182,22 @@ func (e *Explainer) cachedGame(desc string, g shapley.Game) shapley.Game {
 func (e *Explainer) gameDesc(kind string, parts ...string) string {
 	var b strings.Builder
 	b.WriteString(kind)
-	writePart := func(p string) {
-		b.WriteByte('|')
-		b.WriteString(strconv.Itoa(len(p)))
-		b.WriteByte(':')
-		b.WriteString(p)
-	}
 	for _, p := range parts {
-		writePart(p)
+		writeDescPart(&b, p)
 	}
-	writePart(e.Alg.Name())
+	writeDescPart(&b, e.Alg.Name())
 	for _, c := range e.DCs {
-		writePart(c.String())
+		writeDescPart(&b, c.String())
 	}
 	return b.String()
+}
+
+// writeDescPart appends one length-prefixed descriptor component.
+func writeDescPart(b *strings.Builder, p string) {
+	b.WriteByte('|')
+	b.WriteString(strconv.Itoa(len(p)))
+	b.WriteByte(':')
+	b.WriteString(p)
 }
 
 // refDesc renders a cell reference for descriptors (row/col indexes, not

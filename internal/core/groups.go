@@ -583,6 +583,7 @@ func (e *Explainer) ExplainCellGroupsAuto(ctx context.Context, cell table.CellRe
 // ExplainCellGroupsSampled estimates group Shapley values by permutation
 // sampling (SampleAll over the GroupGame walk) — the group analogue of
 // ExplainCells, for group counts where exact enumeration is infeasible.
+// Its estimates are memoized like ExplainCells'.
 func (e *Explainer) ExplainCellGroupsSampled(ctx context.Context, cell table.CellRef, groups []CellGroup, opts CellExplainOptions) (_ *Report, err error) {
 	defer e.finishEntry(e.begin(), &err)
 	opts = opts.withDefaults()
@@ -593,16 +594,26 @@ func (e *Explainer) ExplainCellGroupsSampled(ctx context.Context, cell table.Cel
 	if !repaired {
 		return nil, fmt.Errorf("core: cell %s was not repaired; nothing to explain", e.Dirty.RefName(cell))
 	}
-	game := e.NewGroupGame(cell, target, opts.Policy, groups)
-	// Deterministic (null-policy) sampled values join the shared cache.
-	game.BindSharedCache()
-	ests, err := shapley.SampleAll(ctx, game, shapley.Options{
-		Samples: opts.Samples,
-		Workers: opts.Workers,
-		Seed:    opts.Seed,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: group Shapley: %w", err)
+	desc := e.sampledDesc("groups-sampled", opts,
+		"cell="+refDesc(cell), "target="+targetDesc(target), "groups="+groupsDesc(e.Dirty, groups))
+	gen := e.Dirty.Generation()
+	ests, ok := e.cachedEstimates(desc, gen)
+	if !ok {
+		game := e.NewGroupGame(cell, target, opts.Policy, groups)
+		// Deterministic (null-policy) sampled values of a narrow roster
+		// join the shared cache.
+		if len(groups) <= maxBoundRoster {
+			game.BindSharedCache()
+		}
+		ests, err = shapley.SampleAll(ctx, game, shapley.Options{
+			Samples: opts.Samples,
+			Workers: opts.Workers,
+			Seed:    opts.Seed,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("core: group Shapley: %w", err)
+		}
+		e.storeEstimates(desc, gen, ests)
 	}
 	report := &Report{
 		Kind:      "cell-groups",
@@ -612,7 +623,7 @@ func (e *Explainer) ExplainCellGroupsSampled(ctx context.Context, cell table.Cel
 	}
 	for k, est := range ests {
 		report.Entries = append(report.Entries, Entry{
-			Name:    game.groups[k].Name,
+			Name:    groups[k].Name,
 			Shapley: est.Mean,
 			CI95:    est.CI95(),
 			Samples: est.N,

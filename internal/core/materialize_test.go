@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/dc"
+	"repro/internal/exec"
 	"repro/internal/repair"
 	"repro/internal/shapley"
 	"repro/internal/table"
@@ -196,50 +199,102 @@ func TestRepairTargetCacheInvalidation(t *testing.T) {
 	sameDiffs(t, "after RemoveDC", diffs, wantDiffs)
 }
 
-// TestCacheAwareSamplingGolden is tentpole (c)'s bit-identity contract:
-// null-policy sampled explanations (SampleAll, TopK, group sampling) with
-// the session's shared coalition cache produce exactly the engine-free
-// estimates — warm or cold, Workers=1 or Workers=N.
+// countingRepairer forwards all four repair protocols of a black box and
+// counts every call, so a test can tell whether an explain ran the black
+// box at all.
+type countingRepairer struct {
+	repair.PlannedRepairer
+	calls atomic.Int64
+}
+
+func (c *countingRepairer) Repair(ctx context.Context, cs []*dc.Constraint, dirty *table.Table) (*table.Table, error) {
+	c.calls.Add(1)
+	return c.PlannedRepairer.Repair(ctx, cs, dirty)
+}
+
+func (c *countingRepairer) RepairInto(ctx context.Context, cs []*dc.Constraint, dirty, work *table.Table) (*table.Table, error) {
+	c.calls.Add(1)
+	return c.PlannedRepairer.RepairInto(ctx, cs, dirty, work)
+}
+
+func (c *countingRepairer) RepairIntoParallel(ctx context.Context, cs []*dc.Constraint, dirty, work *table.Table, pool *exec.Pool) (*table.Table, error) {
+	c.calls.Add(1)
+	return c.PlannedRepairer.RepairIntoParallel(ctx, cs, dirty, work, pool)
+}
+
+func (c *countingRepairer) RepairIntoPlanned(ctx context.Context, cs []*dc.Constraint, dirty, work *table.Table, pool *exec.Pool, plan dc.SetPlanner) (*table.Table, error) {
+	c.calls.Add(1)
+	return c.PlannedRepairer.RepairIntoPlanned(ctx, cs, dirty, work, pool, plan)
+}
+
+// wideLaLiga is the La Liga table with its six rows appended once more:
+// 72 cells, so an unrestricted cell explain has 71 players — wider than
+// a packed coalition word.
+func wideLaLiga(t *testing.T) *table.Table {
+	t.Helper()
+	tbl := data.NewLaLiga().Dirty.Clone()
+	for r := 0; r < 6; r++ {
+		if err := tbl.Append(tbl.Row(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tbl
+}
+
+// TestCacheAwareSamplingGolden is the bit-identity contract of sampled
+// explains on a session: with the shared coalition cache and the Memo
+// they produce exactly the engine-free estimates, cold or warm, for
+// Workers=1, Workers=4 and a Workers change between the two calls, over a
+// narrow (cache-bound) roster and a wide (unbound) one. The warm call is
+// served from the Memo without running the black box once.
 func TestCacheAwareSamplingGolden(t *testing.T) {
 	ctx := context.Background()
 	ll := data.NewLaLiga()
-	alg := repair.NewAlgorithm1()
 	cell := ll.CellOfInterest
-	opts := CellExplainOptions{Samples: 48, Seed: 11, RestrictToRelevant: true}
-
-	bare, err := NewExplainer(alg, ll.DCs, ll.Dirty)
-	if err != nil {
-		t.Fatal(err)
+	rosters := []struct {
+		name string
+		tbl  *table.Table
+		opts CellExplainOptions
+	}{
+		{"narrow", ll.Dirty, CellExplainOptions{Samples: 48, Seed: 11, RestrictToRelevant: true}},
+		{"wide", wideLaLiga(t), CellExplainOptions{Samples: 24, Seed: 11}},
 	}
-	want, err := bare.ExplainCells(ctx, cell, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, workers := range []int{1, 4} {
-		sess, err := NewSessionWith(alg, ll.DCs, ll.Dirty, SessionOptions{Workers: workers})
+	for _, r := range rosters {
+		bare, err := NewExplainer(repair.NewAlgorithm1(), ll.DCs, r.tbl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wopts := opts
-		wopts.Workers = workers
-		// Cold cache.
-		got, err := sess.Explainer().ExplainCells(ctx, cell, wopts)
+		want, err := bare.ExplainCells(ctx, cell, r.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameReports(t, "cold cached ExplainCells", got, want)
-		// Warm cache: identical permutations revisit memoized coalitions.
-		hitsBefore, _ := sess.Engine().CacheStats()
-		got, err = sess.Explainer().ExplainCells(ctx, cell, wopts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameReports(t, "warm cached ExplainCells", got, want)
-		hitsAfter, missesAfter := sess.Engine().CacheStats()
-		if hitsAfter <= hitsBefore {
-			t.Fatalf("workers=%d: repeat sampled explain must hit the shared cache (hits %d -> %d, misses %d)",
-				workers, hitsBefore, hitsAfter, missesAfter)
+		for _, w := range []struct{ cold, warm int }{{1, 1}, {4, 4}, {1, 4}} {
+			label := fmt.Sprintf("%s/workers %d->%d", r.name, w.cold, w.warm)
+			alg := &countingRepairer{PlannedRepairer: repair.NewAlgorithm1()}
+			sess, err := NewSessionWith(alg, ll.DCs, r.tbl, SessionOptions{Workers: w.cold})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := r.opts
+			opts.Workers = w.cold
+			got, err := sess.Explainer().ExplainCells(ctx, cell, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameReports(t, label+": cold", got, want)
+			if alg.calls.Load() == 0 {
+				t.Fatalf("%s: the cold explain must run the black box", label)
+			}
+			before := alg.calls.Load()
+			opts.Workers = w.warm
+			got, err = sess.Explainer().ExplainCells(ctx, cell, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameReports(t, label+": warm", got, want)
+			if ran := alg.calls.Load() - before; ran != 0 {
+				t.Fatalf("%s: the repeat explain ran %d black-box repairs, want 0", label, ran)
+			}
 		}
 	}
 }
@@ -478,4 +533,64 @@ func TestCacheAwareSamplingStochasticUnbound(t *testing.T) {
 			t.Fatalf("estimate %d: %+v vs %+v", i, ests[i], ref[i])
 		}
 	}
+}
+
+// TestSampledMemoInvalidation: a SetCell, an AddDC and a RemoveDC each
+// make the next sampled explain recompute — it runs the black box again
+// and answers like an engine-free explainer over the edited session — and
+// the repeat after each is served from the Memo again.
+func TestSampledMemoInvalidation(t *testing.T) {
+	ctx := context.Background()
+	ll := data.NewLaLiga()
+	cell := ll.CellOfInterest
+	alg := &countingRepairer{PlannedRepairer: repair.NewAlgorithm1()}
+	sess, err := NewSession(alg, ll.DCs, wideLaLiga(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := CellExplainOptions{Samples: 16, Seed: 5}
+	explain := func(label string) {
+		t.Helper()
+		ref, err := NewExplainer(repair.NewAlgorithm1(), sess.DCs(), sess.Dirty())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.ExplainCells(ctx, cell, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := alg.calls.Load()
+		got, err := sess.Explainer().ExplainCells(ctx, cell, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if alg.calls.Load() == before {
+			t.Fatalf("%s: the explain was served from the Memo instead of recomputed", label)
+		}
+		sameReports(t, label, got, want)
+		before = alg.calls.Load()
+		got, err = sess.Explainer().ExplainCells(ctx, cell, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ran := alg.calls.Load() - before; ran != 0 {
+			t.Fatalf("%s: the repeat explain ran %d black-box repairs, want 0", label, ran)
+		}
+		sameReports(t, label+": repeat", got, want)
+	}
+
+	explain("initial")
+	city := sess.Dirty().Schema().MustIndex("City")
+	if err := sess.SetCell(table.CellRef{Row: 2, Col: city}, table.String("Sevilla")); err != nil {
+		t.Fatal(err)
+	}
+	explain("after SetCell")
+	if err := sess.AddDC("C9: !(t1.Year != t2.Year & t1.League = t2.League)"); err != nil {
+		t.Fatal(err)
+	}
+	explain("after AddDC")
+	if err := sess.RemoveDC("C9"); err != nil {
+		t.Fatal(err)
+	}
+	explain("after RemoveDC")
 }

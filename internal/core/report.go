@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/shapley"
@@ -138,9 +140,68 @@ func (o CellExplainOptions) withDefaults() CellExplainOptions {
 	return o
 }
 
+// maxBoundRoster is the widest player roster whose sampled SampleAll
+// explain binds to the shared coalition cache. Up to it, exact and sampled
+// paths over one roster share coalition values. Beyond it the coalitions
+// of a sampled explain are almost never asked for again, and packing and
+// staging each one cost more than the repeats save, so the explain is
+// memoized whole instead (sampledDesc).
+const maxBoundRoster = 64
+
+// sampledDesc is the Memo descriptor of a sampled explain's estimates: the
+// game's descriptor parts plus the options that fix the estimates. Workers
+// is left out, because estimates are bit-identical for every worker count.
+// It extends the memoized repair descriptor, which already folds in the
+// black box and the constraint set, with length-prefixed parts, so it
+// stays injective without re-rendering every constraint per explain.
+func (e *Explainer) sampledDesc(kind string, opts CellExplainOptions, parts ...string) string {
+	var b strings.Builder
+	b.WriteString(e.repairDesc())
+	writeDescPart(&b, kind)
+	for _, p := range parts {
+		writeDescPart(&b, p)
+	}
+	writeDescPart(&b, "policy="+strconv.Itoa(int(opts.Policy)))
+	writeDescPart(&b, "samples="+strconv.Itoa(opts.Samples))
+	writeDescPart(&b, "seed="+strconv.FormatInt(opts.Seed, 10))
+	return b.String()
+}
+
+// cachedEstimates returns the memoized estimates of desc at generation
+// gen, staged ones of the open entry point first.
+func (e *Explainer) cachedEstimates(desc string, gen uint64) ([]shapley.Estimate, bool) {
+	if e.txn != nil {
+		return e.txn.EstimatesLookup(desc, gen)
+	}
+	return e.Engine.RepairTargets().LookupEstimates(desc, gen)
+}
+
+// storeEstimates memoizes a sampled explain's estimates, staged in the
+// entry point's transaction so an aborted explain leaves the Memo as it
+// was.
+func (e *Explainer) storeEstimates(desc string, gen uint64, ests []shapley.Estimate) {
+	if t := e.liveTxn(); t != nil {
+		t.EstimatesStore(desc, gen, ests)
+		return
+	}
+	e.Engine.RepairTargets().StoreEstimates(desc, gen, ests)
+}
+
+// cellPlayers is the player roster of a cell explain: every cell, or only
+// the relevant ones, without the pinned cell of interest — the roster
+// NewCellGame and RestrictPlayers build.
+func (e *Explainer) cellPlayers(cell table.CellRef, restrict bool) []table.CellRef {
+	if restrict {
+		return e.RelevantCells(cell)
+	}
+	return slices.DeleteFunc(e.Dirty.Cells(), func(ref table.CellRef) bool { return ref == cell })
+}
+
 // ExplainCells estimates the Shapley value of every table cell for the
 // repair of the cell of interest by permutation sampling and returns the
-// ranking (the cell half of the explanation screen).
+// ranking (the cell half of the explanation screen). With a session
+// engine the estimates are memoized per (game, Samples, Seed, Policy) at
+// the table generation, so a repeat explain runs no black box at all.
 func (e *Explainer) ExplainCells(ctx context.Context, cell table.CellRef, opts CellExplainOptions) (_ *Report, err error) {
 	defer e.finishEntry(e.begin(), &err)
 	opts = opts.withDefaults()
@@ -151,21 +212,35 @@ func (e *Explainer) ExplainCells(ctx context.Context, cell table.CellRef, opts C
 	if !repaired {
 		return nil, fmt.Errorf("core: cell %s was not repaired; nothing to explain", e.Dirty.RefName(cell))
 	}
-	game := e.NewCellGame(cell, target, opts.Policy)
+	players := e.cellPlayers(cell, opts.RestrictToRelevant)
+	roster := "all"
 	if opts.RestrictToRelevant {
-		game.RestrictPlayers(e.RelevantCells(cell))
+		roster = "relevant"
 	}
-	// Under the deterministic null policy the sampled coalition values join
-	// the session's shared cache: a repeat explain (or the exact path over
-	// the same roster) replays them instead of re-running the black box.
-	game.BindSharedCache()
-	ests, err := shapley.SampleAll(ctx, game, shapley.Options{
-		Samples: opts.Samples,
-		Workers: opts.Workers,
-		Seed:    opts.Seed,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: cell Shapley: %w", err)
+	desc := e.sampledDesc("cells-sampled", opts,
+		"cell="+refDesc(cell), "target="+targetDesc(target), "players="+roster)
+	gen := e.Dirty.Generation()
+	ests, ok := e.cachedEstimates(desc, gen)
+	if !ok {
+		game := e.NewCellGame(cell, target, opts.Policy)
+		if opts.RestrictToRelevant {
+			game.RestrictPlayers(players)
+		}
+		// Under the deterministic null policy the sampled coalition values
+		// of a narrow roster join the session's shared cache, where the
+		// exact path over the same roster finds them.
+		if len(players) <= maxBoundRoster {
+			game.BindSharedCache()
+		}
+		ests, err = shapley.SampleAll(ctx, game, shapley.Options{
+			Samples: opts.Samples,
+			Workers: opts.Workers,
+			Seed:    opts.Seed,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("core: cell Shapley: %w", err)
+		}
+		e.storeEstimates(desc, gen, ests)
 	}
 	report := &Report{
 		Kind:      "cells",
@@ -173,7 +248,6 @@ func (e *Explainer) ExplainCells(ctx context.Context, cell table.CellRef, opts C
 		Target:    target.String(),
 		Algorithm: e.Alg.Name(),
 	}
-	players := game.Players()
 	for k, est := range ests {
 		report.Entries = append(report.Entries, Entry{
 			Name:    e.Dirty.RefName(players[k]),

@@ -47,16 +47,43 @@ func cellOpts() CellExplainOptions {
 	return CellExplainOptions{Samples: 64, Workers: 4, Seed: 42}
 }
 
+// newWideRobustnessSession is newRobustnessSession over wideLaLiga, whose
+// unrestricted cell explain has more players than a packed coalition
+// word: its sampled explain runs unbound and is memoized whole.
+func newWideRobustnessSession(t *testing.T) (*Session, table.CellRef) {
+	t.Helper()
+	ll := data.NewLaLiga()
+	sess, err := NewSessionWith(repair.NewAlgorithm1(), ll.DCs, wideLaLiga(t), SessionOptions{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess, ll.CellOfInterest
+}
+
 // TestAbortThenRerunGolden is the tentpole invariant, stated per
 // cancellation site: an explain aborted by a fault scheduled at any site
 // must leave every shared structure bit-identical to the run never having
 // started, and a clean rerun on the same session must answer bit-identically
-// to a never-faulted reference session.
+// to a never-faulted reference session. It runs over a narrow roster
+// (coalition values staged per coalition) and, under "wide/", over a wide
+// one (estimates staged in the Memo).
 func TestAbortThenRerunGolden(t *testing.T) {
 	ctx := context.Background()
+	fixtures := []struct {
+		prefix string
+		open   func(*testing.T) (*Session, table.CellRef)
+	}{
+		{"", newRobustnessSession},
+		{"wide/", newWideRobustnessSession},
+	}
+	for _, fx := range fixtures {
+		abortThenRerun(t, ctx, fx.prefix, fx.open)
+	}
+}
 
+func abortThenRerun(t *testing.T, ctx context.Context, prefix string, open func(*testing.T) (*Session, table.CellRef)) {
 	// Reference: a clean run on a never-faulted session.
-	refSess, cell := newRobustnessSession(t)
+	refSess, cell := open(t)
 	want, err := refSess.Explainer().ExplainCells(ctx, cell, cellOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -64,8 +91,8 @@ func TestAbortThenRerunGolden(t *testing.T) {
 
 	for _, site := range []faults.Site{faults.SiteWorkerStart, faults.SiteCacheStore} {
 		for _, ordinal := range []int{1, 2, 5} {
-			t.Run(string(site)+"/ordinal-"+string(rune('0'+ordinal)), func(t *testing.T) {
-				sess, cell := newRobustnessSession(t)
+			t.Run(prefix+string(site)+"/ordinal-"+string(rune('0'+ordinal)), func(t *testing.T) {
+				sess, cell := open(t)
 				pre := captureState(sess)
 
 				cctx, cancel := context.WithCancel(ctx)
@@ -254,13 +281,11 @@ func TestCommittedExplainWarmsNextRun(t *testing.T) {
 // push the live violation index onto its full-rebuild fallback, and the
 // rebuilt answers must be bit-identical to the incremental path's.
 func TestEditReplayOverrunDegradesIdentically(t *testing.T) {
-	// MinRows 1 forces list materialization on the small fixture; Workers 1
-	// keeps the full-derivation fallback serial and deterministic.
+	// Workers 1 keeps the full-derivation fallback serial and deterministic.
 	ll := data.NewLaLiga()
 	c := ll.DCs[0]
 	mk := func() (*dc.LiveViolationSet, *table.Table) {
 		live := dc.NewLiveViolationSet()
-		live.MinRows = 1
 		live.Workers = 1
 		return live, ll.Dirty.Clone()
 	}

@@ -23,10 +23,13 @@ import (
 // predicate kernel, so repair fixpoints and coalition walks pay per-edit
 // cost for their "what is violated now?" queries instead of re-checking
 // every intra-bucket pair. Edits to columns a constraint never mentions
-// cost nothing. When the edit log no longer covers the gap (ring overrun,
-// structural change, a different table) the affected lists fall back to a
-// full re-derivation, which for large tables fans out across disjoint
-// buckets on a worker pool.
+// cost nothing. Every table keeps materialized lists, however small: the
+// coalition scratch copies of the paper's worked examples are where the
+// per-edit replay pays most, since a sampled explain asks "what is violated
+// now?" thousands of times a few cells apart. When the edit log no longer
+// covers the gap (ring overrun, structural change, a different table) the
+// affected lists fall back to a full re-derivation, which for large tables
+// fans out across disjoint buckets on a worker pool.
 //
 // Lists are bit-identical to Constraint.AppendViolations output (itself
 // golden-tested against the naive interpreted scan): sorted by (Row1,
@@ -52,9 +55,6 @@ type LiveViolationSet struct {
 	// engine's bounded worker pool, plugged in per run by the repair black
 	// boxes (repair.PartitionedRepairer). Its budget caps the fan-out.
 	Pool Runner
-	// MinRows overrides the materialization threshold (0 means
-	// liveMinRows). Tests set 1 to force list maintenance on small tables.
-	MinRows int
 
 	// Pooled scratch for delta application. rows is the bound table's row
 	// count at generation gen — the origin space structural windows are
@@ -71,6 +71,7 @@ type LiveViolationSet struct {
 	newPairs    []Violation
 	slotSeen    []bool
 	slotOrder   []int
+	scan        bucketScan
 }
 
 // Runner abstracts a bounded worker pool (exec.Pool) without importing it,
@@ -101,15 +102,6 @@ type liveList struct {
 	colRelevant []bool
 }
 
-// liveMinRows is the table size below which the set answers queries
-// straight from the kernel-accelerated ScanIndex instead of materializing
-// lists: on tiny tables (the paper's worked examples, coalition scratch
-// copies of them) the per-edit retract/derive/merge bookkeeping costs more
-// than the intra-bucket pair scan it avoids. The cutover is a pure
-// strategy choice — both paths are golden-tested identical — keyed on the
-// current row count only, so it is deterministic per table state.
-const liveMinRows = 64
-
 // liveParallelRows is the table size above which a full derivation fans
 // out across buckets; below it the goroutine handoff costs more than the
 // scan.
@@ -133,25 +125,11 @@ func NewLiveViolationSet() *LiveViolationSet {
 // confinement.
 func (s *LiveViolationSet) Index() *ScanIndex { return s.ix }
 
-// bypass reports whether t is below the materialization threshold.
-func (s *LiveViolationSet) bypass(t *table.Table) bool {
-	min := s.MinRows
-	if min <= 0 {
-		min = liveMinRows
-	}
-	return t.NumRows() < min
-}
-
 // Violations returns the current violation list of c over t, synced to
 // t's generation. The returned slice aliases the set's storage: it is
 // valid until the next call on the set after a table edit, and must not
 // be mutated. Use Append for a caller-owned copy.
 func (s *LiveViolationSet) Violations(c *Constraint, t *table.Table) ([]Violation, error) {
-	if s.bypass(t) {
-		var err error
-		s.newPairs, err = c.AppendViolations(t, s.ix, s.newPairs[:0])
-		return s.newPairs, err
-	}
 	l, err := s.listFor(c, t)
 	if err != nil {
 		return nil, err
@@ -164,9 +142,6 @@ func (s *LiveViolationSet) Violations(c *Constraint, t *table.Table) ([]Violatio
 // Constraint.AppendViolations in repair hot loops, with delta maintenance
 // underneath.
 func (s *LiveViolationSet) Append(c *Constraint, t *table.Table, out []Violation) ([]Violation, error) {
-	if s.bypass(t) {
-		return c.AppendViolations(t, s.ix, out)
-	}
 	l, err := s.listFor(c, t)
 	if err != nil {
 		return out, err
@@ -176,22 +151,11 @@ func (s *LiveViolationSet) Append(c *Constraint, t *table.Table, out []Violation
 
 // ForEachViolatingGroup invokes fn over the join groups (hash buckets) of
 // c that currently contain at least one violating pair, in ascending
-// order of the group's first violating row — except below the
-// materialization threshold, where it is cheaper to visit *every*
-// non-empty group (in bucket-interning order) than to track which ones
-// violate. fn must therefore be a no-op on violation-free groups and must
-// not depend on visit order beyond determinism; the FD chase satisfies
-// both by construction. ok is false, with fn never invoked, when the
-// constraint has no equality join key. The rows slice aliases index
-// storage and is read-only; fn may mutate the table, and the set catches
-// up on its next sync.
+// order of the group's first violating row. ok is false, with fn never
+// invoked, when the constraint has no equality join key. The rows slice
+// aliases index storage and is read-only; fn may mutate the table, and
+// the set catches up on its next sync.
 func (s *LiveViolationSet) ForEachViolatingGroup(c *Constraint, t *table.Table, fn func(rows []int) error) (bool, error) {
-	if s.bypass(t) {
-		// Below the materialization threshold visiting every group is
-		// cheaper than tracking which ones violate; violation-free groups
-		// are no-ops for every consumer of this iterator.
-		return c.ForEachJoinGroup(t, s.ix, fn)
-	}
 	bs, slots, err := s.violatingSlots(c, t)
 	if err != nil {
 		return false, err
@@ -248,20 +212,16 @@ func (s *LiveViolationSet) violatingSlots(c *Constraint, t *table.Table) (*bucke
 // AppendViolatingGroups appends to dst the join groups (hash buckets) of c
 // that currently contain at least one violating pair, in ascending order
 // of each group's first violating row — exactly the visit order of
-// ForEachViolatingGroup's materialized path. It is the bucket-partition
-// exposure the parallel repair path consumes: groups are disjoint row
-// sets, so a PartitionedRepairer can compute per-group fixes concurrently
-// and apply them serially in this order, bit-identical to the serial pass.
+// ForEachViolatingGroup. It is the bucket-partition exposure the parallel
+// repair path consumes: groups are disjoint row sets, so a
+// PartitionedRepairer can compute per-group fixes concurrently and apply
+// them serially in this order, bit-identical to the serial pass.
 //
 // ok is false — with dst returned unchanged — when the constraint has no
-// equality join key or the table is below the materialization threshold;
-// callers fall back to the serial ForEachViolatingGroup there. The row
-// slices alias index storage: read-only, valid until the table is mutated
-// and the set re-synced.
+// equality join key; callers fall back to the serial ForEachViolatingGroup
+// there. The row slices alias index storage: read-only, valid until the
+// table is mutated and the set re-synced.
 func (s *LiveViolationSet) AppendViolatingGroups(c *Constraint, t *table.Table, dst [][]int) ([][]int, bool, error) {
-	if s.bypass(t) {
-		return dst, false, nil
-	}
 	bs, slots, err := s.violatingSlots(c, t)
 	if err != nil || bs == nil {
 		return dst, false, err
@@ -611,9 +571,14 @@ func (s *LiveViolationSet) derive(c *Constraint, l *liveList, t *table.Table) er
 	} else {
 		l.colRelevant = make([]bool, schema.Len())
 	}
-	for _, attr := range c.Attributes() {
-		if idx, ok := schema.Index(attr); ok {
-			l.colRelevant[idx] = true
+	for _, p := range c.Preds {
+		for _, o := range [2]Operand{p.Left, p.Right} {
+			if o.IsConst {
+				continue
+			}
+			if idx, ok := schema.Index(o.Attr); ok {
+				l.colRelevant[idx] = true
+			}
 		}
 	}
 
@@ -651,7 +616,10 @@ func (s *LiveViolationSet) derive(c *Constraint, l *liveList, t *table.Table) er
 		}
 		return nil
 	}
-	sc := bucketScan{kern: e.resid, c: c}
+	// The scan descriptor lives in the set: a local would escape to the
+	// parallel workers and cost an allocation per derivation.
+	sc := &s.scan
+	*sc = bucketScan{kern: e.resid, c: c}
 	if pf := s.ix.prefilterFor(c, t); pf != nil {
 		sc.pass0, sc.pass1 = pf.pass0, pf.pass1
 	}
@@ -660,11 +628,11 @@ func (s *LiveViolationSet) derive(c *Constraint, l *liveList, t *table.Table) er
 	if workers <= 1 {
 		alive := s.ix.aliveFor(0)
 		for _, rows := range slots {
-			l.pairs = scanBucket(&sc, t, rows, &alive, l.pairs)
+			l.pairs = scanBucket(sc, t, rows, &alive, l.pairs)
 		}
 		s.ix.alive = alive
 	} else {
-		l.pairs = deriveParallel(&sc, t, slots, workers, s.Pool, l.pairs)
+		l.pairs = deriveParallel(sc, t, slots, workers, s.Pool, l.pairs)
 	}
 	slices.SortFunc(l.pairs, violationOrder)
 	return nil

@@ -70,7 +70,6 @@ func TestLiveViolationSetRandomEdits(t *testing.T) {
 	tbl := deltaTable(t, 24, 21)
 	cs := liveConstraints(t)
 	live := NewLiveViolationSet()
-	live.MinRows = 1 // force materialized lists despite the small table
 	assertLiveMatchesRescan(t, "initial", cs, tbl, live)
 	rng := rand.New(rand.NewSource(22))
 	values := []table.Value{
@@ -92,7 +91,6 @@ func TestLiveViolationSetBatchedEdits(t *testing.T) {
 	tbl := deltaTable(t, 16, 23)
 	cs := liveConstraints(t)
 	live := NewLiveViolationSet()
-	live.MinRows = 1 // force materialized lists despite the small table
 	assertLiveMatchesRescan(t, "initial", cs, tbl, live)
 	rng := rand.New(rand.NewSource(24))
 	for round := 0; round < 25; round++ {
@@ -124,7 +122,6 @@ func TestLiveViolationSetOverrunAndStructure(t *testing.T) {
 	tbl := deltaTable(t, 12, 25)
 	cs := liveConstraints(t)
 	live := NewLiveViolationSet()
-	live.MinRows = 1 // force materialized lists despite the small table
 	assertLiveMatchesRescan(t, "initial", cs, tbl, live)
 	rng := rand.New(rand.NewSource(26))
 	for k := 0; k < 2000; k++ { // far beyond the edit-log window
@@ -145,47 +142,85 @@ func TestLiveViolationSetOverrunAndStructure(t *testing.T) {
 }
 
 // TestLiveViolationSetTableSwitch re-points one pooled set across work
-// tables and through a shape-changing CopyFrom, the ScratchRepairer
-// workload.
+// tables and through CopyFrom refreshes that alternate between sources:
+// same-shaped ones (delta refreshes from the anchored source, full
+// compares after a switch) and a differently shaped one (shape change).
+// The source, the other sources and the work table are all edited
+// between refreshes, NaN, ±0 and int-versus-float values included. After
+// every refresh the work table must hold the source's cells bit for bit,
+// and the set must answer like full rescans.
 func TestLiveViolationSetTableSwitch(t *testing.T) {
 	a := deltaTable(t, 10, 27)
 	b := deltaTable(t, 14, 28)
+	c := deltaTable(t, 10, 30)
 	cs := liveConstraints(t)
 	live := NewLiveViolationSet()
-	live.MinRows = 1 // force materialized lists despite the small tables
 	for round := 0; round < 4; round++ {
 		assertLiveMatchesRescan(t, "table a", cs, a, live)
 		assertLiveMatchesRescan(t, "table b", cs, b, live)
 		a.Set(round, 0, table.String("teamZ"))
 	}
+	values := []table.Value{
+		table.String("team1"), table.String("city2"), table.Int(2016), table.Float(2016),
+		table.Float(math.NaN()), table.Float(0), table.Float(math.Copysign(0, -1)), table.Null(),
+	}
+	srcs := []*table.Table{a, c, a, a, b, c, c, a, c, c, b, a}
+	rng := rand.New(rand.NewSource(31))
 	work := a.Clone()
-	for round := 0; round < 6; round++ {
-		src := a
-		if round%2 == 1 {
-			src = b
-		}
+	for round, src := range srcs {
 		work.CopyFrom(src)
-		assertLiveMatchesRescan(t, fmt.Sprintf("refresh %d", round), cs, work, live)
-		work.Set(round, 2, table.String("countryR"))
+		label := fmt.Sprintf("refresh %d", round)
+		assertSameCells(t, label, work, src)
+		assertLiveMatchesRescan(t, label, cs, work, live)
+		for _, tbl := range []*table.Table{work, src, srcs[(round+1)%len(srcs)]} {
+			tbl.Set(rng.Intn(tbl.NumRows()), rng.Intn(tbl.NumCols()), values[rng.Intn(len(values))])
+		}
 		assertLiveMatchesRescan(t, fmt.Sprintf("mutate %d", round), cs, work, live)
 	}
 }
 
-// TestLiveViolationSetBypassSmallTables runs a default-threshold set on a
-// small table: queries route through the kernel-accelerated ScanIndex
-// instead of materialized lists and must still match full rescans exactly.
-func TestLiveViolationSetBypassSmallTables(t *testing.T) {
+// assertSameCells checks work holds src's cells bit for bit: kind and
+// payload, floats by bit pattern.
+func assertSameCells(t *testing.T, label string, work, src *table.Table) {
+	t.Helper()
+	if work.NumRows() != src.NumRows() || work.NumCols() != src.NumCols() {
+		t.Fatalf("%s: work is %dx%d, source %dx%d", label, work.NumRows(), work.NumCols(), src.NumRows(), src.NumCols())
+	}
+	for i := 0; i < src.NumRows(); i++ {
+		for j := 0; j < src.NumCols(); j++ {
+			w, v := work.Get(i, j), src.Get(i, j)
+			if w.Kind() != v.Kind() || w.Str() != v.Str() || w.IntVal() != v.IntVal() ||
+				w.BoolVal() != v.BoolVal() || math.Float64bits(w.FloatVal()) != math.Float64bits(v.FloatVal()) {
+				t.Fatalf("%s: cell (%d,%d) is %v (%v), source has %v (%v)", label, i, j, w, w.Kind(), v, v.Kind())
+			}
+		}
+	}
+}
+
+// TestLiveViolationSetSmallTablesMaterialize runs a default set on a
+// 20-row table: every constraint keeps a materialized list, maintained
+// through the edit log, that matches full rescans under random edits.
+func TestLiveViolationSetSmallTablesMaterialize(t *testing.T) {
 	tbl := deltaTable(t, 20, 33)
 	cs := liveConstraints(t)
 	live := NewLiveViolationSet()
-	if !live.bypass(tbl) {
-		t.Fatalf("a %d-row table must sit below the default threshold", tbl.NumRows())
-	}
 	assertLiveMatchesRescan(t, "initial", cs, tbl, live)
+	for _, c := range cs {
+		if l := live.lists[c]; l == nil || !l.valid {
+			t.Fatalf("%s: a 20-row table must keep a materialized list", c.ID)
+		}
+	}
 	rng := rand.New(rand.NewSource(34))
 	for step := 0; step < 40; step++ {
 		tbl.Set(rng.Intn(tbl.NumRows()), rng.Intn(tbl.NumCols()),
 			table.String(fmt.Sprintf("v%d", rng.Intn(4))))
+		// The edit replays into the lists; none falls back to a rebuild.
+		live.sync(tbl)
+		for _, c := range cs {
+			if l := live.lists[c]; l == nil || !l.valid {
+				t.Fatalf("step %d: %s: list dropped instead of maintained", step, c.ID)
+			}
+		}
 		assertLiveMatchesRescan(t, fmt.Sprintf("step %d", step), cs, tbl, live)
 	}
 }
@@ -277,7 +312,6 @@ func TestLiveViolationSetViolatingGroups(t *testing.T) {
 	})
 	c := MustParse("C1: !(t1.Team = t2.Team & t1.City != t2.City)")
 	live := NewLiveViolationSet()
-	live.MinRows = 1 // materialized path: the bypass visits every group
 	var groups [][]int
 	ok, err := live.ForEachViolatingGroup(c, tbl, func(rows []int) error {
 		groups = append(groups, append([]int(nil), rows...))

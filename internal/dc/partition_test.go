@@ -36,7 +36,6 @@ func TestAppendViolatingGroupsMatchesIterator(t *testing.T) {
 	tbl := deltaTable(t, 40, 3)
 	cs := liveConstraints(t)
 	live := NewLiveViolationSet()
-	live.MinRows = 1
 	for _, c := range cs {
 		var want [][]int
 		okIter, err := live.ForEachViolatingGroup(c, tbl, func(rows []int) error {
@@ -72,22 +71,63 @@ func TestAppendViolatingGroupsMatchesIterator(t *testing.T) {
 	}
 }
 
-// TestAppendViolatingGroupsBypass: below the materialization threshold the
-// exposure declines (callers use the serial iterator there).
-func TestAppendViolatingGroupsBypass(t *testing.T) {
+// TestAppendViolatingGroupsSmallTable: an 8-row table exposes its
+// violating groups like any other, and they are exactly the join groups a
+// full rescan finds violating pairs in, ascending by first violating row.
+func TestAppendViolatingGroupsSmallTable(t *testing.T) {
 	tbl := deltaTable(t, 8, 5)
-	cs := liveConstraints(t)
-	live := NewLiveViolationSet() // default MinRows: 8 rows bypass
+	c := liveConstraints(t)[0]
+	live := NewLiveViolationSet()
 	dst := [][]int{{99}}
-	got, ok, err := live.AppendViolatingGroups(cs[0], tbl, dst)
+	got, ok, err := live.AppendViolatingGroups(c, tbl, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
-		t.Fatal("bypass tables must decline group exposure")
+	if !ok {
+		t.Fatal("a keyed constraint must expose its groups on a small table")
 	}
-	if len(got) != 1 || got[0][0] != 99 {
-		t.Fatal("dst must be returned unchanged on decline")
+	if len(got) < 1 || len(got[0]) != 1 || got[0][0] != 99 {
+		t.Fatal("dst's prefix must be kept")
+	}
+	got = got[1:]
+
+	// Reference: the groups of the rescan's violating pairs, in order of
+	// each group's first violating row.
+	want, err := c.Violations(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("fixture assumption: the 8-row table violates C1")
+	}
+	team := tbl.Schema().MustIndex("Team")
+	var wantKeys []string
+	seen := map[string]bool{}
+	for _, v := range want {
+		k := tbl.Get(v.Row1, team).Key()
+		if !seen[k] {
+			seen[k] = true
+			wantKeys = append(wantKeys, k)
+		}
+	}
+	if len(got) != len(wantKeys) {
+		t.Fatalf("%d groups exposed, rescan has %d violating groups", len(got), len(wantKeys))
+	}
+	for i, rows := range got {
+		members := 0
+		for r := 0; r < tbl.NumRows(); r++ {
+			if tbl.Get(r, team).Key() == wantKeys[i] {
+				members++
+			}
+		}
+		if len(rows) != members {
+			t.Fatalf("group %d has %d rows, want the %d rows of team %s", i, len(rows), members, wantKeys[i])
+		}
+		for _, r := range rows {
+			if tbl.Get(r, team).Key() != wantKeys[i] {
+				t.Fatalf("group %d: row %d is not in team %s", i, r, wantKeys[i])
+			}
+		}
 	}
 }
 

@@ -84,7 +84,6 @@ func TestLiveViolationSetStructuralDelta(t *testing.T) {
 	tbl := deltaTable(t, 18, 43)
 	cs := liveConstraints(t)
 	live := NewLiveViolationSet()
-	live.MinRows = 1 // force materialized lists despite the small table
 	assertLiveMatchesRescan(t, "initial", cs, tbl, live)
 
 	tbl.Set(5, 0, table.String("team2"))
@@ -148,7 +147,6 @@ func TestStructuralOverrunFallsBack(t *testing.T) {
 	cs := liveConstraints(t)
 	ix := NewScanIndex()
 	live := NewLiveViolationSet()
-	live.MinRows = 1
 	assertSameViolations(t, "initial", cs[:3], tbl, ix)
 	assertLiveMatchesRescan(t, "initial", cs, tbl, live)
 	err := tbl.ApplyBatch(func(b *table.Table) error {
@@ -239,7 +237,6 @@ func FuzzStructuralReplayVsNaive(f *testing.F) {
 		}
 		ix := NewScanIndex()
 		live := NewLiveViolationSet()
-		live.MinRows = 1
 		check := func(stage string) {
 			for _, c := range cs {
 				want, err := c.Violations(tbl)

@@ -8,22 +8,29 @@
 //     global to the session, so nested parallelism — sampler workers each
 //     running a parallel repair — cannot oversubscribe the machine.
 //   - CoalitionCache: one generation-keyed coalition-value cache shared by
-//     all of a session's games. Keys are (gameID, packed coalition) with
-//     packed []uint64 words above 64 players; a bump of the session
+//     all of a session's games. Keys are (gameID, packed coalition), with
+//     packed []uint64 words above 64 players (the TopK racing rounds,
+//     which re-probe prefixes within one run); a bump of the session
 //     table's mutation counter (table.Generation, driven by
 //     core.Session.SetCell) invalidates every entry lazily instead of the
 //     per-game caches being discarded wholesale between explains.
 //   - Engine: glues the two together and interns stable game IDs from game
 //     descriptors, so re-explaining the same cell after an unrelated
 //     screen reuses every coalition value already paid for.
-//   - RepairCache: the session's repair-target materialization — the
+//   - Memo: the session's generation-stamped result memo — the
 //     clean-table diff of the full black-box repair per (repair
 //     descriptor, table generation), so repeat Target()/Repair() calls
-//     replay a diff instead of re-running the black box.
+//     replay a diff instead of re-running the black box, and the finished
+//     estimates of sampled cell and group explains, so a repeat sampled
+//     explain is served whole.
 //   - Binding: a game's handle on the shared coalition cache, which is how
-//     the *sampled* deterministic paths (null-policy walks inside
-//     SampleAll/SamplePlayer/TopK) participate in the cache without
-//     wrapping the game or touching its RNG stream.
+//     the *sampled* deterministic paths participate in the cache without
+//     wrapping the game or touching its RNG stream: null-policy walks
+//     inside SampleAll over rosters of at most 64 players (so exact and
+//     sampled paths over one roster share values), and TopK at any width.
+//     A sampled SampleAll explain over more players stays unbound: its
+//     coalitions are almost never asked for again, and the Memo serves a
+//     repeat of the whole explain instead.
 //
 // The package sits below repair and core (it knows games and tables, never
 // constraints or algorithms), which is what lets every layer share it
@@ -42,10 +49,10 @@ import (
 // valid "no engine" value: Pool returns nil (serial) and CachedGame falls
 // back to a private per-game cache.
 type Engine struct {
-	pool    *Pool
-	cache   *CoalitionCache
-	repairs *RepairCache
-	plans   *PlanCache
+	pool  *Pool
+	cache *CoalitionCache
+	memo  *Memo
+	plans *PlanCache
 
 	mu     sync.Mutex
 	ids    map[string]uint64
@@ -55,11 +62,11 @@ type Engine struct {
 // NewEngine builds an engine with a worker budget; 0 means GOMAXPROCS.
 func NewEngine(workers int) *Engine {
 	return &Engine{
-		pool:    NewPool(workers),
-		cache:   NewCoalitionCache(),
-		repairs: NewRepairCache(),
-		plans:   NewPlanCache(),
-		ids:     make(map[string]uint64),
+		pool:  NewPool(workers),
+		cache: NewCoalitionCache(),
+		memo:  NewMemo(),
+		plans: NewPlanCache(),
+		ids:   make(map[string]uint64),
 	}
 }
 
@@ -83,13 +90,14 @@ func (e *Engine) Cache() *CoalitionCache {
 	return e.cache
 }
 
-// RepairTargets returns the engine's repair-target cache; nil on a nil
-// engine (a nil *RepairCache is a valid always-miss cache).
-func (e *Engine) RepairTargets() *RepairCache {
+// RepairTargets returns the engine's result memo, which holds the repair
+// targets and the sampled estimates; nil on a nil engine (a nil *Memo is a
+// valid always-miss memo).
+func (e *Engine) RepairTargets() *Memo {
 	if e == nil {
 		return nil
 	}
-	return e.repairs
+	return e.memo
 }
 
 // Plans returns the engine's compiled-plan cache; nil on a nil engine
@@ -131,9 +139,9 @@ func (e *Engine) GameID(desc string) uint64 {
 	return e.nextID
 }
 
-// InvalidateCache drops every memoized coalition value, every memoized
-// repair diff, every compiled constraint-set plan, and the game-ID
-// interning table. core.Session calls it on
+// InvalidateCache drops every memoized coalition value, every Memo entry
+// (repair diffs and sampled estimates), every compiled constraint-set
+// plan, and the game-ID interning table. core.Session calls it on
 // constraint edits: AddDC and RemoveDC change every game and repair
 // descriptor without touching the table generation, so the previous
 // descriptors' entries would otherwise accumulate unreachably for the
@@ -146,7 +154,7 @@ func (e *Engine) InvalidateCache() {
 	clear(e.ids)
 	e.mu.Unlock()
 	e.cache.Clear()
-	e.repairs.Clear()
+	e.memo.Clear()
 	e.plans.Clear()
 }
 

@@ -3,28 +3,38 @@ package exec
 import (
 	"sync"
 
+	"repro/internal/shapley"
 	"repro/internal/table"
 )
 
-// RepairCache is the repair-target materialization of a session: it
-// memoizes the *diff* between a dirty table and its black-box repair, keyed
-// by a repair descriptor (algorithm + constraint-set fingerprint, interned
-// by core) and stamped with the table generation the repair ran at.
+// Memo is the session's result memo: finished results that are a pure
+// function of a descriptor and the table contents, stamped with the table
+// generation they were computed at. It holds two payloads under one
+// discipline:
 //
-// Target() and every Explain* entry point re-run the full repair once per
-// call to resolve the clean value of the cell of interest; within one
-// session state the result is a pure function of (algorithm, constraint
-// set, table contents), so repeat calls can replay the stored diff instead
-// of re-running the black box. A diff, not the clean table, is stored: the
-// dirty table is live session state, so the clean table is reconstructed
-// as clone-plus-patch on demand, and target resolution for one cell needs
-// no reconstruction at all (scan the diff).
+//   - repair-target diffs (Lookup, Store): the *diff* between the dirty
+//     table and its full black-box repair, per repair descriptor
+//     (algorithm + constraint-set fingerprint, interned by core). Target()
+//     and every Explain* entry point resolve the clean value of the cell
+//     of interest through it, so repeat calls replay the stored diff
+//     instead of re-running the black box. A diff, not the clean table, is
+//     stored: the dirty table is live session state, so the clean table is
+//     reconstructed as clone-plus-patch on demand, and target resolution
+//     for one cell needs no reconstruction at all (scan the diff).
+//   - sampled estimates (LookupEstimates, StoreEstimates): the finished
+//     estimates of a sampled cell or group explain, per (game descriptor,
+//     Samples, Seed, Policy). Estimates are bit-identical for every worker
+//     count, so Workers is not part of the key. A repeat explain is served
+//     whole instead of probing the coalition cache once per sampled
+//     coalition.
 //
-// Invalidation mirrors the coalition cache's: any table mutation — a
-// SetCell, a row insert or delete, a batch bracket — bumps the table
-// generation, so the next Lookup misses and the next Store overwrites the
-// descriptor's entry; AddDC/RemoveDC re-key every descriptor, and
-// Engine.InvalidateCache drops the whole cache. Safe for concurrent use.
+// Invalidation: any table mutation — a SetCell, a row insert or delete, a
+// batch bracket — bumps the table generation, so the next Lookup misses.
+// Generations only grow, so a store at a newer generation drops every
+// entry of older ones, and a store at an older generation (computed while
+// an edit landed) is dropped. At most maxMemoEntries entries live per
+// generation. AddDC/RemoveDC re-key every descriptor, and
+// Engine.InvalidateCache clears the memo. Safe for concurrent use.
 //
 // Row identity: the stored diffs hold CellRefs whose Row indexes are only
 // meaningful at the generation they were stamped with. A DeleteRow
@@ -34,42 +44,55 @@ import (
 // makes that unrepresentable: structural edits always bump the
 // generation, the stale entry can never be returned, and no remapping of
 // cached CellRefs is ever attempted.
-type RepairCache struct {
-	mu      sync.Mutex
-	entries map[string]repairEntry
-	hits    uint64
-	misses  uint64
+type Memo struct {
+	mu sync.Mutex
+	// gen is the newest generation stored; every entry belongs to it.
+	gen     uint64
+	entries map[string]memoEntry
+	// hits and misses count repair-target lookups.
+	hits   uint64
+	misses uint64
 }
 
-// repairEntry is one memoized repair: the generation the diff was computed
-// at and the diff itself (owned by the cache; callers get copies).
-type repairEntry struct {
+// memoKind discriminates the memo's payloads.
+type memoKind uint8
+
+const (
+	memoDiffs memoKind = iota
+	memoEstimates
+)
+
+// memoEntry is one memoized result: the generation it was computed at and
+// its payload (owned by the memo; callers get read-only views).
+type memoEntry struct {
 	gen   uint64
+	kind  memoKind
 	diffs []table.CellDiff
+	ests  []shapley.Estimate
 }
 
-// maxRepairEntries bounds the per-descriptor map: a session that churns
-// through more distinct (algorithm, constraint-set) combinations starts
-// over rather than growing forever.
-const maxRepairEntries = 256
+// maxMemoEntries bounds the entries of one generation: the repair diff
+// plus the reports of the cells a user explains between two edits. A
+// store past it starts the generation over.
+const maxMemoEntries = 8
 
-// NewRepairCache returns an empty repair-target cache.
-func NewRepairCache() *RepairCache {
-	return &RepairCache{entries: make(map[string]repairEntry)}
+// NewMemo returns an empty memo.
+func NewMemo() *Memo {
+	return &Memo{entries: make(map[string]memoEntry)}
 }
 
 // Lookup returns the memoized repair diff for desc at generation gen. The
-// returned slice is owned by the cache and must be treated as read-only;
-// ok is false on a nil cache, an unknown descriptor, or a generation
+// returned slice is owned by the memo and must be treated as read-only;
+// ok is false on a nil memo, an unknown descriptor, or a generation
 // mismatch (the table was edited since the diff was stored).
-func (c *RepairCache) Lookup(desc string, gen uint64) ([]table.CellDiff, bool) {
+func (c *Memo) Lookup(desc string, gen uint64) ([]table.CellDiff, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[desc]
-	if !ok || e.gen != gen {
+	e, ok := c.lookup(desc, gen, memoDiffs)
+	if !ok {
 		c.misses++
 		return nil, false
 	}
@@ -77,25 +100,71 @@ func (c *RepairCache) Lookup(desc string, gen uint64) ([]table.CellDiff, bool) {
 	return e.diffs, true
 }
 
-// Store memoizes the repair diff for desc at generation gen, overwriting
-// any earlier entry for the descriptor (the edit loop only ever asks about
-// the current generation, so older diffs are dead weight). The diff is
-// copied; no-op on a nil cache.
-func (c *RepairCache) Store(desc string, gen uint64, diffs []table.CellDiff) {
+// LookupEstimates returns the memoized estimates for desc at generation
+// gen, read-only like Lookup's diffs.
+func (c *Memo) LookupEstimates(desc string, gen uint64) ([]shapley.Estimate, bool) {
+	if c == nil {
+		return nil, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.lookup(desc, gen, memoEstimates)
+	return e.ests, ok
+}
+
+// lookup finds desc's entry of the given kind at gen; callers hold mu.
+func (c *Memo) lookup(desc string, gen uint64, kind memoKind) (memoEntry, bool) {
+	e, ok := c.entries[desc]
+	if !ok || e.gen != gen || e.kind != kind {
+		return memoEntry{}, false
+	}
+	return e, true
+}
+
+// Store memoizes the repair diff for desc at generation gen. The diff is
+// copied; no-op on a nil memo.
+func (c *Memo) Store(desc string, gen uint64, diffs []table.CellDiff) {
+	c.store(desc, diffsEntry(gen, diffs))
+}
+
+// StoreEstimates memoizes the estimates for desc at generation gen. The
+// slice is copied; no-op on a nil memo.
+func (c *Memo) StoreEstimates(desc string, gen uint64, ests []shapley.Estimate) {
+	c.store(desc, estimatesEntry(gen, ests))
+}
+
+func diffsEntry(gen uint64, diffs []table.CellDiff) memoEntry {
+	return memoEntry{gen: gen, kind: memoDiffs, diffs: append([]table.CellDiff(nil), diffs...)}
+}
+
+func estimatesEntry(gen uint64, ests []shapley.Estimate) memoEntry {
+	return memoEntry{gen: gen, kind: memoEstimates, ests: append([]shapley.Estimate(nil), ests...)}
+}
+
+// store publishes one owned entry under the generation rules of the type
+// comment.
+func (c *Memo) store(desc string, e memoEntry) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[desc]; !ok && len(c.entries) >= maxRepairEntries {
+	switch {
+	case e.gen < c.gen:
+		return
+	case e.gen > c.gen:
+		clear(c.entries)
+		c.gen = e.gen
+	}
+	if _, ok := c.entries[desc]; !ok && len(c.entries) >= maxMemoEntries {
 		clear(c.entries)
 	}
-	c.entries[desc] = repairEntry{gen: gen, diffs: append([]table.CellDiff(nil), diffs...)}
+	c.entries[desc] = e
 }
 
-// Len returns the number of memoized repair diffs (test and diagnostics
+// Len returns the number of memoized entries (test and diagnostics
 // introspection; zero after an aborted explain that started cold).
-func (c *RepairCache) Len() int {
+func (c *Memo) Len() int {
 	if c == nil {
 		return 0
 	}
@@ -105,7 +174,7 @@ func (c *RepairCache) Len() int {
 }
 
 // Clear drops every entry (hit/miss statistics survive).
-func (c *RepairCache) Clear() {
+func (c *Memo) Clear() {
 	if c == nil {
 		return
 	}
@@ -114,8 +183,8 @@ func (c *RepairCache) Clear() {
 	c.mu.Unlock()
 }
 
-// Stats returns cumulative hits and misses.
-func (c *RepairCache) Stats() (hits, misses uint64) {
+// Stats returns cumulative hits and misses of repair-target lookups.
+func (c *Memo) Stats() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0
 	}

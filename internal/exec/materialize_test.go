@@ -3,6 +3,7 @@ package exec
 import (
 	"testing"
 
+	"repro/internal/shapley"
 	"repro/internal/table"
 )
 
@@ -14,7 +15,7 @@ func diffFixture() []table.CellDiff {
 }
 
 func TestRepairCacheRoundTrip(t *testing.T) {
-	c := NewRepairCache()
+	c := NewMemo()
 	if _, ok := c.Lookup("d", 7); ok {
 		t.Fatal("empty cache must miss")
 	}
@@ -41,7 +42,7 @@ func TestRepairCacheRoundTrip(t *testing.T) {
 }
 
 func TestRepairCacheGenerationMismatch(t *testing.T) {
-	c := NewRepairCache()
+	c := NewMemo()
 	c.Store("d", 7, diffFixture())
 	if _, ok := c.Lookup("d", 8); ok {
 		t.Fatal("newer generation must miss")
@@ -60,7 +61,7 @@ func TestRepairCacheGenerationMismatch(t *testing.T) {
 }
 
 func TestRepairCacheClearAndStats(t *testing.T) {
-	c := NewRepairCache()
+	c := NewMemo()
 	c.Store("d", 1, diffFixture())
 	if _, ok := c.Lookup("d", 1); !ok {
 		t.Fatal("want hit")
@@ -76,20 +77,20 @@ func TestRepairCacheClearAndStats(t *testing.T) {
 }
 
 func TestRepairCacheBounded(t *testing.T) {
-	c := NewRepairCache()
-	for i := 0; i < maxRepairEntries+5; i++ {
+	c := NewMemo()
+	for i := 0; i < maxMemoEntries+5; i++ {
 		c.Store(string(rune('a'))+string(rune(i)), 1, nil)
 	}
 	c.mu.Lock()
 	n := len(c.entries)
 	c.mu.Unlock()
-	if n > maxRepairEntries {
-		t.Fatalf("cache grew to %d entries, cap is %d", n, maxRepairEntries)
+	if n > maxMemoEntries {
+		t.Fatalf("cache grew to %d entries, cap is %d", n, maxMemoEntries)
 	}
 }
 
 func TestRepairCacheNilSafe(t *testing.T) {
-	var c *RepairCache
+	var c *Memo
 	if _, ok := c.Lookup("d", 1); ok {
 		t.Fatal("nil cache must miss")
 	}
@@ -170,5 +171,31 @@ func TestBindingStaleStoreDropped(t *testing.T) {
 	b.Store(gen, coalition, 0.25)
 	if _, _, ok := b.Lookup(coalition); ok {
 		t.Fatal("store stamped with a stale generation must be dropped")
+	}
+}
+
+// TestMemoGenerations: a store at a newer generation drops every older
+// entry, a store at an older generation is dropped, and diffs and
+// estimates under one descriptor never answer for each other.
+func TestMemoGenerations(t *testing.T) {
+	c := NewMemo()
+	c.Store("repair", 4, diffFixture())
+	c.StoreEstimates("report", 4, []shapley.Estimate{{Player: 0, Mean: 1}})
+	if _, ok := c.LookupEstimates("repair", 4); ok {
+		t.Fatal("a diff entry must not answer an estimates lookup")
+	}
+	if _, ok := c.Lookup("report", 4); ok {
+		t.Fatal("an estimates entry must not answer a diff lookup")
+	}
+	c.StoreEstimates("report", 5, []shapley.Estimate{{Player: 0, Mean: 2}})
+	if c.Len() != 1 {
+		t.Fatalf("memo holds %d entries after a newer store, want 1", c.Len())
+	}
+	c.Store("repair", 4, diffFixture())
+	if _, ok := c.Lookup("repair", 4); ok {
+		t.Fatal("a store at an older generation must be dropped")
+	}
+	if ests, ok := c.LookupEstimates("report", 5); !ok || ests[0].Mean != 2 {
+		t.Fatalf("current entry = %v, %v", ests, ok)
 	}
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // Txn is one explain's transactional view of the session's shared caches:
-// every coalition value and repair diff the run computes is staged
-// privately and only published to the shared CoalitionCache / RepairCache
-// by Commit. An aborted run (cancellation, deadline, injected fault,
+// every coalition value, repair diff and sampled estimate the run computes
+// is staged privately and only published to the shared CoalitionCache /
+// Memo by Commit. An aborted run (cancellation, deadline, injected fault,
 // panic) calls Abort, which drops the staging wholesale — so the shared
 // caches are left bit-identical to the run never having started, the
 // no-partial-work-poisoning invariant of the fault model (doc.go,
@@ -51,8 +51,10 @@ type Txn struct {
 	// shared cache's wide shards (hash → entries compared by game, gen and
 	// packed words), so staged probes and Commit's republication cost what
 	// the shared cache's own probes and stores do.
-	wide    map[uint64][]txnWideEntry
-	repairs map[string]txnRepairEntry
+	wide map[uint64][]txnWideEntry
+	// memo holds staged Memo entries in store order, so Commit publishes
+	// them in a fixed order. An explain stages one or two.
+	memo []txnMemoEntry
 }
 
 // txnCoalKey identifies one staged ≤64-player coalition value.
@@ -70,10 +72,10 @@ type txnWideEntry struct {
 	v     float64
 }
 
-// txnRepairEntry is one staged repair diff.
-type txnRepairEntry struct {
-	gen   uint64
-	diffs []table.CellDiff
+// txnMemoEntry is one staged Memo entry.
+type txnMemoEntry struct {
+	desc string
+	memoEntry
 }
 
 // Begin opens a cache transaction on the engine; nil on a nil engine
@@ -176,36 +178,72 @@ func (t *Txn) stagedWide(game, gen, h uint64, words []uint64) (float64, bool) {
 	return 0, false
 }
 
-// RepairLookup is RepairCache.Lookup with the transaction's staged diffs
-// consulted first. Nil-safe on both the txn and the engine's cache.
+// RepairLookup is Memo.Lookup with the transaction's staged diffs
+// consulted first. Nil-safe on both the txn and the engine's memo.
 func (t *Txn) RepairLookup(desc string, gen uint64) ([]table.CellDiff, bool) {
 	if t == nil {
 		return nil, false
 	}
-	if t.staged.Load() != 0 {
-		t.mu.Lock()
-		e, ok := t.repairs[desc]
-		t.mu.Unlock()
-		if ok && e.gen == gen {
-			return e.diffs, true
-		}
+	if e, ok := t.stagedMemo(desc, gen, memoDiffs); ok {
+		return e.diffs, true
 	}
 	return t.e.RepairTargets().Lookup(desc, gen)
 }
 
 // RepairStore stages one repair diff for publication at Commit.
 func (t *Txn) RepairStore(desc string, gen uint64, diffs []table.CellDiff) {
+	t.stageMemo(desc, diffsEntry(gen, diffs))
+}
+
+// EstimatesLookup is Memo.LookupEstimates with the transaction's staged
+// estimates consulted first. Nil-safe like RepairLookup.
+func (t *Txn) EstimatesLookup(desc string, gen uint64) ([]shapley.Estimate, bool) {
+	if t == nil {
+		return nil, false
+	}
+	if e, ok := t.stagedMemo(desc, gen, memoEstimates); ok {
+		return e.ests, true
+	}
+	return t.e.RepairTargets().LookupEstimates(desc, gen)
+}
+
+// EstimatesStore stages one explain's estimates for publication at Commit.
+func (t *Txn) EstimatesStore(desc string, gen uint64, ests []shapley.Estimate) {
+	t.stageMemo(desc, estimatesEntry(gen, ests))
+}
+
+// stagedMemo finds a staged Memo entry of the given kind at gen.
+func (t *Txn) stagedMemo(desc string, gen uint64, kind memoKind) (memoEntry, bool) {
+	if t.staged.Load() == 0 {
+		return memoEntry{}, false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, e := range t.memo {
+		if e.desc == desc && e.gen == gen && e.kind == kind {
+			return e.memoEntry, true
+		}
+	}
+	return memoEntry{}, false
+}
+
+// stageMemo stages one owned Memo entry, replacing an earlier one for the
+// same descriptor.
+func (t *Txn) stageMemo(desc string, e memoEntry) {
 	if t == nil {
 		return
 	}
 	faults.Hit(faults.SiteCacheStore)
 	t.staged.Add(1)
 	t.mu.Lock()
-	if t.repairs == nil {
-		t.repairs = make(map[string]txnRepairEntry)
+	defer t.mu.Unlock()
+	for i := range t.memo {
+		if t.memo[i].desc == desc {
+			t.memo[i].memoEntry = e
+			return
+		}
 	}
-	t.repairs[desc] = txnRepairEntry{gen: gen, diffs: append([]table.CellDiff(nil), diffs...)}
-	t.mu.Unlock()
+	t.memo = append(t.memo, txnMemoEntry{desc: desc, memoEntry: e})
 }
 
 // Commit publishes every staged value to the shared caches. Stores carry
@@ -218,8 +256,8 @@ func (t *Txn) Commit() {
 		return
 	}
 	t.mu.Lock()
-	coal, wide, repairs := t.coal, t.wide, t.repairs
-	t.coal, t.wide, t.repairs = nil, nil, nil
+	coal, wide, memo := t.coal, t.wide, t.memo
+	t.coal, t.wide, t.memo = nil, nil, nil
 	t.mu.Unlock()
 	//lint:allow detmap republication into a keyed cache: keys are unique, last-write-wins per key, order cannot affect contents
 	for key, v := range coal {
@@ -231,9 +269,8 @@ func (t *Txn) Commit() {
 			t.e.cache.storeWideH(e.game, e.gen, h, e.words, e.v)
 		}
 	}
-	//lint:allow detmap republication into a keyed store: descriptors are unique, order cannot affect contents
-	for desc, e := range repairs {
-		t.e.repairs.Store(desc, e.gen, e.diffs)
+	for _, e := range memo {
+		t.e.memo.store(e.desc, e.memoEntry)
 	}
 }
 
@@ -245,6 +282,6 @@ func (t *Txn) Abort() {
 		return
 	}
 	t.mu.Lock()
-	t.coal, t.wide, t.repairs = nil, nil, nil
+	t.coal, t.wide, t.memo = nil, nil, nil
 	t.mu.Unlock()
 }

@@ -31,6 +31,8 @@ func TestTxnAbortLeavesCachesPristine(t *testing.T) {
 	wide[0], wide[99] = true, true
 	b.Store(7, wide, 2.5)
 	txn.RepairStore("doomed-repair", 7, []table.CellDiff{{Ref: table.CellRef{Row: 1, Col: 1}}})
+	// A sampled explain stages its finished estimates the same way.
+	txn.EstimatesStore("doomed-report", 7, []shapley.Estimate{{Player: 0, Mean: 0.5, N: 3}})
 
 	// The run sees its own staged writes...
 	if v, ok := b.LookupAt(7, []bool{true, true}); !ok || v != 1.25 {
@@ -41,6 +43,12 @@ func TestTxnAbortLeavesCachesPristine(t *testing.T) {
 	}
 	if _, ok := txn.RepairLookup("doomed-repair", 7); !ok {
 		t.Fatal("staged repair diff must be visible inside the txn")
+	}
+	if ests, ok := txn.EstimatesLookup("doomed-report", 7); !ok || len(ests) != 1 || ests[0].Mean != 0.5 {
+		t.Fatalf("staged estimates = %v, %v; must be visible inside the txn", ests, ok)
+	}
+	if _, ok := e.RepairTargets().LookupEstimates("doomed-report", 7); ok {
+		t.Fatal("staged estimates must not reach the memo before commit")
 	}
 	// ...but the shared caches have not.
 	if got := e.Cache().Len(); got != baseLen {
@@ -55,7 +63,10 @@ func TestTxnAbortLeavesCachesPristine(t *testing.T) {
 		t.Fatalf("post-abort cache fingerprint changed: %x != %x", got, baseFp)
 	}
 	if got := e.RepairTargets().Len(); got != baseRepairs {
-		t.Fatalf("post-abort repair cache len = %d, want %d", got, baseRepairs)
+		t.Fatalf("post-abort memo len = %d, want %d", got, baseRepairs)
+	}
+	if _, ok := e.RepairTargets().LookupEstimates("doomed-report", 7); ok {
+		t.Fatal("an aborted sampled explain must leave no estimates in the memo")
 	}
 	if v, ok := e.Cache().Lookup(e.GameID("warm"), 1, warm); !ok || v != 0.5 {
 		t.Fatal("abort must not disturb pre-existing entries")
@@ -75,6 +86,7 @@ func TestTxnCommitPublishes(t *testing.T) {
 	wide[69] = true
 	b.Store(3, wide, 5.5)
 	txn.RepairStore("published-repair", 3, []table.CellDiff{{Ref: table.CellRef{Row: 2, Col: 0}}})
+	txn.EstimatesStore("published-report", 3, []shapley.Estimate{{Player: 1, Mean: 0.25, N: 4}})
 	txn.Commit()
 
 	// A fresh (non-transactional) binding — the next run — must hit.
@@ -87,6 +99,9 @@ func TestTxnCommitPublishes(t *testing.T) {
 	}
 	if diffs, ok := e.RepairTargets().Lookup("published-repair", 3); !ok || len(diffs) != 1 {
 		t.Fatalf("committed repair diff = %v, %v", diffs, ok)
+	}
+	if ests, ok := e.RepairTargets().LookupEstimates("published-report", 3); !ok || len(ests) != 1 || ests[0].Mean != 0.25 {
+		t.Fatalf("committed estimates = %v, %v", ests, ok)
 	}
 }
 

@@ -213,8 +213,7 @@ func chaseFDWith(t *table.Table, e chaseEntry, st *chaseRun, pool *exec.Pool) (b
 // chase's visit order — and since groups are disjoint in both the rows
 // read and the (row, rhs) cells written, the resulting table is
 // bit-identical to chaseFD's. handled is false when the live set declines
-// to expose the partition (bypass tables, no join key); the caller then
-// chases serially.
+// to expose the partition (no join key); the caller then chases serially.
 func chaseFDParallel(t *table.Table, e chaseEntry, st *chaseRun, pool *exec.Pool) (changed, handled bool, err error) {
 	groups, ok, err := st.live.AppendViolatingGroups(e.c, t, st.groups[:0])
 	st.groups = groups

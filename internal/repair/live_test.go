@@ -74,8 +74,7 @@ C2: !(t1.City = t2.City & t1.Country != t2.Country)
 	}
 	rng := rand.New(rand.NewSource(51))
 	for trial := 0; trial < 40; trial++ {
-		// Straddle the live set's materialization threshold: small tables
-		// exercise the bypass, larger ones the violating-group iterator.
+		// Mix small tables with ones of 64 rows and more.
 		rows := 4 + rng.Intn(20)
 		if trial%4 == 0 {
 			rows = 64 + rng.Intn(40)

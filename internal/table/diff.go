@@ -42,8 +42,7 @@ func Diff(dirty, clean *Table) ([]CellDiff, error) {
 // clean cell-for-cell, representation included (the repair-target cache's
 // replay contract; kind-sensitive consumers like hash-join keys must not
 // see different representations on a cache hit than on a miss). NaN cells
-// compare unequal to themselves and are conservatively included, exactly
-// as Table.CopyFrom re-copies them. Every SameContent difference is also
+// compare unequal to themselves and are conservatively included. Every SameContent difference is also
 // an exact difference, so Diff's output is the !SameContent subset of
 // DiffExact's.
 func DiffExact(dirty, clean *Table) ([]CellDiff, error) {

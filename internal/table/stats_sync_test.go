@@ -8,7 +8,8 @@ import (
 
 // sameDistribution asserts d answers every query exactly as ref does —
 // including the first-observed iteration order that Mode ties and Sample
-// depend on.
+// depend on. Values compare bit for bit (identical), so NaN matches NaN
+// and -0 does not match 0.
 func sameDistribution(t *testing.T, label string, d, ref *Distribution) {
 	t.Helper()
 	if d.Total() != ref.Total() {
@@ -19,7 +20,7 @@ func sameDistribution(t *testing.T, label string, d, ref *Distribution) {
 		t.Fatalf("%s: support size %d vs %d", label, len(got), len(want))
 	}
 	for i := range got {
-		if got[i] != want[i] {
+		if !identical(got[i], want[i]) {
 			t.Fatalf("%s: support[%d] = %v vs %v (order matters: tie-breaks)", label, i, got[i], want[i])
 		}
 		if d.Count(got[i]) != ref.Count(want[i]) {
@@ -28,7 +29,7 @@ func sameDistribution(t *testing.T, label string, d, ref *Distribution) {
 	}
 	gm, gok := d.Mode()
 	wm, wok := ref.Mode()
-	if gok != wok || gm != wm {
+	if gok != wok || !identical(gm, wm) {
 		t.Fatalf("%s: mode (%v, %v) vs (%v, %v)", label, gm, gok, wm, wok)
 	}
 	// Sample must consume the RNG identically and draw the same values.
@@ -36,7 +37,7 @@ func sameDistribution(t *testing.T, label string, d, ref *Distribution) {
 	for i := 0; i < 8; i++ {
 		gv, gok := d.Sample(r1)
 		wv, wok := ref.Sample(r2)
-		if gok != wok || gv != wv {
+		if gok != wok || !identical(gv, wv) {
 			t.Fatalf("%s: sample %d: (%v, %v) vs (%v, %v)", label, i, gv, gok, wv, wok)
 		}
 	}

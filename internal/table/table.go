@@ -2,7 +2,10 @@ package table
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // CellRef addresses a single cell by row index and column index. It is the
@@ -43,7 +46,29 @@ type Table struct {
 	// batchDepth counts open ApplyBatch brackets; while positive, mutations
 	// share the generation minted when the outermost bracket opened.
 	batchDepth int
+	// serial identifies the table as a CopyFrom source. New and Clone
+	// draw a fresh one, so a work table recognises "the same source as
+	// last time" without holding a pointer that would keep a finished
+	// game's scratch table alive. Zero never matches an anchor.
+	serial uint64
+	// anchor records the last CopyFrom into this table (see copyDelta).
+	anchor copyAnchor
+	// copyEdits and copyCells are the pooled buffers of the delta refresh.
+	copyEdits []Edit
+	copyCells []int
 }
+
+// copyAnchor is the state of the last CopyFrom into a table: the source's
+// serial and generation, and the table's own generation once the copy
+// was done. Both tables held the same contents at that point, so a later
+// refresh from the same source only has to revisit the cells either edit
+// log names since.
+type copyAnchor struct {
+	serial, srcGen, ownGen uint64
+}
+
+// tableSerials mints table serials; 0 is reserved for "none".
+var tableSerials atomic.Uint64
 
 // EditKind discriminates the entries of the typed edit log.
 type EditKind uint8
@@ -196,7 +221,7 @@ func (t *Table) EditsSince(gen uint64, buf []Edit) ([]Edit, bool) {
 
 // New creates an empty table with the given schema.
 func New(schema *Schema) *Table {
-	return &Table{schema: schema}
+	return &Table{schema: schema, serial: tableSerials.Add(1)}
 }
 
 // FromStrings builds a table by parsing a rectangular grid of raw strings
@@ -357,13 +382,14 @@ func (t *Table) Row(i int) []Value { return append([]Value(nil), t.rows[i]...) }
 func (t *Table) RowView(i int) []Value { return t.rows[i] }
 
 // Clone deep-copies the table. The schema is shared (schemas are immutable
-// after construction).
+// after construction). The clone is a new CopyFrom source with no copy
+// history of its own.
 func (t *Table) Clone() *Table {
 	rows := make([][]Value, len(t.rows))
 	for i, r := range t.rows {
 		rows[i] = append([]Value(nil), r...)
 	}
-	return &Table{schema: t.schema, rows: rows}
+	return &Table{schema: t.schema, rows: rows, serial: tableSerials.Add(1)}
 }
 
 // CopyFrom overwrites the table's contents with src's, reusing the existing
@@ -373,22 +399,21 @@ func (t *Table) Clone() *Table {
 // shape change resets the log. It is the refresh step of the in-place repair
 // protocol (repair.ScratchRepairer): steady-state refreshes of a pooled work
 // table allocate nothing.
+//
+// A refresh from the source of the previous copy visits only the cells
+// either table's edit log changed since then (copyDelta); any other
+// shape-matching copy compares every cell.
 func (t *Table) CopyFrom(src *Table) {
 	if t == src {
 		return
 	}
+	defer t.anchorTo(src)
 	if t.schema == src.schema || (t.schema != nil && t.schema.Equal(src.schema)) {
 		if len(t.rows) == len(src.rows) {
-			for i, srcRow := range src.rows {
-				row := t.rows[i]
-				for j, v := range srcRow {
-					// Exact (kind-sensitive) comparison: SameContent unifies
-					// numeric kinds, but downstream hash-join keys do not, so
-					// the copy must be representation-faithful. NaN compares
-					// unequal to itself and is conservatively re-copied.
-					if row[j] != v {
-						row[j] = v
-						t.logEdit(i, j)
+			if !t.copyDelta(src) {
+				for i := range src.rows {
+					for j := range src.rows[i] {
+						t.copyCell(src, i, j)
 					}
 				}
 			}
@@ -412,6 +437,55 @@ func (t *Table) CopyFrom(src *Table) {
 	}
 	t.bump()
 	t.invalidateEdits()
+}
+
+// copyCell copies one cell of a shape-matching source and logs it when
+// the value differs. The comparison is bit-exact (identical): int 1 and
+// float 1.0, or -0 and 0, are different representations that
+// kind-sensitive consumers can tell apart.
+func (t *Table) copyCell(src *Table, i, j int) {
+	if v := src.rows[i][j]; !identical(t.rows[i][j], v) {
+		t.rows[i][j] = v
+		t.logEdit(i, j)
+	}
+}
+
+// anchorTo records that t now holds src's contents.
+func (t *Table) anchorTo(src *Table) {
+	t.anchor = copyAnchor{serial: src.serial, srcGen: src.gen, ownGen: t.gen}
+}
+
+// copyDelta refreshes a shape-matching t from src by visiting only the
+// union of the cells src's and t's edit logs name since the anchored copy,
+// in row-major order. Every other cell still holds the value both tables
+// shared at that copy. It reports false, having changed nothing, when it
+// cannot prove that: src is not the anchored source, either log no longer
+// covers its window, or either window holds a structural edit.
+func (t *Table) copyDelta(src *Table) bool {
+	a := t.anchor
+	if a.serial == 0 || a.serial != src.serial {
+		return false
+	}
+	edits, ok := src.EditsSince(a.srcGen, t.copyEdits[:0])
+	if ok {
+		edits, ok = t.EditsSince(a.ownGen, edits)
+	}
+	t.copyEdits = edits[:0]
+	if !ok || Structural(edits) {
+		return false
+	}
+	m := t.schema.Len()
+	cells := t.copyCells[:0]
+	for _, e := range edits {
+		cells = append(cells, e.Row*m+e.Col)
+	}
+	slices.Sort(cells)
+	cells = slices.Compact(cells)
+	for _, c := range cells {
+		t.copyCell(src, c/m, c%m)
+	}
+	t.copyCells = cells[:0]
+	return true
 }
 
 // Equal reports whether two tables have equal schemas and cell-wise
@@ -454,7 +528,7 @@ func (t *Table) RefAt(index int) CellRef {
 // RefName renders a cell reference with the attribute name, e.g.
 // "t5[Country]" (rows are 1-based in the paper's notation).
 func (t *Table) RefName(ref CellRef) string {
-	return fmt.Sprintf("t%d[%s]", ref.Row+1, t.schema.Col(ref.Col).Name)
+	return "t" + strconv.Itoa(ref.Row+1) + "[" + t.schema.Col(ref.Col).Name + "]"
 }
 
 // ParseRefName parses the "t<row>[<Attr>]" notation back into a CellRef.

@@ -76,6 +76,14 @@ func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
 // Bool wraps a bool as a Value.
 func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
 
+// identical reports bit-for-bit equality: same kind and same payload,
+// with floats compared by bit pattern, so -0 and 0 differ and a NaN
+// equals a NaN with the same bits. It is the copy test of CopyFrom.
+func identical(a, b Value) bool {
+	return a.kind == b.kind && a.s == b.s && a.i == b.i && a.b == b.b &&
+		math.Float64bits(a.f) == math.Float64bits(b.f)
+}
+
 // Kind reports the runtime kind of the value.
 func (v Value) Kind() Kind { return v.kind }
 
