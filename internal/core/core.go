@@ -281,39 +281,67 @@ func NewExplainer(alg repair.Algorithm, dcs []*dc.Constraint, dirty *table.Table
 	return &Explainer{Alg: alg, DCs: dcs, Dirty: dirty}, nil
 }
 
-// Repair runs the black box on the full input and returns the clean table
-// together with the repaired cells (the "blue cells" of Figure 2b). With a
-// session engine and a PartitionedRepairer black box, disjoint-bucket
+// RepairDiff runs the black box on the full input and returns its answer
+// as diffs against the dirty table: exact is the representation-exact
+// diff (table.DiffExact, row-major), and repaired is its !SameContent
+// subset — the repaired cells (the "blue cells" of Figure 2b). Patching
+// exact onto a clone of the dirty table reproduces the black box's clean
+// table bit for bit, which is how Repair builds it and how the server
+// writes repair answers without materializing a clean table at all. With
+// a session engine and a PartitionedRepairer black box, disjoint-bucket
 // passes run on the engine pool — bit-identical to the serial repair by
 // the PartitionedRepairer contract.
 //
-// With a session engine the result is materialized in the engine's
-// repair-target cache: a repeat call at the same table generation and
-// constraint set replays the stored diff onto a clone of the dirty table
-// instead of re-running the black box. The cache stores the
-// representation-exact diff (table.DiffExact), so the replayed clean
-// table reproduces the black box's output cell-for-cell — including
-// numeric-kind changes that SameContent unifies, which kind-sensitive
-// consumers (hash-join keys) would otherwise see differ between a hit and
-// a miss — and the returned "repaired cells" diff (its !SameContent
-// subset) is identical to the uncached table.Diff. SetCell invalidates by
-// generation, AddDC/RemoveDC by descriptor (Engine.InvalidateCache).
+// With a session engine the exact diff is memoized in the engine's
+// repair-target memo: a repeat call at the same table generation and
+// constraint set returns the stored diff instead of re-running the black
+// box. Storing the representation-exact diff keeps a hit identical to a
+// miss — including numeric-kind changes that SameContent unifies, which
+// kind-sensitive consumers (hash-join keys) would otherwise see differ,
+// and -0 written over 0. SetCell invalidates by generation, AddDC/RemoveDC
+// by descriptor (Engine.InvalidateCache). exact may be the memoized slice
+// itself: callers must not modify it.
+func (e *Explainer) RepairDiff(ctx context.Context) (exact, repaired []table.CellDiff, err error) {
+	defer e.finishEntry(e.begin(), &err)
+	exact, err = e.repairExact(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	return exact, repairedSubset(exact), nil
+}
+
+// Repair runs the black box on the full input and returns the clean table
+// together with the repaired cells: RepairDiff's exact diff patched onto a
+// clone of the dirty table.
 func (e *Explainer) Repair(ctx context.Context) (_ *table.Table, _ []table.CellDiff, err error) {
 	defer e.finishEntry(e.begin(), &err)
+	exact, repaired, err := e.RepairDiff(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	clean := e.Dirty.Clone()
+	for _, d := range exact {
+		clean.SetRef(d.Ref, d.Clean)
+	}
+	return clean, repaired, nil
+}
+
+// repairExact is the one repair implementation behind RepairDiff, Repair
+// and Target: the memo probe, the black-box dispatch and the memo store,
+// staged in the entry point's transaction when one is open so an abort
+// after this point unpublishes it. Call inside an entry-point bracket.
+func (e *Explainer) repairExact(ctx context.Context) ([]table.CellDiff, error) {
+	if exact, ok := e.cachedRepairDiffs(); ok {
+		return exact, nil
+	}
 	rc := e.Engine.RepairTargets()
 	var desc string
 	var gen uint64
 	if rc != nil {
 		desc, gen = e.repairDesc(), e.Dirty.Generation()
-		if exact, ok := e.cachedRepairDiffs(); ok {
-			clean := e.Dirty.Clone()
-			for _, d := range exact {
-				clean.SetRef(d.Ref, d.Clean)
-			}
-			return clean, repairedSubset(exact), nil
-		}
 	}
 	var clean *table.Table
+	var err error
 	if pl, ok := e.Alg.(repair.PlannedRepairer); ok && e.Plan != nil {
 		clean, err = pl.RepairIntoPlanned(ctx, e.DCs, e.Dirty, nil, e.Engine.Pool(), e.Plan)
 	} else if pr, ok := e.Alg.(repair.PartitionedRepairer); ok && e.Engine.Workers() > 1 {
@@ -322,32 +350,23 @@ func (e *Explainer) Repair(ctx context.Context) (_ *table.Table, _ []table.CellD
 		clean, err = e.Alg.Repair(ctx, e.DCs, e.Dirty)
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: repairing: %w", err)
+		return nil, fmt.Errorf("core: repairing: %w", err)
 	}
 	if clean.NumRows() != e.Dirty.NumRows() || clean.NumCols() != e.Dirty.NumCols() {
-		return nil, nil, fmt.Errorf("core: black box %s changed table shape", e.Alg.Name())
+		return nil, fmt.Errorf("core: black box %s changed table shape", e.Alg.Name())
+	}
+	exact, err := table.DiffExact(e.Dirty, clean)
+	if err != nil {
+		return nil, err
 	}
 	if rc != nil {
-		// One exact scan serves both outputs: the memoized diff and its
-		// !SameContent subset, which is exactly table.Diff's answer. The
-		// store is staged in the entry point's transaction when one is
-		// open, so an abort after this point unpublishes it.
-		exact, derr := table.DiffExact(e.Dirty, clean)
-		if derr != nil {
-			return nil, nil, derr
-		}
 		if t := e.liveTxn(); t != nil {
 			t.RepairStore(desc, gen, exact)
 		} else {
 			rc.Store(desc, gen, exact)
 		}
-		return clean, repairedSubset(exact), nil
 	}
-	diffs, derr := table.Diff(e.Dirty, clean)
-	if derr != nil {
-		return nil, nil, derr
-	}
-	return clean, diffs, nil
+	return exact, nil
 }
 
 // repairedSubset filters a representation-exact diff down to the cells
@@ -365,30 +384,25 @@ func repairedSubset(exact []table.CellDiff) []table.CellDiff {
 
 // Target returns the clean value the full input assigns to the cell of
 // interest and whether the cell was repaired at all (unchanged cells have
-// nothing to explain). On a repair-target cache hit it is answered by a
-// scan of the memoized diff — no clean table is materialized at all, which
-// is what makes the repeat explain screens of the iterative loop (every
-// report kind re-resolves its target) cost per-diff instead of per-repair.
+// nothing to explain). It is answered by a scan of the repair's exact diff
+// — no clean table is materialized — so on a repair-target memo hit, which
+// is what the repeat explain screens of the iterative loop hit (every
+// report kind re-resolves its target), it costs per-diff instead of
+// per-repair.
 func (e *Explainer) Target(ctx context.Context, cell table.CellRef) (_ table.Value, _ bool, err error) {
 	defer e.finishEntry(e.begin(), &err)
-	if diffs, ok := e.cachedRepairDiffs(); ok {
-		for _, d := range diffs {
-			if d.Ref == cell {
-				// The cache stores the representation-exact diff, so a cell
-				// may appear with a kind-only change; "repaired" is the
-				// SameContent predicate, exactly as below.
-				return d.Clean, !d.Dirty.SameContent(d.Clean), nil
-			}
+	exact, err := e.repairExact(ctx)
+	if err != nil {
+		return table.Null(), false, err
+	}
+	for _, d := range exact {
+		if d.Ref == cell {
+			// The diff is representation-exact, so a cell may appear with a
+			// kind-only change; "repaired" is the SameContent predicate.
+			return d.Clean, !d.Dirty.SameContent(d.Clean), nil
 		}
-		return e.Dirty.GetRef(cell), false, nil
 	}
-	clean, _, rerr := e.Repair(ctx)
-	if rerr != nil {
-		return table.Null(), false, rerr
-	}
-	target := clean.GetRef(cell)
-	repaired := !e.Dirty.GetRef(cell).SameContent(target)
-	return target, repaired, nil
+	return e.Dirty.GetRef(cell), false, nil
 }
 
 // ConstraintGame is the DC game of §2.2: player i is e.DCs[i], and

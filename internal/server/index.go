@@ -154,7 +154,7 @@ function renderRanking(rep) {
     rep.entries.map(e => {
       const green = Math.round(232 - 160 * Math.max(e.Shapley, 0) / max);
       return '<div class="rank" style="background: rgb(' + green + ',232,' + green + ')" title="' +
-        e.Shapley.toFixed(4) + (e.Samples ? ' ± ' + e.CI95.toFixed(4) : '') + '">' +
+        e.Shapley.toFixed(4) + (e.Samples ? ' ± ' + (e.CI95 === null ? '∞' : e.CI95.toFixed(4)) : '') + '">' +
         e.Name + ' — ' + e.Shapley.toFixed(4) + '</div>';
     }).join('');
 }

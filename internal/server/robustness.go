@@ -124,7 +124,10 @@ func (s *Server) guard(w http.ResponseWriter, id string, entry *session) func() 
 			return
 		}
 		cause := fmt.Sprintf("%v", r)
-		entry.quarantined = &quarantineError{id: id, cause: cause}
+		q := &quarantineError{id: id, cause: cause}
+		s.mu.Lock()
+		entry.quarantined = q
+		s.mu.Unlock()
 		// The stack goes to stderr for the operator; the response carries
 		// the cause only.
 		fmt.Fprintf(os.Stderr, "server: panic in session %s: %v\n%s", id, r, debug.Stack())
@@ -240,7 +243,9 @@ func (s *Server) evictLocked(id string, entry *session) bool {
 		return false
 	}
 	entry.sess = nil
+	s.mu.Lock()
 	entry.spooled = true
+	s.mu.Unlock()
 	return true
 }
 
@@ -331,7 +336,9 @@ func (s *Server) restoreLockedInner(id string, entry *session) error {
 		return fmt.Errorf("restoring session %s: %w", id, err)
 	}
 	entry.sess = sess
+	s.mu.Lock()
 	entry.spooled = false
+	s.mu.Unlock()
 	return nil
 }
 

@@ -3,6 +3,12 @@
 // explanation) and the iterative edit loop of Figure 4. It substitutes a
 // stdlib net/http implementation for the paper's JavaScript/CSS/HTML
 // front-end and Python backend (DESIGN.md §6).
+//
+// Answers are JSON, written by the append-style encoder in wire.go with
+// Content-Length set; they are byte-identical to encoding/json's encoding
+// of the wire structs declared here, except that a non-finite float is
+// written as null. The one non-finite value an answer carries is the CI95
+// of an explain entry estimated from a single sample.
 package server
 
 import (
@@ -34,10 +40,14 @@ type session struct {
 	// quarantined is set when a request against this session panicked;
 	// every later request answers 409 with the diagnostics until restart
 	// (the panic may have left black-box scratch state torn, so the
-	// session is fenced rather than trusted). Guarded by mu.
+	// session is fenced rather than trusted).
+	//
+	// quarantined and spooled are written holding both mu and Server.mu
+	// (taken in that order) and read holding either: request paths read
+	// them under mu, the LRU scan in enforceBudget under Server.mu.
 	quarantined error
 	// spooled marks a session evicted to the spool directory (sess is
-	// nil); the next request restores it. Guarded by mu.
+	// nil); the next request restores it. Locking as for quarantined.
 	spooled bool
 	// lastTouch is the server clock tick of the last request — the LRU
 	// eviction key. Guarded by Server.mu.
@@ -118,27 +128,16 @@ func (s *Server) Handler() http.Handler {
 	return recoverAll(s.limitBody(mux))
 }
 
-// tableJSON is the wire form of a table.
+// The wire structs below document the JSON answers and are what clients
+// (and the tests) decode into; the answers themselves are written by the
+// append-style writers in wire.go, byte-identical to encoding/json's
+// encoding of these structs.
+
+// tableJSON is the wire form of a table: null cells are "", every other
+// cell is its display text.
 type tableJSON struct {
 	Columns []string   `json:"columns"`
 	Rows    [][]string `json:"rows"`
-}
-
-func toTableJSON(t *table.Table) tableJSON {
-	out := tableJSON{Columns: t.Schema().Names()}
-	for i := 0; i < t.NumRows(); i++ {
-		row := make([]string, t.NumCols())
-		for j := 0; j < t.NumCols(); j++ {
-			v := t.Get(i, j)
-			if v.IsNull() {
-				row[j] = ""
-			} else {
-				row[j] = v.String()
-			}
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out
 }
 
 type sessionJSON struct {
@@ -146,24 +145,6 @@ type sessionJSON struct {
 	Table   tableJSON `json:"table"`
 	DCs     []string  `json:"dcs"`
 	History []string  `json:"history"`
-}
-
-func (s *Server) sessionJSON(id string, sess *core.Session) sessionJSON {
-	out := sessionJSON{ID: id, Table: toTableJSON(sess.Dirty()), History: sess.History}
-	for _, c := range sess.DCs() {
-		out.DCs = append(out.DCs, c.String())
-	}
-	return out
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 func (s *Server) handleAlgorithms(w http.ResponseWriter, _ *http.Request) {
@@ -175,7 +156,7 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Unlock()
 	// Deterministic order for the UI dropdown.
 	sort.Strings(names)
-	writeJSON(w, http.StatusOK, map[string][]string{"algorithms": names})
+	send(w, http.StatusOK, algorithmsAnswer(names))
 }
 
 type createSessionRequest struct {
@@ -224,9 +205,9 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	s.touch(entry)
 	entry.mu.Lock()
-	resp := s.sessionJSON(id, sess)
+	wb := sessionAnswer(id, sess)
 	entry.mu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+	send(w, http.StatusOK, wb)
 }
 
 func (s *Server) session(r *http.Request) (string, *session, error) {
@@ -264,9 +245,9 @@ func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	resp := s.sessionJSON(id, entry.sess)
+	wb := sessionAnswer(id, entry.sess)
 	entry.mu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+	send(w, http.StatusOK, wb)
 }
 
 type repairResponse struct {
@@ -299,7 +280,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess := entry.sess
-	clean, diffs, err := sess.Repair(ctx)
+	exact, repaired, err := sess.Explainer().RepairDiff(ctx)
 	if err != nil {
 		if ctx.Err() != nil {
 			writeError(w, http.StatusRequestTimeout, err)
@@ -308,11 +289,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	resp := repairResponse{Clean: toTableJSON(clean)}
-	for _, d := range diffs {
-		resp.Repaired = append(resp.Repaired, sess.Dirty().RefName(d.Ref))
-	}
-	writeJSON(w, http.StatusOK, resp)
+	send(w, http.StatusOK, repairAnswer(sess.Dirty(), exact, repaired))
 }
 
 // violationJSON is the wire form of one violating pair.
@@ -348,13 +325,7 @@ func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	resp := violationsResponse{Consistent: len(vs) == 0, Violations: []violationJSON{}}
-	for _, v := range vs {
-		resp.Violations = append(resp.Violations, violationJSON{
-			Constraint: v.Constraint.ID, Row1: v.Row1 + 1, Row2: v.Row2 + 1,
-		})
-	}
-	writeJSON(w, http.StatusOK, resp)
+	send(w, http.StatusOK, violationsAnswer(vs))
 }
 
 type explainRequest struct {
@@ -373,6 +344,9 @@ type explainRequest struct {
 	Desired string `json:"desired"`
 }
 
+// explainResponse is the wire form of a report. A sampled entry's CI95 is
+// null when it is not finite: an estimate from a single sample has no
+// bounded interval (encoding/json cannot encode +Inf).
 type explainResponse struct {
 	Cell      string       `json:"cell"`
 	Target    string       `json:"target"`
@@ -484,10 +458,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, explainResponse{
-		Cell: report.Cell, Target: report.Target, Kind: report.Kind,
-		Algorithm: report.Algorithm, Entries: report.Entries,
-	})
+	send(w, http.StatusOK, explainAnswer(report))
 }
 
 type editRequest struct {
@@ -624,7 +595,7 @@ func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("empty edit"))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.sessionJSON(id, sess))
+	send(w, http.StatusOK, sessionAnswer(id, sess))
 }
 
 type ingestResponse struct {
@@ -663,7 +634,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("after %d rows: %w", n, err))
 		return
 	}
-	writeJSON(w, http.StatusOK, ingestResponse{Appended: n, Session: s.sessionJSON(id, sess)})
+	send(w, http.StatusOK, ingestAnswer(n, id, sess))
 }
 
 // ListenAndServe runs the server until the context is cancelled, then

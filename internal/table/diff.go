@@ -13,8 +13,10 @@ type CellDiff struct {
 	Clean Value // value in T_c
 }
 
-// Diff returns the cells at which dirty and clean differ, in vectorization
-// order. Both tables must have the same schema and row count.
+// Diff returns the cells at which dirty and clean differ in content
+// (SameContent), in vectorization order. A NaN cell whose bits are
+// unchanged is not a difference, although NaN is never SameContent. Both
+// tables must have the same schema and row count.
 func Diff(dirty, clean *Table) ([]CellDiff, error) {
 	if !dirty.Schema().Equal(clean.Schema()) {
 		return nil, fmt.Errorf("table: diff over different schemas (%s) vs (%s)", dirty.Schema(), clean.Schema())
@@ -26,7 +28,7 @@ func Diff(dirty, clean *Table) ([]CellDiff, error) {
 	for i := 0; i < dirty.NumRows(); i++ {
 		for j := 0; j < dirty.NumCols(); j++ {
 			dv, cv := dirty.Get(i, j), clean.Get(i, j)
-			if !dv.SameContent(cv) {
+			if !dv.SameContent(cv) && !identical(dv, cv) {
 				diffs = append(diffs, CellDiff{Ref: CellRef{Row: i, Col: j}, Dirty: dv, Clean: cv})
 			}
 		}
@@ -34,17 +36,18 @@ func Diff(dirty, clean *Table) ([]CellDiff, error) {
 	return diffs, nil
 }
 
-// DiffExact returns the cells at which dirty and clean differ by exact
-// representation (kind-sensitive Go inequality), in vectorization order.
+// DiffExact returns the cells at which dirty and clean differ bit for bit
+// (same kind and payload, floats by bit pattern), in vectorization order.
 // Where Diff unifies numeric kinds through SameContent, DiffExact records
 // a cell whose repair changed Int(5) to Float(5.0) — which Diff deems
-// unchanged — so replaying the result onto a clone of dirty reproduces
-// clean cell-for-cell, representation included (the repair-target cache's
-// replay contract; kind-sensitive consumers like hash-join keys must not
-// see different representations on a cache hit than on a miss). NaN cells
-// compare unequal to themselves and are conservatively included. Every SameContent difference is also
-// an exact difference, so Diff's output is the !SameContent subset of
-// DiffExact's.
+// unchanged — or wrote -0 over 0, so replaying the result onto a clone of
+// dirty reproduces clean cell-for-cell, representation included (the
+// repair-target memo's replay contract; kind-sensitive consumers like
+// hash-join keys must not see different representations on a memo hit
+// than on a miss). A NaN cell left with the same bits is not a
+// difference, while a NaN whose bits changed is. Every SameContent
+// difference is also an exact difference, so Diff's output is the
+// !SameContent subset of DiffExact's.
 func DiffExact(dirty, clean *Table) ([]CellDiff, error) {
 	if !dirty.Schema().Equal(clean.Schema()) {
 		return nil, fmt.Errorf("table: diff over different schemas (%s) vs (%s)", dirty.Schema(), clean.Schema())
@@ -56,7 +59,7 @@ func DiffExact(dirty, clean *Table) ([]CellDiff, error) {
 	for i := 0; i < dirty.NumRows(); i++ {
 		for j := 0; j < dirty.NumCols(); j++ {
 			dv, cv := dirty.Get(i, j), clean.Get(i, j)
-			if dv != cv {
+			if !identical(dv, cv) {
 				diffs = append(diffs, CellDiff{Ref: CellRef{Row: i, Col: j}, Dirty: dv, Clean: cv})
 			}
 		}
