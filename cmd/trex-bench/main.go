@@ -10,8 +10,7 @@
 //	trex-bench -perf -out BENCH_1.json   # machine-readable perf scenarios
 //	trex-bench -perf -short              # CI smoke subset, no file
 //	trex-bench -gate BENCH_3.json -against BENCH_2.json   # perf-regression gate
-//	trex-bench -speedup BENCH_8.json      # constraint-set planner floor
-//	trex-bench -structural BENCH_8.json   # structural delta-replay floor
+//	trex-bench -ratios BENCH_8.json       # planner and delta-replay floors
 package main
 
 import (
@@ -26,32 +25,22 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id or 'all'")
-		list     = flag.Bool("list", false, "list experiment ids")
-		perf     = flag.Bool("perf", false, "run the perf scenarios (ns/op, allocs/op) instead of experiments")
-		out      = flag.String("out", "", "with -perf: write the JSON report to this path (e.g. BENCH_1.json)")
-		short    = flag.Bool("short", false, "with -perf: skip the slow end-to-end scenarios")
-		gate     = flag.String("gate", "", "compare this BENCH_<n>.json against -against and fail on regression")
-		against  = flag.String("against", "", "with -gate: the baseline BENCH_<n>.json")
-		tol      = flag.Float64("gate-tolerance", 0.25, "with -gate: allowed ns/op regression fraction")
-		workers  = flag.Int("workers", 0, "with -perf: engine parallelism for the multi-core scenarios; 0 = GOMAXPROCS")
-		speedup  = flag.String("speedup", "", "check the planner's planned-vs-perconstraint speedup inside this BENCH_<n>.json")
-		minSpeed = flag.Float64("min-speedup", 1.5, "with -speedup: required planner speedup on dcset scan scenarios")
-		structrl = flag.String("structural", "", "check the structural delta-vs-rebuild speedup inside this BENCH_<n>.json")
-		minStrct = flag.Float64("min-structural", 5, "with -structural: required delta-replay speedup on insert/delete scenarios")
+		exp     = flag.String("exp", "all", "experiment id or 'all'")
+		list    = flag.Bool("list", false, "list experiment ids")
+		perf    = flag.Bool("perf", false, "run the perf scenarios (ns/op, allocs/op) instead of experiments")
+		out     = flag.String("out", "", "with -perf: write the JSON report to this path (e.g. BENCH_1.json)")
+		short   = flag.Bool("short", false, "with -perf: skip the slow end-to-end scenarios")
+		gate    = flag.String("gate", "", "compare this BENCH_<n>.json against -against and fail on regression")
+		against = flag.String("against", "", "with -gate: the baseline BENCH_<n>.json")
+		tol     = flag.Float64("gate-tolerance", 0.25, "with -gate: allowed ns/op regression fraction")
+		workers = flag.Int("workers", 0, "with -perf: engine parallelism for the multi-core scenarios; 0 = GOMAXPROCS")
+		ratios  = flag.String("ratios", "", "check the declared speed ratios inside this BENCH_<n>.json: planner >=1.5x on dcset scan pairs, delta replay >=5x on insert/delete pairs")
 	)
 	flag.Parse()
 
-	if *structrl != "" {
-		if err := bench.StructuralSpeedup(os.Stdout, *structrl, *minStrct); err != nil {
-			fmt.Fprintf(os.Stderr, "trex-bench: structural: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *speedup != "" {
-		if err := bench.PlannerSpeedup(os.Stdout, *speedup, *minSpeed); err != nil {
-			fmt.Fprintf(os.Stderr, "trex-bench: speedup: %v\n", err)
+	if *ratios != "" {
+		if err := bench.RatioGate(os.Stdout, *ratios); err != nil {
+			fmt.Fprintf(os.Stderr, "trex-bench: ratios: %v\n", err)
 			os.Exit(1)
 		}
 		return

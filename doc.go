@@ -236,11 +236,13 @@
 //     operand hoisted and compared through typed column views
 //     (table.IntCol/FloatCol/StringCol). Kernels and column resolutions
 //     are schema-scoped — re-pointing the index at a clone recompiles
-//     nothing — while buckets are table-scoped. The interpreted evaluator
-//     (Predicate.Eval / SatisfiedPair) remains the cross-validation
-//     reference: every nil-index scan runs it, and property tests fuzz
-//     kernel against interpreter across randomized schemas, NaN/±0.0
-//     values and all six operators.
+//     nothing — while buckets are table-scoped. The kernel over a
+//     ScanIndex is the only production evaluator: full scans, point
+//     probes and live-list derivation share one scan. The interpreted
+//     evaluator (Predicate.Eval / SatisfiedPair) lives on only as the
+//     test oracle in internal/dc/export_test.go, and property and fuzz
+//     tests check every production path against it across randomized
+//     schemas, NaN/±0.0 values and all six operators.
 //   - LiveViolationSet: the materialized answer — per-(constraint, table)
 //     violation-pair lists, sorted (Row1, Row2). A cell edit retracts the
 //     edited row's pairs and re-derives them against the row's current

@@ -26,8 +26,8 @@ import (
 //     fingerprint+lookup a session actually pays per cache hit.
 //
 // Planned and per-constraint rows run bit-identical work (the plan
-// contract), so each ns/op ratio is pure planning win; PlannerSpeedup
-// gates the scan rows.
+// contract), so each ns/op ratio is pure planning win; RatioGate checks
+// the pairs dcsetRatios declares.
 
 // dcsetAttrs is the secondary attribute pool of the synthetic sets.
 const dcsetAttrs = 6
@@ -97,12 +97,39 @@ func dcsetScanAll(b *testing.B, cs []*dc.Constraint, tbl *table.Table, ix *dc.Sc
 // dcsetRows is the synthetic table size of the scan and edit phases.
 const dcsetRows = 360
 
+// dcsetSizes are the DC-set sizes of the scan and edit phases; short runs
+// drop the last.
+var dcsetSizes = []int{8, 32, 100}
+
+// plannerFloor is the speedup every planned dcset scan row must keep over
+// its per-constraint twin.
+const plannerFloor = 1.5
+
+// dcsetRatios pairs every planned dcset row with its per-constraint twin.
+// The scan pairs gate at plannerFloor; the edit pairs are context only,
+// because delta replay cost depends on the edit mix, which the synthetic
+// scenarios fix arbitrarily.
+func dcsetRatios() []ratioPair {
+	var out []ratioPair
+	for _, n := range dcsetSizes {
+		for _, phase := range []string{"scan", "edit"} {
+			out = append(out, ratioPair{
+				fast:  fmt.Sprintf("dcset/%s/planned/n=%d", phase, n),
+				slow:  fmt.Sprintf("dcset/%s/perconstraint/n=%d", phase, n),
+				floor: plannerFloor,
+				gated: phase == "scan",
+			})
+		}
+	}
+	return out
+}
+
 // dcsetScenarios returns the planner benchmark family. short drops the
 // n=100 rows (CI smoke).
 func dcsetScenarios(short bool) []perfScenario {
-	sizes := []int{8, 32, 100}
+	sizes := dcsetSizes
 	if short {
-		sizes = []int{8, 32}
+		sizes = sizes[:2]
 	}
 	var out []perfScenario
 	for _, n := range sizes {

@@ -90,6 +90,21 @@ func EvalHarnessGame(rows int, alg repair.Algorithm) (*core.CellGame, error) {
 	return exp.NewCellGame(cell, tbl.GetRef(cell), core.ReplaceWithNull), nil
 }
 
+// structuralFloor is the speedup the live violation set's insert and
+// delete delta rows must keep over a forced full rebuild: a single-row
+// insert or swap-delete replays the touched row's pairs instead of
+// re-deriving the list.
+const structuralFloor = 5
+
+// structuralRatios pairs each structural delta row with its rebuild twin.
+// The batch pair is context only: its edit mix (inserts, a cell flip and
+// deletes per generation) is fixed arbitrarily by the scenario.
+var structuralRatios = []ratioPair{
+	{fast: "violations/insert/delta", slow: "violations/insert/rebuild", floor: structuralFloor, gated: true},
+	{fast: "violations/delete/delta", slow: "violations/delete/rebuild", floor: structuralFloor, gated: true},
+	{fast: "violations/batch/delta", slow: "violations/batch/rebuild", floor: structuralFloor},
+}
+
 // perfScenarios builds the registered scenarios. short trims the expensive
 // end-to-end rows for CI smoke runs; workers is the engine parallelism of
 // the multi-core rows (0 = GOMAXPROCS).
@@ -234,23 +249,15 @@ func perfScenarios(short bool, workers int) ([]perfScenario, error) {
 		}},
 	)
 
-	// Violation scans: indexed vs cached buckets on a generated table.
+	// Violation scans over warm cached buckets on a generated table.
 	soccer := data.GenerateSoccer(data.SoccerConfig{Leagues: 4, TeamsPerLeague: 32, Seed: 11})
 	fd := dc.MustParse("C1: !(t1.League = t2.League & t1.Country != t2.Country)")
 	out = append(out,
-		perfScenario{name: "violations/indexed", bench: func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := fd.ViolationsIndexed(soccer); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
 		perfScenario{name: "violations/scan-cache", bench: func(b *testing.B) {
 			ix := dc.NewScanIndex()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := fd.ViolationsCached(soccer, ix); err != nil {
+				if _, err := fd.AppendViolations(soccer, ix, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -258,31 +265,21 @@ func perfScenarios(short bool, workers int) ([]perfScenario, error) {
 	)
 
 	// Per-bucket delta maintenance: a single-cell edit before every scan.
-	// The rebuild row pays a full bucket build per scan; the delta row
-	// catches up from the table's edit log, touching only the two buckets
-	// the edited row moves between.
+	// The delta row catches up from the table's edit log, touching only the
+	// two buckets the edited row moves between.
 	editTable := data.GenerateSoccer(data.SoccerConfig{Leagues: 4, TeamsPerLeague: 32, Seed: 12})
 	countryCol := editTable.Schema().MustIndex("Country")
 	editValues := [2]table.Value{table.String("Spain"), table.String("Italy")}
 	out = append(out,
-		perfScenario{name: "violations/edit/rebuild", bench: func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				editTable.Set(1, countryCol, editValues[i%2])
-				if _, err := fd.ViolationsIndexed(editTable); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
 		perfScenario{name: "violations/edit/delta", bench: func(b *testing.B) {
 			ix := dc.NewScanIndex()
-			if _, err := fd.ViolationsCached(editTable, ix); err != nil {
+			if _, err := fd.AppendViolations(editTable, ix, nil); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				editTable.Set(1, countryCol, editValues[i%2])
-				if _, err := fd.ViolationsCached(editTable, ix); err != nil {
+				if _, err := fd.AppendViolations(editTable, ix, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -340,6 +337,7 @@ func perfScenarios(short bool, workers int) ([]perfScenario, error) {
 	// iteration restores the row count with the mirrored op so the table
 	// never drifts; the restore op lands in the next scan's replay window,
 	// so the delta rows price the one-insert-one-delete steady state.
+	// structuralRatios declares the delta/rebuild pairs RatioGate checks.
 	structTable := data.GenerateSoccer(data.SoccerConfig{Leagues: 4, TeamsPerLeague: 32, Seed: 14})
 	structCountry := structTable.Schema().MustIndex("Country")
 	structRow := structTable.Row(7)
@@ -456,7 +454,7 @@ func perfScenarios(short bool, workers int) ([]perfScenario, error) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := bigFD.ViolationsCached(big, ix); err != nil {
+				if _, err := bigFD.AppendViolations(big, ix, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -92,66 +92,23 @@ func CompareReports(oldReport, newReport *PerfReport, tolerance float64) (result
 	return results, onlyOld, onlyNew
 }
 
-// PlannerSpeedup checks the constraint-set planner's win inside one perf
-// report: every dcset row named .../planned/... is paired with its
-// .../perconstraint/... twin, and each scan pair must show the planned
-// side at least min times faster (edit pairs are reported for context
-// but do not gate — delta replay cost depends on the edit mix, which the
-// synthetic scenarios fix arbitrarily). A report with no planner pairs
-// fails: that means the dcset scenario family silently vanished from the
-// tracked series, which is exactly what this check exists to notice.
-func PlannerSpeedup(w io.Writer, path string, min float64) error {
-	report, err := readPerfJSON(path)
-	if err != nil {
-		return err
-	}
-	byName := make(map[string]PerfResult, len(report.Results))
-	for _, r := range report.Results {
-		byName[r.Name] = r
-	}
-	var pairs, failed int
-	for _, r := range report.Results {
-		if !strings.Contains(r.Name, "/planned/") {
-			continue
-		}
-		twin, ok := byName[strings.Replace(r.Name, "/planned/", "/perconstraint/", 1)]
-		if !ok || r.NsPerOp <= 0 {
-			continue
-		}
-		pairs++
-		speedup := twin.NsPerOp / r.NsPerOp
-		gated := strings.Contains(r.Name, "/scan/")
-		status := "info"
-		if gated {
-			status = "ok"
-			if speedup < min {
-				status = "TOO SLOW"
-				failed++
-			}
-		}
-		fmt.Fprintf(w, "%-44s %12.1f -> %12.1f ns/op  %6.2fx  %s\n",
-			r.Name, twin.NsPerOp, r.NsPerOp, speedup, status)
-	}
-	if pairs == 0 {
-		return fmt.Errorf("bench: speedup: %s has no planned/perconstraint scenario pairs", path)
-	}
-	if failed > 0 {
-		return fmt.Errorf("bench: speedup: %d scan pair(s) below the %.2fx planner floor", failed, min)
-	}
-	return nil
+// ratioPair is one speed contract checked inside a single perf report, so
+// machine speed cancels out: the fast row must run at least floor times
+// faster than the slow row. Ungated pairs are printed for context only.
+// Pairs are declared next to their scenarios (dcsetRatios,
+// structuralRatios).
+type ratioPair struct {
+	fast, slow string
+	floor      float64
+	gated      bool
 }
 
-// StructuralSpeedup checks the typed edit log's structural win inside one
-// perf report: each violations/{insert,delete,batch}/delta row is paired
-// with its .../rebuild twin, and the insert and delete pairs must show
-// the delta side at least min times faster — the contract that a
-// single-row insert or swap-delete updates the live violation set by
-// replaying the touched row's pairs instead of forcing a full derivation.
-// The batch pair is reported for context but does not gate: its edit mix
-// (inserts + a cell flip + deletes per generation) is fixed arbitrarily
-// by the scenario. A report with no structural pairs fails: that means
-// the scenario family silently vanished from the tracked series.
-func StructuralSpeedup(w io.Writer, path string, min float64) error {
+// RatioGate checks every declared ratio pair inside one perf report. A
+// pair whose rows are not both in the report is skipped (a -short report
+// lacks the n=100 dcset rows), but a report with no pair at all fails:
+// that means the scenario families silently vanished from the tracked
+// series, which is exactly what this gate exists to notice.
+func RatioGate(w io.Writer, path string) error {
 	report, err := readPerfJSON(path)
 	if err != nil {
 		return err
@@ -160,32 +117,32 @@ func StructuralSpeedup(w io.Writer, path string, min float64) error {
 	for _, r := range report.Results {
 		byName[r.Name] = r
 	}
-	var pairs, failed int
-	for _, op := range []string{"insert", "delete", "batch"} {
-		delta, okD := byName["violations/"+op+"/delta"]
-		rebuild, okR := byName["violations/"+op+"/rebuild"]
-		if !okD || !okR || delta.NsPerOp <= 0 {
+	var pairs int
+	var failed []string
+	for _, p := range append(dcsetRatios(), structuralRatios...) {
+		fast, okF := byName[p.fast]
+		slow, okS := byName[p.slow]
+		if !okF || !okS || fast.NsPerOp <= 0 {
 			continue
 		}
 		pairs++
-		speedup := rebuild.NsPerOp / delta.NsPerOp
-		gated := op != "batch"
+		speedup := slow.NsPerOp / fast.NsPerOp
 		status := "info"
-		if gated {
+		if p.gated {
 			status = "ok"
-			if speedup < min {
-				status = "TOO SLOW"
-				failed++
+			if speedup < p.floor {
+				status = fmt.Sprintf("TOO SLOW (floor %.2fx)", p.floor)
+				failed = append(failed, p.fast)
 			}
 		}
 		fmt.Fprintf(w, "%-44s %12.1f -> %12.1f ns/op  %6.2fx  %s\n",
-			"violations/"+op+"/delta", rebuild.NsPerOp, delta.NsPerOp, speedup, status)
+			p.fast, slow.NsPerOp, fast.NsPerOp, speedup, status)
 	}
 	if pairs == 0 {
-		return fmt.Errorf("bench: structural: %s has no delta/rebuild scenario pairs", path)
+		return fmt.Errorf("bench: ratios: %s has no declared ratio scenario pairs", path)
 	}
-	if failed > 0 {
-		return fmt.Errorf("bench: structural: %d pair(s) below the %.2fx delta-replay floor", failed, min)
+	if len(failed) > 0 {
+		return fmt.Errorf("bench: ratios: %d gated pair(s) below their floor: %s", len(failed), strings.Join(failed, ", "))
 	}
 	return nil
 }

@@ -95,8 +95,8 @@ func TestPlannerSpeedupGatesScanPairs(t *testing.T) {
 		{Name: "unrelated", NsPerOp: 7},
 	})
 	var out bytes.Buffer
-	if err := PlannerSpeedup(&out, path, 1.5); err != nil {
-		t.Fatalf("speedup check failed: %v\n%s", err, out.String())
+	if err := RatioGate(&out, path); err != nil {
+		t.Fatalf("ratio gate failed: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "info") {
 		t.Fatalf("edit pair not reported informationally:\n%s", out.String())
@@ -107,11 +107,11 @@ func TestPlannerSpeedupGatesScanPairs(t *testing.T) {
 		{Name: "dcset/scan/planned/n=8", NsPerOp: 280}, // 1.07x < 1.5x
 	})
 	out.Reset()
-	err := PlannerSpeedup(&out, slow, 1.5)
+	err := RatioGate(&out, slow)
 	if err == nil {
-		t.Fatalf("speedup check must fail below the floor\n%s", out.String())
+		t.Fatalf("ratio gate must fail below the planner floor\n%s", out.String())
 	}
-	if !strings.Contains(err.Error(), "planner floor") || !strings.Contains(out.String(), "TOO SLOW") {
+	if !strings.Contains(err.Error(), "below their floor") || !strings.Contains(out.String(), "TOO SLOW (floor 1.50x)") {
 		t.Fatalf("unexpected failure shape: %v\n%s", err, out.String())
 	}
 }
@@ -122,8 +122,8 @@ func TestPlannerSpeedupRequiresPairs(t *testing.T) {
 		{Name: "dcset/scan/planned/n=8", NsPerOp: 5}, // twin missing: no pair
 	})
 	var out bytes.Buffer
-	if err := PlannerSpeedup(&out, path, 1.5); err == nil ||
-		!strings.Contains(err.Error(), "no planned/perconstraint scenario pairs") {
+	if err := RatioGate(&out, path); err == nil ||
+		!strings.Contains(err.Error(), "no declared ratio scenario pairs") {
 		t.Fatalf("want missing-pairs error, got %v", err)
 	}
 }
@@ -141,8 +141,8 @@ func TestStructuralSpeedupGatesInsertDeletePairs(t *testing.T) {
 		{Name: "violations/edit/delta", NsPerOp: 10},
 	})
 	var out bytes.Buffer
-	if err := StructuralSpeedup(&out, path, 5); err != nil {
-		t.Fatalf("structural check failed: %v\n%s", err, out.String())
+	if err := RatioGate(&out, path); err != nil {
+		t.Fatalf("ratio gate failed: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "info") {
 		t.Fatalf("batch pair not reported informationally:\n%s", out.String())
@@ -158,19 +158,19 @@ func TestStructuralSpeedupGatesInsertDeletePairs(t *testing.T) {
 		{Name: "violations/delete/delta", NsPerOp: 100},
 	})
 	out.Reset()
-	err := StructuralSpeedup(&out, slow, 5)
+	err := RatioGate(&out, slow)
 	if err == nil {
-		t.Fatalf("structural check must fail below the floor\n%s", out.String())
+		t.Fatalf("ratio gate must fail below the delta-replay floor\n%s", out.String())
 	}
-	if !strings.Contains(err.Error(), "delta-replay floor") || !strings.Contains(out.String(), "TOO SLOW") {
+	if !strings.Contains(err.Error(), "below their floor") || !strings.Contains(out.String(), "TOO SLOW (floor 5.00x)") {
 		t.Fatalf("unexpected failure shape: %v\n%s", err, out.String())
 	}
 
 	empty := writeReport(t, dir, "none.json", []PerfResult{
 		{Name: "violations/insert/delta", NsPerOp: 5}, // twin missing: no pair
 	})
-	if err := StructuralSpeedup(os.Stderr, empty, 5); err == nil ||
-		!strings.Contains(err.Error(), "no delta/rebuild scenario pairs") {
+	if err := RatioGate(os.Stderr, empty); err == nil ||
+		!strings.Contains(err.Error(), "no declared ratio scenario pairs") {
 		t.Fatalf("want missing-pairs error, got %v", err)
 	}
 }

@@ -114,11 +114,7 @@ func (s *Session) Engine() *exec.Engine { return s.engine }
 // keyed by game identity and invalidated by the dirty table's generation,
 // which every SetCell bumps — and its repairs run on the session pool.
 func (s *Session) Explainer() *Explainer {
-	e := &Explainer{Alg: s.alg, DCs: s.dcs, Dirty: s.dirty, Engine: s.engine, repairDescMemo: s.repairDesc}
-	if s.plan != nil {
-		e.Plan = s.plan
-	}
-	return e
+	return &Explainer{Alg: s.alg, DCs: s.dcs, Dirty: s.dirty, Engine: s.engine, Plan: s.plan, repairDescMemo: s.repairDesc}
 }
 
 // Dirty returns the session's current dirty table (live; edits via SetCell).
@@ -296,7 +292,14 @@ func (s *Session) AddDC(text string) error {
 		return err
 	}
 	if c.ID == "" {
-		c.ID = fmt.Sprintf("C%d", len(s.dcs)+1)
+		// The first free C<n> from len+1 up: after a RemoveDC, C<len+1>
+		// may still name a surviving constraint.
+		for n := len(s.dcs) + 1; ; n++ {
+			c.ID = fmt.Sprintf("C%d", n)
+			if dc.ByID(s.dcs, c.ID) == nil {
+				break
+			}
+		}
 	}
 	if dc.ByID(s.dcs, c.ID) != nil {
 		return fmt.Errorf("core: constraint %q already exists", c.ID)
@@ -324,11 +327,7 @@ func (s *Session) Violations() ([]dc.Violation, error) {
 	if s.live == nil {
 		s.live = dc.NewLiveViolationSet()
 	}
-	if s.plan != nil {
-		s.live.UsePlan(s.plan)
-	} else {
-		s.live.UsePlan(nil)
-	}
+	s.live.UsePlan(s.plan)
 	var out []dc.Violation
 	for _, c := range s.dcs {
 		var err error

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/data"
@@ -61,6 +62,29 @@ func TestSessionRemoveAndAddDC(t *testing.T) {
 	}
 	if len(s.History) != 2 {
 		t.Errorf("history = %v", s.History)
+	}
+}
+
+// TestSessionAddDCUnnamedAfterRemove: an unnamed constraint takes the first
+// free C<n> from len+1 up. After removing C2 of C1–C4, len+1 = 4 still
+// names a surviving constraint, so the new one must become C5.
+func TestSessionAddDCUnnamedAfterRemove(t *testing.T) {
+	s := newSession(t)
+	if err := s.RemoveDC("C2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddDC("!(t1.Year != t2.Year & t1.League = t2.League)"); err != nil {
+		t.Fatalf("unnamed AddDC after RemoveDC: %v", err)
+	}
+	if err := s.AddDC("!(t1.Team = t2.Team & t1.Year != t2.Year)"); err != nil {
+		t.Fatalf("second unnamed AddDC: %v", err)
+	}
+	var ids []string
+	for _, c := range s.DCs() {
+		ids = append(ids, c.ID)
+	}
+	if got, want := fmt.Sprint(ids), "[C1 C3 C4 C5 C6]"; got != want {
+		t.Fatalf("constraint IDs = %s, want %s", got, want)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/dc"
 	"repro/internal/repair"
 )
 
@@ -84,16 +85,17 @@ func TestSessionPlannedMatchesUnplanned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want int
-		for _, c := range ll.DCs {
-			pairs, err := c.Violations(ll.Dirty)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want += len(pairs)
+		want, err := dc.AllViolations(ll.DCs, ll.Dirty)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(vs) != want {
-			t.Fatalf("workers=%d: planned session reports %d violations, naive reference %d", workers, len(vs), want)
+		if len(vs) != len(want) {
+			t.Fatalf("workers=%d: planned session reports %d violations, unplanned scan %d", workers, len(vs), len(want))
+		}
+		for i := range want {
+			if vs[i] != want[i] {
+				t.Fatalf("workers=%d: violation %d: planned %v, unplanned %v", workers, i, vs[i], want[i])
+			}
 		}
 	}
 }

@@ -1,7 +1,8 @@
 // Package dc implements the denial-constraint (DC) language used by the
-// paper: the predicate AST, a text parser for the ¬(p1 ∧ ... ∧ pk) form, an
-// interpreter with SQL-style null semantics, and violation detection over
-// tables (both a naive quadratic scan and a hash-join accelerated scan).
+// paper: the predicate AST, a text parser for the ¬(p1 ∧ ... ∧ pk) form,
+// and violation detection over tables with SQL-style null semantics: one
+// compiled predicate kernel run over incrementally-maintained hash
+// partitions, for full scans, point probes and live violation lists.
 //
 // A denial constraint ∀t1,t2. ¬(p1 ∧ ... ∧ pk) states that no pair of
 // distinct tuples may jointly satisfy all predicates. Constraints that only
@@ -68,42 +69,6 @@ func (o Op) Negate() Op {
 	}
 }
 
-// Eval applies the operator to two values under three-valued logic:
-// (result, known). known is false when either side is null or the kinds are
-// incomparable; the DC evaluator treats unknown as "predicate not satisfied",
-// so nulls never create violations — matching the paper's coalition
-// semantics where excluded cells are null.
-func (o Op) Eval(a, b table.Value) (bool, bool) {
-	switch o {
-	case OpEq:
-		if a.IsNull() || b.IsNull() {
-			return false, false
-		}
-		return a.Equal(b), true
-	case OpNeq:
-		if a.IsNull() || b.IsNull() {
-			return false, false
-		}
-		return !a.Equal(b), true
-	default:
-		c, ok := a.Compare(b)
-		if !ok {
-			return false, false
-		}
-		switch o {
-		case OpLt:
-			return c < 0, true
-		case OpLeq:
-			return c <= 0, true
-		case OpGt:
-			return c > 0, true
-		case OpGeq:
-			return c >= 0, true
-		}
-		return false, false
-	}
-}
-
 // Operand is one side of a predicate: either a tuple attribute reference
 // (t1.Attr or t2.Attr) or a constant.
 type Operand struct {
@@ -134,22 +99,6 @@ func (o Operand) String() string {
 	return fmt.Sprintf("t%d.%s", o.Tuple+1, o.Attr)
 }
 
-// value resolves the operand against a pair of rows (row2 may equal row1
-// for single-tuple DCs).
-func (o Operand) value(row1, row2 []table.Value, schema *table.Schema) (table.Value, error) {
-	if o.IsConst {
-		return o.Const, nil
-	}
-	idx, ok := schema.Index(o.Attr)
-	if !ok {
-		return table.Null(), fmt.Errorf("dc: attribute %q not in schema (%s)", o.Attr, schema)
-	}
-	if o.Tuple == 0 {
-		return row1[idx], nil
-	}
-	return row2[idx], nil
-}
-
 // Predicate is one conjunct of a DC body: Left Op Right.
 type Predicate struct {
 	Left  Operand
@@ -165,20 +114,6 @@ func (p Predicate) String() string {
 // mentionsT2 reports whether the predicate references tuple variable t2.
 func (p Predicate) mentionsT2() bool {
 	return (!p.Left.IsConst && p.Left.Tuple == 1) || (!p.Right.IsConst && p.Right.Tuple == 1)
-}
-
-// Eval evaluates the predicate on a pair of rows under three-valued logic.
-func (p Predicate) Eval(row1, row2 []table.Value, schema *table.Schema) (bool, bool, error) {
-	a, err := p.Left.value(row1, row2, schema)
-	if err != nil {
-		return false, false, err
-	}
-	b, err := p.Right.value(row1, row2, schema)
-	if err != nil {
-		return false, false, err
-	}
-	sat, known := p.Op.Eval(a, b)
-	return sat, known, nil
 }
 
 // Constraint is a denial constraint ∀t1[,t2]. ¬(p1 ∧ ... ∧ pk).

@@ -44,7 +44,7 @@ func BenchmarkViolationsIndexed(b *testing.B) {
 		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.ViolationsIndexed(tbl); err != nil {
+				if _, err := c.AppendViolations(tbl, NewScanIndex(), nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -115,13 +115,13 @@ func BenchmarkLiveViolationEdit(b *testing.B) {
 	vals := [2]table.Value{table.String("Country0"), table.String("Flip")}
 	b.Run("scan-cache", func(b *testing.B) {
 		ix := NewScanIndex()
-		if _, err := c.ViolationsCached(tbl, ix); err != nil {
+		if _, err := c.AppendViolations(tbl, ix, nil); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			tbl.Set(3, countryCol, vals[i%2])
-			if _, err := c.ViolationsCached(tbl, ix); err != nil {
+			if _, err := c.AppendViolations(tbl, ix, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -42,25 +42,25 @@ C3: !(t1.City != t2.City & t1.Country != t2.Country & t1.Team != t2.Team & t1.Ye
 }
 
 // assertSameViolations compares the cached (delta-maintained) scan against
-// a from-scratch indexed scan for every constraint, plus the per-row
+// the interpreted oracle for every constraint, plus the per-row
 // primitives on every row.
 func assertSameViolations(t *testing.T, label string, cs []*Constraint, tbl *table.Table, ix *ScanIndex) {
 	t.Helper()
 	for _, c := range cs {
-		got, err := c.ViolationsCached(tbl, ix)
+		got, err := c.AppendViolations(tbl, ix, nil)
 		if err != nil {
 			t.Fatalf("%s/%s: cached: %v", label, c.ID, err)
 		}
-		want, err := c.ViolationsIndexed(tbl)
+		want, err := c.Violations(tbl)
 		if err != nil {
-			t.Fatalf("%s/%s: fresh: %v", label, c.ID, err)
+			t.Fatalf("%s/%s: oracle: %v", label, c.ID, err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("%s/%s: %d violations cached, %d fresh", label, c.ID, len(got), len(want))
+			t.Fatalf("%s/%s: %d violations cached, %d oracle", label, c.ID, len(got), len(want))
 		}
 		for i := range got {
 			if got[i].Row1 != want[i].Row1 || got[i].Row2 != want[i].Row2 {
-				t.Fatalf("%s/%s: violation %d: cached (%d,%d), fresh (%d,%d)",
+				t.Fatalf("%s/%s: violation %d: cached (%d,%d), oracle (%d,%d)",
 					label, c.ID, i, got[i].Row1, got[i].Row2, want[i].Row1, want[i].Row2)
 			}
 		}
@@ -74,18 +74,18 @@ func assertSameViolations(t *testing.T, label string, cs []*Constraint, tbl *tab
 				t.Fatal(err)
 			}
 			if gotRow != wantRow {
-				t.Fatalf("%s/%s: row %d: cached %v, fresh %v", label, c.ID, row, gotRow, wantRow)
+				t.Fatalf("%s/%s: row %d: cached %v, oracle %v", label, c.ID, row, gotRow, wantRow)
 			}
 			gotN, err := c.ViolationPairsForRow(tbl, row, ix)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantN, err := c.ViolationPairsForRow(tbl, row, nil)
+			wantN, err := c.violationPairsForRowOracle(tbl, row)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if gotN != wantN {
-				t.Fatalf("%s/%s: row %d: %d pairs cached, %d fresh", label, c.ID, row, gotN, wantN)
+				t.Fatalf("%s/%s: row %d: %d pairs cached, %d oracle", label, c.ID, row, gotN, wantN)
 			}
 		}
 	}
@@ -240,7 +240,7 @@ func TestJoinKeyUnifiesNumericKinds(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("fixture must violate: int 1 and float 1.0 disagree on B")
 	}
-	got, err := c.ViolationsCached(tbl, ix)
+	got, err := c.AppendViolations(tbl, ix, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestJoinKeyUnifiesNumericKinds(t *testing.T) {
 		if exact != indexed {
 			t.Fatalf("row %d: exact %v, bucket-restricted %v", i, exact, indexed)
 		}
-		nExact, err := c.ViolationPairsForRow(tbl, i, nil)
+		nExact, err := c.violationPairsForRowOracle(tbl, i)
 		if err != nil {
 			t.Fatal(err)
 		}

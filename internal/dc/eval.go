@@ -23,83 +23,6 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s violated by (t%d, t%d)", v.Constraint.ID, v.Row1+1, v.Row2+1)
 }
 
-// SatisfiedPair reports whether the constraint body (the denied conjunction)
-// holds for rows (i, j) bound to (t1, t2). Unknown predicates (null or
-// incomparable operands) make the conjunction fail, so nulls never create
-// violations.
-func (c *Constraint) SatisfiedPair(t *table.Table, i, j int) (bool, error) {
-	row1 := t.RowView(i)
-	row2 := t.RowView(j)
-	for _, p := range c.Preds {
-		sat, known, err := p.Eval(row1, row2, t.Schema())
-		if err != nil {
-			return false, err
-		}
-		if !known || !sat {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// ViolatesRow reports whether row i participates in any violation of the
-// constraint: as the single tuple for single-tuple DCs, or bound to either
-// t1 or t2 against any other row for pair DCs. This is the "tuple t has a
-// contradiction according to C" primitive of the paper's Algorithm 1.
-func (c *Constraint) ViolatesRow(t *table.Table, i int) (bool, error) {
-	if c.SingleTuple() {
-		return c.SatisfiedPair(t, i, i)
-	}
-	for j := 0; j < t.NumRows(); j++ {
-		if j == i {
-			continue
-		}
-		if sat, err := c.SatisfiedPair(t, i, j); err != nil || sat {
-			return sat, err
-		}
-		if sat, err := c.SatisfiedPair(t, j, i); err != nil || sat {
-			return sat, err
-		}
-	}
-	return false, nil
-}
-
-// Violations scans the whole table and returns every violation of the
-// constraint. Pair violations are reported once per ordered pair (i, j)
-// with i != j that satisfies the body; callers that want unordered pairs
-// can deduplicate with min/max. The scan is the naive O(n²) reference; see
-// ViolationsIndexed for the accelerated version.
-func (c *Constraint) Violations(t *table.Table) ([]Violation, error) {
-	var out []Violation
-	if c.SingleTuple() {
-		for i := 0; i < t.NumRows(); i++ {
-			sat, err := c.SatisfiedPair(t, i, i)
-			if err != nil {
-				return nil, err
-			}
-			if sat {
-				out = append(out, Violation{Constraint: c, Row1: i, Row2: i})
-			}
-		}
-		return out, nil
-	}
-	for i := 0; i < t.NumRows(); i++ {
-		for j := 0; j < t.NumRows(); j++ {
-			if i == j {
-				continue
-			}
-			sat, err := c.SatisfiedPair(t, i, j)
-			if err != nil {
-				return nil, err
-			}
-			if sat {
-				out = append(out, Violation{Constraint: c, Row1: i, Row2: j})
-			}
-		}
-	}
-	return out, nil
-}
-
 // equalityJoinAttrs returns attributes A with a predicate t1.A = t2.A —
 // usable as hash-join keys for the indexed scan.
 func (c *Constraint) equalityJoinAttrs() []string {
@@ -118,8 +41,7 @@ func (c *Constraint) equalityJoinAttrs() []string {
 // JoinColumns resolves the equality join attributes to column indexes;
 // empty when the constraint has no usable join key. An attribute missing
 // from the schema (an unvalidated constraint) yields no join key at all
-// rather than a panic: the caller then falls through to the
-// kernel/interpreted scan, whose operand resolution reports the proper
+// rather than a panic: the kernel compiler then reports the proper
 // "attribute not in schema" error — identically on every evaluation
 // path. The set planner (internal/dc/plan) uses the same resolution so
 // its partition-sharing analysis and the executor agree exactly.
@@ -149,7 +71,7 @@ func (c *Constraint) joinCols(t *table.Table) []int {
 // NaN ≠ NaN), so they are excluded from bucketing entirely. Keying NaN
 // rows into a shared bucket instead would be sound only for consumers that
 // re-verify every pair; consumers that trust the partition as an equality
-// grouping (ForEachJoinGroup, the FD chase) would treat NaN rows as
+// grouping (violating-group enumeration, the FD chase) would treat NaN rows as
 // joined when the = predicate says they never are. The byte form lets
 // callers probe bucket maps via the compiler's alloc-free
 // map[string(bytes)] access.
@@ -392,8 +314,10 @@ type ScanIndex struct {
 	rows        int
 	remap       table.RowRemap
 	reinsertBuf []int
-	// alive is the shared survivor mask for columnar bucket filtering.
+	// alive is the shared survivor mask for columnar bucket filtering, and
+	// scan the bucket-scan descriptor of appendScan.
 	alive []bool
+	scan  bucketScan
 	// plan is the constraint-set plan in effect, nil for unplanned
 	// execution. pre/preOrdered hold the plan's materialized pre-filter
 	// bitmaps per constraint; the slice gives sync a deterministic sweep.
@@ -469,18 +393,6 @@ func (ix *ScanIndex) kernelFor(c *Constraint, t *table.Table) (*Kernel, error) {
 	return e.kern, e.kernErr
 }
 
-// aliveFor returns the shared survivor mask resized to n, every entry true.
-func (ix *ScanIndex) aliveFor(n int) []bool {
-	if cap(ix.alive) < n {
-		ix.alive = make([]bool, n)
-	}
-	ix.alive = ix.alive[:n]
-	for i := range ix.alive {
-		ix.alive[i] = true
-	}
-	return ix.alive
-}
-
 // sync points the index at t, catching up from the table's edit log when
 // possible and invalidating wholesale otherwise.
 func (ix *ScanIndex) sync(t *table.Table) {
@@ -550,7 +462,7 @@ func (ix *ScanIndex) sync(t *table.Table) {
 
 // bucketSetFor returns the synced partition over c's exact join-column
 // signature, or nil when the constraint has no equality join key. Group
-// enumeration (ForEachJoinGroup, the FD chase) must use this partition:
+// enumeration (ForEachViolatingGroup, the FD chase) must use this partition:
 // its buckets are the equivalence classes of the composite join key, a
 // semantics a plan-shared coarser partition does not provide.
 func (ix *ScanIndex) bucketSetFor(c *Constraint, t *table.Table) *bucketSet {
@@ -608,160 +520,68 @@ func colsSignature(cols []int) string {
 	return internSignature(b)
 }
 
-// ViolationsIndexed is Violations accelerated with a hash partition on the
-// composite of all equality join attributes when any exist (e.g.
-// t1.Team = t2.Team ∧ t1.Year = t2.Year buckets on (Team, Year)). Rows are
-// bucketed by those attributes' values and only intra-bucket pairs are
-// checked, turning the common FD-shaped constraint from O(n²) into
-// O(n + Σ bucket²). Falls back to the naive scan when no join key exists.
-// The output order matches Violations exactly.
-func (c *Constraint) ViolationsIndexed(t *table.Table) ([]Violation, error) {
-	return c.ViolationsCached(t, nil)
-}
-
-// ViolationsCached is ViolationsIndexed with an optional ScanIndex: when ix
-// is non-nil the hash buckets are reused across scans of the same table
-// generation instead of rebuilt per call. It is AppendViolations into a
-// fresh slice.
-func (c *Constraint) ViolationsCached(t *table.Table, ix *ScanIndex) ([]Violation, error) {
-	return c.AppendViolations(t, ix, nil)
-}
-
-// AppendViolations appends every violation of the constraint to out and
-// returns the extended slice, so hot loops (repair passes re-scanning after
-// each fix) can reuse one buffer across calls. Output order and contents
-// match Violations exactly. With an index, intra-bucket pairs are checked
-// through the compiled columnar kernel; without one, the interpreted scan
-// runs (the cross-validation reference).
+// AppendViolations appends every violation of the constraint over t to
+// out and returns the extended slice, so hot loops (repair passes
+// re-scanning after each fix) can reuse one buffer across calls. The scan
+// runs the compiled kernel over ix's partitions: per row for single-tuple
+// DCs, over every ordered pair for join-free DCs, and inside each hash
+// bucket otherwise. Pair violations are reported once per ordered pair
+// (i, j) with i != j that satisfies the body, sorted by (Row1, Row2).
 func (c *Constraint) AppendViolations(t *table.Table, ix *ScanIndex, out []Violation) ([]Violation, error) {
-	if c.SingleTuple() || ix == nil {
-		return c.appendViolationsScan(t, out)
-	}
-	e := ix.entryFor(c, t)
-	bs := ix.scanBucketSetFor(e, t)
-	if bs == nil {
-		return c.appendViolationsScan(t, out)
-	}
-	if e.kernErr != nil {
-		return out, e.kernErr
-	}
-	// Pre-filter bitmaps (planned execution only): anchors failing the
-	// t1-side predicates are skipped outright, candidates failing the
-	// t2 side are pre-masked, and the residual kernel checks the rest.
-	var pass0, pass1 []bool
-	if pf := ix.prefilterFor(c, t); pf != nil {
-		pass0, pass1 = pf.pass0, pf.pass1
-	}
-	base := len(out)
-	for _, rows := range bs.members[:bs.nSlots] {
-		if len(rows) < 2 {
-			continue
-		}
-		alive := ix.aliveFor(len(rows))
-		for n, i := range rows {
-			if pass0 != nil && !pass0[i] {
-				continue
-			}
-			any := false
-			for m := range alive {
-				ok := m != n && (pass1 == nil || pass1[rows[m]])
-				alive[m] = ok
-				any = any || ok
-			}
-			if !any {
-				continue
-			}
-			e.resid.Filter(t, 0, i, rows, alive)
-			for m, j := range rows {
-				if alive[m] {
-					out = append(out, Violation{Constraint: c, Row1: i, Row2: j})
-				}
-			}
-		}
-	}
-	added := out[base:]
-	slices.SortFunc(added, violationOrder)
-	return out, nil
+	return ix.appendScan(c, t, out, 1, nil)
 }
 
-// appendViolationsScan is the unindexed append form of Violations: the
-// single-tuple scan, or the naive pair scan when no join key exists. It
-// also handles constraints with join keys when no index is supplied, by
-// bucketing on the fly.
-func (c *Constraint) appendViolationsScan(t *table.Table, out []Violation) ([]Violation, error) {
-	if c.SingleTuple() {
-		for i := 0; i < t.NumRows(); i++ {
-			sat, err := c.SatisfiedPair(t, i, i)
-			if err != nil {
-				return out, err
-			}
-			if sat {
-				out = append(out, Violation{Constraint: c, Row1: i, Row2: i})
-			}
-		}
-		return out, nil
-	}
-	cols := c.joinCols(t)
-	if len(cols) == 0 {
-		for i := 0; i < t.NumRows(); i++ {
-			for j := 0; j < t.NumRows(); j++ {
-				if i == j {
-					continue
-				}
-				sat, err := c.SatisfiedPair(t, i, j)
-				if err != nil {
-					return out, err
-				}
-				if sat {
-					out = append(out, Violation{Constraint: c, Row1: i, Row2: j})
-				}
-			}
-		}
-		return out, nil
-	}
-	var bs bucketSet
-	bs.cols = cols
-	bs.idx = make(map[string]int)
-	var keyBuf []byte
-	bs.rebuild(t, &keyBuf)
-	base := len(out)
-	for _, rows := range bs.members[:bs.nSlots] {
-		for _, i := range rows {
-			for _, j := range rows {
-				if i == j {
-					continue
-				}
-				sat, err := c.SatisfiedPair(t, i, j)
-				if err != nil {
-					return out, err
-				}
-				if sat {
-					out = append(out, Violation{Constraint: c, Row1: i, Row2: j})
-				}
-			}
-		}
-	}
-	added := out[base:]
-	slices.SortFunc(added, violationOrder)
-	return out, nil
-}
-
-// ViolatesRowCached is ViolatesRow restricted to the row's hash bucket when
-// the constraint has equality join attributes: only bucket partners can
-// co-satisfy the equality predicates, so the per-row check drops from
-// O(n) to O(bucket), and the incrementally-maintained reverse index makes
-// the bucket lookup key-free. Semantics match ViolatesRow exactly.
+// ViolatesRowCached reports whether row i participates in any violation
+// of the constraint: as the single tuple for single-tuple DCs, or bound to
+// either t1 or t2 against any other row for pair DCs. This is the "tuple
+// t has a contradiction according to C" primitive of the paper's
+// Algorithm 1. With equality join attributes only the row's hash bucket
+// is probed — partners outside it cannot co-satisfy the equality
+// predicates — and the incrementally-maintained reverse index makes the
+// bucket lookup key-free.
 func (c *Constraint) ViolatesRowCached(t *table.Table, i int, ix *ScanIndex) (bool, error) {
-	if c.SingleTuple() {
-		return c.SatisfiedPair(t, i, i)
-	}
-	if ix == nil {
-		return c.ViolatesRow(t, i)
-	}
+	n, err := ix.probeRow(c, t, i, true)
+	return n > 0, err
+}
+
+// ViolationPairsForRow counts the ordered violating pairs row i
+// participates in under the constraint: for pair DCs, the number of (i, j)
+// and (j, i) bindings with j ≠ i that satisfy the denied conjunction; for
+// single-tuple DCs, 1 when the row itself violates. With equality join
+// keys only the row's hash bucket is scanned, at O(bucket) cost.
+func (c *Constraint) ViolationPairsForRow(t *table.Table, i int, ix *ScanIndex) (int, error) {
+	return ix.probeRow(c, t, i, false)
+}
+
+// probeRow is the point probe behind ViolatesRowCached and
+// ViolationPairsForRow: it counts the ordered violating pairs row i takes
+// part in through the compiled kernel, stopping at the first when first
+// is set.
+func (ix *ScanIndex) probeRow(c *Constraint, t *table.Table, i int, first bool) (int, error) {
 	e := ix.entryFor(c, t)
+	if e.kernErr != nil {
+		return 0, e.kernErr
+	}
+	if c.SingleTuple() {
+		if e.kern.Pair(t, i, i) {
+			return 1, nil
+		}
+		return 0, nil
+	}
 	bs := ix.scanBucketSetFor(e, t)
 	if bs == nil {
-		return c.ViolatesRow(t, i)
+		// No join key: every other row is a candidate partner.
+		n := 0
+		for j := 0; j < t.NumRows(); j++ {
+			if j == i {
+				continue
+			}
+			n += pairsWith(e.kern, t, i, j)
+			if first && n > 0 {
+				break
+			}
+		}
+		return n, nil
 	}
 	slot := bs.rowBucket[i]
 	if slot < 0 {
@@ -770,126 +590,45 @@ func (c *Constraint) ViolatesRowCached(t *table.Table, i int, ix *ScanIndex) (bo
 		// pair violation of this constraint. (The scan partition's columns
 		// are a subset of the exact join columns, so its null exclusion
 		// implies an unknown equality predicate just the same.)
-		return false, nil
+		return 0, nil
 	}
-	if e.kernErr != nil {
-		return false, e.kernErr
-	}
+	n := 0
 	for _, j := range bs.members[slot] {
 		if j == i {
 			continue
 		}
-		if e.kern.Pair(t, i, j) || e.kern.Pair(t, j, i) {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// ViolationPairsForRow counts the ordered violating pairs row i
-// participates in under the constraint: for pair DCs, the number of (i, j)
-// and (j, i) bindings with j ≠ i that satisfy the denied conjunction; for
-// single-tuple DCs, 1 when the row itself violates. When an index is
-// supplied and the constraint has equality join keys, only the row's hash
-// bucket is scanned — partners outside it cannot satisfy the equality
-// predicates, so the count is identical at O(bucket) cost.
-func (c *Constraint) ViolationPairsForRow(t *table.Table, i int, ix *ScanIndex) (int, error) {
-	if c.SingleTuple() {
-		sat, err := c.SatisfiedPair(t, i, i)
-		if err != nil || !sat {
-			return 0, err
-		}
-		return 1, nil
-	}
-	n := 0
-	count := func(j int) error {
-		if j == i {
-			return nil
-		}
-		sat, err := c.SatisfiedPair(t, i, j)
-		if err != nil {
-			return err
-		}
-		if sat {
-			n++
-		}
-		sat, err = c.SatisfiedPair(t, j, i)
-		if err != nil {
-			return err
-		}
-		if sat {
-			n++
-		}
-		return nil
-	}
-	if ix != nil {
-		e := ix.entryFor(c, t)
-		if bs := ix.scanBucketSetFor(e, t); bs != nil {
-			slot := bs.rowBucket[i]
-			if slot < 0 {
-				return 0, nil
-			}
-			if e.kernErr != nil {
-				return 0, e.kernErr
-			}
-			for _, j := range bs.members[slot] {
-				if j == i {
-					continue
-				}
-				if e.kern.Pair(t, i, j) {
-					n++
-				}
-				if e.kern.Pair(t, j, i) {
-					n++
-				}
-			}
-			return n, nil
-		}
-	}
-	for j := 0; j < t.NumRows(); j++ {
-		if err := count(j); err != nil {
-			return 0, err
+		n += pairsWith(e.kern, t, i, j)
+		if first && n > 0 {
+			break
 		}
 	}
 	return n, nil
 }
 
-// ForEachJoinGroup invokes fn once per group of rows sharing c's composite
-// equality-join key (rows ascending within a group; groups in
-// bucket-interning order, which is deterministic for a deterministic edit
-// sequence). Groups excluded by a null join column are skipped. ok is
-// false, with fn never invoked, when the constraint has no equality join
-// key. The rows slice aliases index storage and must be treated as
-// read-only; fn may mutate non-join columns of t, and the index will catch
-// up on its next sync.
-func (c *Constraint) ForEachJoinGroup(t *table.Table, ix *ScanIndex, fn func(rows []int) error) (ok bool, err error) {
-	bs := ix.bucketSetFor(c, t)
-	if bs == nil {
-		return false, nil
+// pairsWith counts the violating bindings of rows i and j: (i, j) and
+// (j, i).
+func pairsWith(k *Kernel, t *table.Table, i, j int) int {
+	n := 0
+	if k.Pair(t, i, j) {
+		n++
 	}
-	for _, rows := range bs.members[:bs.nSlots] {
-		if len(rows) == 0 {
-			continue // interned slot whose bucket drained
-		}
-		if err := fn(rows); err != nil {
-			return true, err
-		}
+	if k.Pair(t, j, i) {
+		n++
 	}
-	return true, nil
+	return n
 }
 
-// AllViolations runs the indexed scan for every constraint in order and
-// concatenates the results. One ScanIndex spans the whole pass, so
-// constraints sharing join columns share buckets.
+// AllViolations scans every constraint in order and concatenates the
+// results. One ScanIndex spans the whole pass, so constraints sharing join
+// columns share buckets.
 func AllViolations(cs []*Constraint, t *table.Table) ([]Violation, error) {
 	ix := NewScanIndex()
 	var out []Violation
 	for _, c := range cs {
-		vs, err := c.ViolationsCached(t, ix)
-		if err != nil {
+		var err error
+		if out, err = c.AppendViolations(t, ix, out); err != nil {
 			return nil, err
 		}
-		out = append(out, vs...)
 	}
 	return out, nil
 }
@@ -897,12 +636,13 @@ func AllViolations(cs []*Constraint, t *table.Table) ([]Violation, error) {
 // Consistent reports whether the table satisfies every constraint.
 func Consistent(cs []*Constraint, t *table.Table) (bool, error) {
 	ix := NewScanIndex()
+	var buf []Violation
 	for _, c := range cs {
-		vs, err := c.ViolationsCached(t, ix)
-		if err != nil {
+		var err error
+		if buf, err = c.AppendViolations(t, ix, buf[:0]); err != nil {
 			return false, err
 		}
-		if len(vs) > 0 {
+		if len(buf) > 0 {
 			return false, nil
 		}
 	}

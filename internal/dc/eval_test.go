@@ -172,7 +172,7 @@ func TestViolationsIndexedMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		indexed, err := c.ViolationsIndexed(tbl)
+		indexed, err := c.AppendViolations(tbl, NewScanIndex(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestViolationsIndexedMatchesNaiveProperty(t *testing.T) {
 		}
 		tbl := table.MustFromStrings([]string{"A", "B"}, grid)
 		naive, err1 := c.Violations(tbl)
-		indexed, err2 := c.ViolationsIndexed(tbl)
+		indexed, err2 := c.AppendViolations(tbl, NewScanIndex(), nil)
 		if err1 != nil || err2 != nil || len(naive) != len(indexed) {
 			return false
 		}
@@ -222,7 +222,7 @@ func TestViolationsIndexedMatchesNaiveProperty(t *testing.T) {
 func TestViolationsIndexedNullJoinKey(t *testing.T) {
 	tbl := table.MustFromStrings([]string{"A", "B"}, [][]string{{"", "1"}, {"", "2"}})
 	c := MustParse("!(t1.A = t2.A & t1.B != t2.B)")
-	vs, err := c.ViolationsIndexed(tbl)
+	vs, err := c.AppendViolations(tbl, NewScanIndex(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestViolationsIndexedCompositeKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed, err := c.ViolationsIndexed(tbl)
+	indexed, err := c.AppendViolations(tbl, NewScanIndex(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestViolationsIndexedCompositeKeyProperty(t *testing.T) {
 		}
 		tbl := table.MustFromStrings([]string{"A", "B", "C"}, grid)
 		naive, err1 := c.Violations(tbl)
-		indexed, err2 := c.ViolationsIndexed(tbl)
+		indexed, err2 := c.AppendViolations(tbl, NewScanIndex(), nil)
 		if err1 != nil || err2 != nil || len(naive) != len(indexed) {
 			return false
 		}
@@ -411,11 +411,11 @@ func TestScanIndexReuse(t *testing.T) {
 	cs := paperDCs(t)
 	ix := NewScanIndex()
 	for _, c := range cs {
-		cached, err := c.ViolationsCached(tbl, ix)
+		cached, err := c.AppendViolations(tbl, ix, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := c.ViolationsIndexed(tbl)
+		plain, err := c.Violations(tbl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -435,11 +435,11 @@ func TestScanIndexReuse(t *testing.T) {
 		t.Fatal("Set must bump the generation")
 	}
 	c := ByID(cs, "C1")
-	after, err := c.ViolationsCached(tbl, ix)
+	after, err := c.AppendViolations(tbl, ix, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := c.ViolationsIndexed(tbl)
+	plain, err := c.Violations(tbl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,28 +9,27 @@ import (
 
 // Compiled columnar predicate kernels.
 //
-// The interpreted evaluator (Predicate.Eval via SatisfiedPair) resolves
-// attribute names through the schema map, allocates row views and walks the
-// three-valued-logic switch once per predicate per pair — fine for the
-// naive reference scan, but it is the inner loop of every bucketed
-// violation scan, and ROADMAP names it the dominant cost on large tables.
-//
-// A Kernel is the compiled form of one constraint body over one schema:
-// every operand's column index is resolved once at compile time, and
-// evaluation runs predicate-at-a-time over a bucket's candidate rows
-// ("column-at-a-time"): the operand side that is fixed for the whole bucket
-// scan — a constant, or an attribute of the anchored row — is hoisted out
-// of the row loop and compared against the candidates through the table's
-// typed column views (table.FloatCol/StringCol), so the common
+// A Kernel is the compiled form of one constraint body over one schema,
+// and the only evaluator production code runs: full scans
+// (AppendViolations), point probes (ViolatesRowCached,
+// ViolationPairsForRow) and the live violation lists all answer "what
+// does this DC violate now?" through it. Every operand's column index is
+// resolved once at compile time, so no schema lookup, row view or
+// three-valued-logic switch runs per predicate per pair. Bucket scans
+// evaluate predicate-at-a-time over a bucket's candidate rows
+// ("column-at-a-time"): the operand side that is fixed for the whole
+// bucket scan — a constant, or an attribute of the anchored row — is
+// hoisted out of the row loop and compared against the candidates through
+// the table's typed column views (table.FloatCol/StringCol), so the common
 // FD-shaped predicates reduce to a float or string comparison per
-// candidate with no schema lookups and no Value method dispatch.
+// candidate with no Value method dispatch.
 //
 // Kernels implement exactly the interpreted semantics — three-valued
-// logic, numeric kind unification, NaN and ±0.0 behaviour — and the
-// interpreted path is kept alive (Violations, appendViolationsScan, and
-// every nil-ScanIndex call) as the cross-validation reference; the
-// property tests in kernel_test.go fuzz the two against each other over
-// randomized schemas, tables and operators.
+// logic, numeric kind unification, NaN and ±0.0 behaviour. The
+// interpreted evaluator survives only as the test oracle in
+// export_test.go (Constraint.SatisfiedPair, ViolatesRow, Violations),
+// and the property and fuzz tests check every production path against it
+// over randomized schemas, tables and operators.
 
 // kernelPred is one compiled conjunct: operand columns resolved, constants
 // captured.
@@ -115,9 +114,11 @@ func compileKernelSeq(c *Constraint, schema *table.Schema, seq []int) (*Kernel, 
 	return k, nil
 }
 
-// opSat collapses Op.Eval's (sat, known) to the conjunction's view:
-// satisfied-and-known. Unknown (nulls, incomparable kinds) fails the
-// conjunction, so it folds to false.
+// opSat applies op to two values under three-valued logic, collapsed to
+// the conjunction's view: satisfied-and-known. Unknown (nulls,
+// incomparable kinds) fails the conjunction, so it folds to false — nulls
+// never create violations, matching the paper's coalition semantics where
+// excluded cells are null.
 func opSat(op Op, a, b table.Value) bool {
 	switch op {
 	case OpEq:
@@ -160,8 +161,8 @@ func (p *kernelPred) right(t *table.Table, i, j int) table.Value {
 }
 
 // Pair reports whether the compiled body holds for rows (i, j) bound to
-// (t1, t2) — the kernel form of Constraint.SatisfiedPair, minus the error
-// return (compilation already resolved every attribute).
+// (t1, t2). It has no error return: compilation already resolved every
+// attribute.
 func (k *Kernel) Pair(t *table.Table, i, j int) bool {
 	for idx := range k.preds {
 		p := &k.preds[idx]

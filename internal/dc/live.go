@@ -31,9 +31,10 @@ import (
 // affected lists fall back to a full re-derivation, which for large tables
 // fans out across disjoint buckets on a worker pool.
 //
-// Lists are bit-identical to Constraint.AppendViolations output (itself
-// golden-tested against the naive interpreted scan): sorted by (Row1,
-// Row2), one entry per ordered violating pair.
+// A full derivation is the same kernel scan as Constraint.AppendViolations
+// (ScanIndex.appendScan), so lists are bit-identical to its output — and
+// to the interpreted test oracle: sorted by (Row1, Row2), one entry per
+// ordered violating pair.
 //
 // A LiveViolationSet is confined to one goroutine, like the ScanIndex it
 // wraps; the worker pool inside a full derivation only ever reads.
@@ -71,7 +72,6 @@ type LiveViolationSet struct {
 	newPairs    []Violation
 	slotSeen    []bool
 	slotOrder   []int
-	scan        bucketScan
 }
 
 // Runner abstracts a bounded worker pool (exec.Pool) without importing it,
@@ -138,9 +138,8 @@ func (s *LiveViolationSet) Violations(c *Constraint, t *table.Table) ([]Violatio
 }
 
 // Append appends the current violation list of c over t to out and
-// returns the extended slice — the drop-in replacement for
-// Constraint.AppendViolations in repair hot loops, with delta maintenance
-// underneath.
+// returns the extended slice: what Constraint.AppendViolations would
+// append, answered from the delta-maintained list instead of a rescan.
 func (s *LiveViolationSet) Append(c *Constraint, t *table.Table, out []Violation) ([]Violation, error) {
 	l, err := s.listFor(c, t)
 	if err != nil {
@@ -557,11 +556,9 @@ func (s *LiveViolationSet) applyListStructural(c *Constraint, l *liveList, t *ta
 	return nil
 }
 
-// derive recomputes one list from scratch: the kernel-compiled bucket scan
-// (fanned out across disjoint buckets for large tables), the naive kernel
-// scan when the constraint has no join key, or the per-row scan for
-// single-tuple constraints. Output is sorted by (Row1, Row2), bit-identical
-// to AppendViolations.
+// derive recomputes one list from scratch through the shared kernel scan,
+// fanned out across disjoint buckets for large tables and pre-sized from
+// the plan's last observed cardinality.
 func (s *LiveViolationSet) derive(c *Constraint, l *liveList, t *table.Table) error {
 	// Refresh the column-relevance mask against the current schema.
 	schema := t.Schema()
@@ -583,71 +580,86 @@ func (s *LiveViolationSet) derive(c *Constraint, l *liveList, t *table.Table) er
 	}
 
 	l.pairs = l.pairs[:0]
-	e := s.ix.entryFor(c, t)
-	if e.kernErr != nil {
-		return e.kernErr
-	}
-	kern := e.kern
-	// Pre-size the pair list from the plan's last observed cardinality,
-	// and feed the fresh count back on the way out.
-	if p := s.ix.plan; p != nil {
+	p := s.ix.plan
+	if p != nil {
 		if hint, ok := p.ViolationHint(c); ok && cap(l.pairs) < hint {
 			l.pairs = make([]Violation, 0, hint)
 		}
-		defer func() { p.RecordViolations(c, len(l.pairs)) }()
+	}
+	pairs, err := s.ix.appendScan(c, t, l.pairs, s.Workers, s.Pool)
+	if err != nil {
+		return err
+	}
+	l.pairs = pairs
+	if p != nil {
+		p.RecordViolations(c, len(pairs))
+	}
+	return nil
+}
+
+// appendScan is the one full violation scan, behind both AppendViolations
+// and LiveViolationSet.derive: the compiled kernel per row for
+// single-tuple DCs, over every ordered pair for join-free DCs, and inside
+// each bucket of the scan partition (with the plan's pre-filter bitmaps
+// and residual kernel) otherwise. The appended pairs are sorted by (Row1,
+// Row2). workers and pool set the bucket fan-out as in fanOut; workers = 1
+// keeps the scan on the calling goroutine.
+func (ix *ScanIndex) appendScan(c *Constraint, t *table.Table, out []Violation, workers int, pool Runner) ([]Violation, error) {
+	e := ix.entryFor(c, t)
+	if e.kernErr != nil {
+		return out, e.kernErr
 	}
 	n := t.NumRows()
 	if c.SingleTuple() {
 		for r := 0; r < n; r++ {
-			if kern.Pair(t, r, r) {
-				l.pairs = append(l.pairs, Violation{Constraint: c, Row1: r, Row2: r})
+			if e.kern.Pair(t, r, r) {
+				out = append(out, Violation{Constraint: c, Row1: r, Row2: r})
 			}
 		}
-		return nil
+		return out, nil
 	}
-	bs := s.ix.scanBucketSetFor(e, t)
+	bs := ix.scanBucketSetFor(e, t)
 	if bs == nil {
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if i != j && kern.Pair(t, i, j) {
-					l.pairs = append(l.pairs, Violation{Constraint: c, Row1: i, Row2: j})
+				if i != j && e.kern.Pair(t, i, j) {
+					out = append(out, Violation{Constraint: c, Row1: i, Row2: j})
 				}
 			}
 		}
-		return nil
+		return out, nil
 	}
-	// The scan descriptor lives in the set: a local would escape to the
-	// parallel workers and cost an allocation per derivation.
-	sc := &s.scan
+	// The scan descriptor lives in the index: a local would escape to the
+	// parallel workers and cost an allocation per scan.
+	sc := &ix.scan
 	*sc = bucketScan{kern: e.resid, c: c}
-	if pf := s.ix.prefilterFor(c, t); pf != nil {
+	if pf := ix.prefilterFor(c, t); pf != nil {
 		sc.pass0, sc.pass1 = pf.pass0, pf.pass1
 	}
+	base := len(out)
 	slots := bs.members[:bs.nSlots]
-	workers := s.deriveWorkers(n, len(slots))
-	if workers <= 1 {
-		alive := s.ix.aliveFor(0)
-		for _, rows := range slots {
-			l.pairs = scanBucket(sc, t, rows, &alive, l.pairs)
-		}
-		s.ix.alive = alive
+	if w := fanOut(n, len(slots), workers, pool); w > 1 {
+		out = deriveParallel(sc, t, slots, w, pool, out)
 	} else {
-		l.pairs = deriveParallel(sc, t, slots, workers, s.Pool, l.pairs)
+		for _, rows := range slots {
+			out = scanBucket(sc, t, rows, &ix.alive, out)
+		}
 	}
-	slices.SortFunc(l.pairs, violationOrder)
-	return nil
+	slices.SortFunc(out[base:], violationOrder)
+	return out, nil
 }
 
-// deriveWorkers picks the fan-out for a full derivation: the explicit
-// Workers override, else the plugged-in pool's budget, else a clamped
-// GOMAXPROCS.
-func (s *LiveViolationSet) deriveWorkers(rows, buckets int) int {
+// fanOut picks the bucket fan-out of a full scan over rows rows: the
+// explicit workers override, else the plugged-in pool's budget, else a
+// clamped GOMAXPROCS — never more than there are buckets, and 1 below
+// liveParallelRows.
+func fanOut(rows, buckets, workers int, pool Runner) int {
 	if rows < liveParallelRows {
 		return 1
 	}
-	w := s.Workers
-	if w <= 0 && s.Pool != nil {
-		w = s.Pool.Workers()
+	w := workers
+	if w <= 0 && pool != nil {
+		w = pool.Workers()
 	}
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)

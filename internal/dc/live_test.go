@@ -252,7 +252,7 @@ func TestLiveViolationSetParallelDerive(t *testing.T) {
 	serial := NewLiveViolationSet()
 	serial.Workers = 1
 	for _, c := range cs {
-		want, err := c.ViolationsCached(tbl, NewScanIndex())
+		want, err := c.AppendViolations(tbl, NewScanIndex(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +283,7 @@ func TestLiveViolationSetParallelDerive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := c.ViolationsCached(tbl, NewScanIndex())
+		want, err := c.AppendViolations(tbl, NewScanIndex(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

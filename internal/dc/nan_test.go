@@ -18,7 +18,7 @@ func assertIndexedMatchesExact(t *testing.T, label string, c *Constraint, tbl *t
 	if err != nil {
 		t.Fatalf("%s: exact: %v", label, err)
 	}
-	got, err := c.ViolationsCached(tbl, ix)
+	got, err := c.AppendViolations(tbl, ix, nil)
 	if err != nil {
 		t.Fatalf("%s: cached: %v", label, err)
 	}
@@ -43,7 +43,7 @@ func assertIndexedMatchesExact(t *testing.T, label string, c *Constraint, tbl *t
 		if exact != indexed {
 			t.Fatalf("%s: row %d: exact %v, bucket-restricted %v", label, row, exact, indexed)
 		}
-		nExact, err := c.ViolationPairsForRow(tbl, row, nil)
+		nExact, err := c.violationPairsForRowOracle(tbl, row)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,4 +1,4 @@
-package plan_test
+package dc_test
 
 import (
 	"fmt"
@@ -107,7 +107,7 @@ func FuzzPlanVsNaive(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := c.ViolationsCached(tbl, ix)
+				got, err := c.AppendViolations(tbl, ix, nil)
 				if err != nil {
 					t.Fatalf("%s/%s: planned scan: %v", stage, c.ID, err)
 				}

@@ -243,7 +243,7 @@ func FuzzStructuralReplayVsNaive(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := c.ViolationsCached(tbl, ix)
+				got, err := c.AppendViolations(tbl, ix, nil)
 				if err != nil {
 					t.Fatalf("%s/%s: cached: %v", stage, c.ID, err)
 				}

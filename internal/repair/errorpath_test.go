@@ -122,7 +122,7 @@ func TestCellRepairedWithErrorGolden(t *testing.T) {
 	for _, alg := range All(1) {
 		_, serialErr := CellRepaired(ctx, alg, fx.dcs, fx.tbl, cell, table.String("1"))
 		for _, workers := range []int{1, 4} {
-			_, parErr := CellRepairedWith(ctx, alg, fx.dcs, fx.tbl, cell, table.String("1"), exec.NewPool(workers))
+			_, parErr := CellRepairedPlanned(ctx, alg, fx.dcs, fx.tbl, cell, table.String("1"), exec.NewPool(workers), nil)
 			if errString(parErr) != errString(serialErr) {
 				t.Fatalf("%s/w=%d: error %q vs serial %q", alg.Name(), workers, errString(parErr), errString(serialErr))
 			}

@@ -200,24 +200,14 @@ func (g *Greedy) bestCandidate(ctx context.Context, cs []*dc.Constraint, t *tabl
 }
 
 // tupleViolationPairs counts the violating tuple pairs row i participates
-// in, summed over constraints (single-tuple violations count once). When an
-// index is supplied, pair constraints with equality join keys are counted
-// over the row's hash bucket only — partners outside the bucket cannot
-// satisfy the equality predicates, so the count is identical and the probe
-// drops from O(rows) to O(bucket).
+// in, summed over constraints (single-tuple violations count once). Pair
+// constraints with equality join keys are counted over the row's hash
+// bucket only — partners outside the bucket cannot satisfy the equality
+// predicates, so the count is identical and the probe drops from O(rows)
+// to O(bucket).
 func tupleViolationPairs(cs []*dc.Constraint, t *table.Table, row int, ix *dc.ScanIndex) (int, error) {
 	n := 0
 	for _, c := range cs {
-		if c.SingleTuple() {
-			sat, err := c.SatisfiedPair(t, row, row)
-			if err != nil {
-				return 0, err
-			}
-			if sat {
-				n++
-			}
-			continue
-		}
 		m, err := c.ViolationPairsForRow(t, row, ix)
 		if err != nil {
 			return 0, err

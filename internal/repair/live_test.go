@@ -18,7 +18,6 @@ import (
 func referenceChase(t *testing.T, cs []*dc.Constraint, dirty *table.Table) *table.Table {
 	t.Helper()
 	work := dirty.Clone()
-	ix := dc.NewScanIndex()
 	dist := table.NewDistribution()
 	var fds []chaseEntry
 	for _, c := range cs {
@@ -29,9 +28,27 @@ func referenceChase(t *testing.T, cs []*dc.Constraint, dirty *table.Table) *tabl
 	for pass := 0; pass < 10; pass++ {
 		changed := false
 		for _, e := range fds {
-			_, err := e.c.ForEachJoinGroup(work, ix, func(rows []int) error {
+			// Group rows by the FD's left-hand-side value, in order of first
+			// appearance. Null and NaN keys join nothing under =.
+			groupOf := make(map[string]int)
+			var groups [][]int
+			for i := 0; i < work.NumRows(); i++ {
+				v := work.Get(i, e.d.lhs)
+				if v.IsNull() || v.IsNaN() {
+					continue
+				}
+				key := string(v.AppendJoinKey(nil))
+				g, ok := groupOf[key]
+				if !ok {
+					g = len(groups)
+					groupOf[key] = g
+					groups = append(groups, nil)
+				}
+				groups[g] = append(groups[g], i)
+			}
+			for _, rows := range groups {
 				if len(rows) < 2 {
-					return nil
+					continue
 				}
 				dist.Reset()
 				for _, i := range rows {
@@ -39,7 +56,7 @@ func referenceChase(t *testing.T, cs []*dc.Constraint, dirty *table.Table) *tabl
 				}
 				major, ok := dist.Mode()
 				if !ok {
-					return nil
+					continue
 				}
 				for _, i := range rows {
 					cur := work.Get(i, e.d.rhs)
@@ -48,10 +65,6 @@ func referenceChase(t *testing.T, cs []*dc.Constraint, dirty *table.Table) *tabl
 						changed = true
 					}
 				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
 			}
 		}
 		if !changed {

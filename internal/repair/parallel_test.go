@@ -124,7 +124,7 @@ func TestCellRepairedWithPoolMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := CellRepairedWith(ctx, alg, ll.DCs, masked, cell, target, pool)
+			got, err := CellRepairedPlanned(ctx, alg, ll.DCs, masked, cell, target, pool, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

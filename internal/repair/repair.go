@@ -203,21 +203,16 @@ var workPool sync.Pool
 // evaluation→repair round trip allocation-free in steady state — the hot
 // path of every Shapley sampling loop.
 func CellRepaired(ctx context.Context, alg Algorithm, cs []*dc.Constraint, dirty *table.Table, cell table.CellRef, target table.Value) (float64, error) {
-	return CellRepairedWith(ctx, alg, cs, dirty, cell, target, nil)
+	return CellRepairedPlanned(ctx, alg, cs, dirty, cell, target, nil, nil)
 }
 
-// CellRepairedWith is CellRepaired with a session worker pool: black boxes
-// implementing PartitionedRepairer run their disjoint-bucket passes on it
-// (bit-identical to the serial path by contract). A nil or one-worker pool
-// is exactly CellRepaired.
-func CellRepairedWith(ctx context.Context, alg Algorithm, cs []*dc.Constraint, dirty *table.Table, cell table.CellRef, target table.Value, pool *exec.Pool) (float64, error) {
-	return CellRepairedPlanned(ctx, alg, cs, dirty, cell, target, pool, nil)
-}
-
-// CellRepairedPlanned is CellRepairedWith with a compiled constraint-set
-// plan: black boxes implementing PlannedRepairer run their violation
-// scans behind it (bit-identical to the unplanned path by contract). A
-// nil plan is exactly CellRepairedWith.
+// CellRepairedPlanned is CellRepaired with a session worker pool and a
+// compiled constraint-set plan. Black boxes implementing
+// PartitionedRepairer run their disjoint-bucket passes on the pool, and
+// black boxes implementing PlannedRepairer run their violation scans
+// behind the plan; both are bit-identical to the serial, unplanned path by
+// contract. A nil or one-worker pool and a nil plan are exactly
+// CellRepaired.
 func CellRepairedPlanned(ctx context.Context, alg Algorithm, cs []*dc.Constraint, dirty *table.Table, cell table.CellRef, target table.Value, pool *exec.Pool, plan dc.SetPlanner) (float64, error) {
 	sr, ok := alg.(ScratchRepairer)
 	if !ok {

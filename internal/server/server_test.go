@@ -340,6 +340,25 @@ func TestEditValidation(t *testing.T) {
 	}
 }
 
+// TestEditAddDCUnnamedAfterRemove: the addDC edit names an unnamed
+// constraint with the first free C<n>, so adding one after a removeDC
+// cannot collide with a surviving ID.
+func TestEditAddDCUnnamedAfterRemove(t *testing.T) {
+	ts := newTestServer(t)
+	sess := createSession(t, ts)
+	url := ts.URL + "/api/session/" + sess.ID + "/edit"
+	var after sessionJSON
+	if status, raw := post(t, url, editRequest{RemoveDC: "C2"}, &after); status != 200 {
+		t.Fatalf("removeDC: %d %s", status, raw)
+	}
+	if status, raw := post(t, url, editRequest{AddDC: "!(t1.Year != t2.Year & t1.League = t2.League)"}, &after); status != 200 {
+		t.Fatalf("unnamed addDC after removeDC: %d %s", status, raw)
+	}
+	if len(after.DCs) != 4 || !strings.HasPrefix(after.DCs[3], "C5: ") {
+		t.Fatalf("dcs = %q, want the new constraint named C5", after.DCs)
+	}
+}
+
 func TestMalformedJSONBody(t *testing.T) {
 	ts := newTestServer(t)
 	resp, err := http.Post(ts.URL+"/api/session", "application/json", strings.NewReader("{nope"))

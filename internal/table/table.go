@@ -378,7 +378,7 @@ func (t *Table) Row(i int) []Value { return append([]Value(nil), t.rows[i]...) }
 
 // RowView returns the i-th row without copying. The returned slice aliases
 // the table's storage and must be treated as read-only; it is intended for
-// hot evaluation loops such as the DC interpreter.
+// hot read loops such as stats observation and answer encoding.
 func (t *Table) RowView(i int) []Value { return t.rows[i] }
 
 // Clone deep-copies the table. The schema is shared (schemas are immutable
