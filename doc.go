@@ -210,7 +210,7 @@
 // RestoreSession rejects unbalanced ones. The violations/{insert,delete,
 // batch} BENCH_<n>.json rows track delta replay against a forced full
 // rebuild; CI gates the insert and delete pairs at >=5x (`trex-bench
-// -structural`).
+// -ratios`).
 //
 // # The violation index
 //
@@ -290,7 +290,7 @@
 // for group enumeration, which keeps exact partitions). The dcset
 // scenario family in BENCH_<n>.json tracks the planner against the
 // reference on shared-join-key DC sets; CI gates the scan pairs at
-// >=1.5x (`trex-bench -speedup`).
+// >=1.5x (`trex-bench -ratios`).
 //
 // # Fault model and degradation ladder
 //

@@ -95,19 +95,32 @@ func CompareReports(oldReport, newReport *PerfReport, tolerance float64) (result
 // ratioPair is one speed contract checked inside a single perf report, so
 // machine speed cancels out: the fast row must run at least floor times
 // faster than the slow row. Ungated pairs are printed for context only.
-// Pairs are declared next to their scenarios (dcsetRatios,
-// structuralRatios).
 type ratioPair struct {
 	fast, slow string
 	floor      float64
 	gated      bool
 }
 
+// ratioFamily is one scenario family's ratio pairs, declared next to its
+// scenarios (dcsetRatios, structuralRatios).
+type ratioFamily struct {
+	name  string
+	pairs []ratioPair
+}
+
+func ratioFamilies() []ratioFamily {
+	return []ratioFamily{
+		{name: "dcset planned/perconstraint", pairs: dcsetRatios()},
+		{name: "violations delta/rebuild", pairs: structuralRatios},
+	}
+}
+
 // RatioGate checks every declared ratio pair inside one perf report. A
 // pair whose rows are not both in the report is skipped (a -short report
-// lacks the n=100 dcset rows), but a report with no pair at all fails:
-// that means the scenario families silently vanished from the tracked
-// series, which is exactly what this gate exists to notice.
+// lacks the n=100 dcset rows), but every family must keep at least one
+// gated pair: a family without one means its scenarios silently vanished
+// from the tracked series, which is exactly what this gate exists to
+// notice.
 func RatioGate(w io.Writer, path string) error {
 	report, err := readPerfJSON(path)
 	if err != nil {
@@ -117,29 +130,34 @@ func RatioGate(w io.Writer, path string) error {
 	for _, r := range report.Results {
 		byName[r.Name] = r
 	}
-	var pairs int
-	var failed []string
-	for _, p := range append(dcsetRatios(), structuralRatios...) {
-		fast, okF := byName[p.fast]
-		slow, okS := byName[p.slow]
-		if !okF || !okS || fast.NsPerOp <= 0 {
-			continue
-		}
-		pairs++
-		speedup := slow.NsPerOp / fast.NsPerOp
-		status := "info"
-		if p.gated {
-			status = "ok"
-			if speedup < p.floor {
-				status = fmt.Sprintf("TOO SLOW (floor %.2fx)", p.floor)
-				failed = append(failed, p.fast)
+	var missing, failed []string
+	for _, fam := range ratioFamilies() {
+		gatedPairs := 0
+		for _, p := range fam.pairs {
+			fast, okF := byName[p.fast]
+			slow, okS := byName[p.slow]
+			if !okF || !okS || fast.NsPerOp <= 0 {
+				continue
 			}
+			speedup := slow.NsPerOp / fast.NsPerOp
+			status := "info"
+			if p.gated {
+				gatedPairs++
+				status = "ok"
+				if speedup < p.floor {
+					status = fmt.Sprintf("TOO SLOW (floor %.2fx)", p.floor)
+					failed = append(failed, p.fast)
+				}
+			}
+			fmt.Fprintf(w, "%-44s %12.1f -> %12.1f ns/op  %6.2fx  %s\n",
+				p.fast, slow.NsPerOp, fast.NsPerOp, speedup, status)
 		}
-		fmt.Fprintf(w, "%-44s %12.1f -> %12.1f ns/op  %6.2fx  %s\n",
-			p.fast, slow.NsPerOp, fast.NsPerOp, speedup, status)
+		if gatedPairs == 0 {
+			missing = append(missing, fam.name)
+		}
 	}
-	if pairs == 0 {
-		return fmt.Errorf("bench: ratios: %s has no declared ratio scenario pairs", path)
+	if len(missing) > 0 {
+		return fmt.Errorf("bench: ratios: %s has no gated %s scenario pair", path, strings.Join(missing, " or "))
 	}
 	if len(failed) > 0 {
 		return fmt.Errorf("bench: ratios: %d gated pair(s) below their floor: %s", len(failed), strings.Join(failed, ", "))

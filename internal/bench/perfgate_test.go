@@ -22,6 +22,28 @@ func writeReport(t *testing.T, dir, name string, rows []PerfResult) string {
 	return path
 }
 
+// dcsetOK and structuralOK are gated pairs that clear their floors. Each
+// family's tests add the other family's rows, since RatioGate fails a
+// report in which either family has no gated pair.
+var (
+	dcsetOK = []PerfResult{
+		{Name: "dcset/scan/perconstraint/n=8", NsPerOp: 300},
+		{Name: "dcset/scan/planned/n=8", NsPerOp: 100},
+	}
+	structuralOK = []PerfResult{
+		{Name: "violations/insert/rebuild", NsPerOp: 1000},
+		{Name: "violations/insert/delta", NsPerOp: 100},
+	}
+)
+
+func withRows(rows []PerfResult, more ...[]PerfResult) []PerfResult {
+	out := append([]PerfResult(nil), rows...)
+	for _, m := range more {
+		out = append(out, m...)
+	}
+	return out
+}
+
 func TestGatePassesWithinTolerance(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := writeReport(t, dir, "old.json", []PerfResult{
@@ -87,13 +109,13 @@ func TestGateErrorsOnBadInputs(t *testing.T) {
 
 func TestPlannerSpeedupGatesScanPairs(t *testing.T) {
 	dir := t.TempDir()
-	path := writeReport(t, dir, "r.json", []PerfResult{
+	path := writeReport(t, dir, "r.json", withRows([]PerfResult{
 		{Name: "dcset/scan/perconstraint/n=8", NsPerOp: 300},
 		{Name: "dcset/scan/planned/n=8", NsPerOp: 150}, // 2.0x: ok
 		{Name: "dcset/edit/perconstraint/n=8", NsPerOp: 100},
 		{Name: "dcset/edit/planned/n=8", NsPerOp: 99}, // 1.01x: edit rows never gate
 		{Name: "unrelated", NsPerOp: 7},
-	})
+	}, structuralOK))
 	var out bytes.Buffer
 	if err := RatioGate(&out, path); err != nil {
 		t.Fatalf("ratio gate failed: %v\n%s", err, out.String())
@@ -102,10 +124,10 @@ func TestPlannerSpeedupGatesScanPairs(t *testing.T) {
 		t.Fatalf("edit pair not reported informationally:\n%s", out.String())
 	}
 
-	slow := writeReport(t, dir, "slow.json", []PerfResult{
+	slow := writeReport(t, dir, "slow.json", withRows([]PerfResult{
 		{Name: "dcset/scan/perconstraint/n=8", NsPerOp: 300},
 		{Name: "dcset/scan/planned/n=8", NsPerOp: 280}, // 1.07x < 1.5x
-	})
+	}, structuralOK))
 	out.Reset()
 	err := RatioGate(&out, slow)
 	if err == nil {
@@ -117,20 +139,54 @@ func TestPlannerSpeedupGatesScanPairs(t *testing.T) {
 }
 
 func TestPlannerSpeedupRequiresPairs(t *testing.T) {
-	path := writeReport(t, t.TempDir(), "r.json", []PerfResult{
+	path := writeReport(t, t.TempDir(), "r.json", withRows([]PerfResult{
 		{Name: "repair/greedy", NsPerOp: 10},
 		{Name: "dcset/scan/planned/n=8", NsPerOp: 5}, // twin missing: no pair
-	})
+	}, structuralOK))
 	var out bytes.Buffer
 	if err := RatioGate(&out, path); err == nil ||
-		!strings.Contains(err.Error(), "no declared ratio scenario pairs") {
+		!strings.Contains(err.Error(), "no gated dcset planned/perconstraint scenario pair") {
 		t.Fatalf("want missing-pairs error, got %v", err)
+	}
+}
+
+// TestRatioGateRequiresEveryFamily: a report that keeps one family's
+// gated pairs must still fail when the other family vanished, and a
+// family with only its ungated pairs left counts as vanished.
+func TestRatioGateRequiresEveryFamily(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name, want string
+		rows       []PerfResult
+	}{
+		{"only-structural", "no gated dcset planned/perconstraint scenario pair", structuralOK},
+		{"only-dcset", "no gated violations delta/rebuild scenario pair", dcsetOK},
+		{"dcset-edit-only", "no gated dcset planned/perconstraint scenario pair", withRows([]PerfResult{
+			{Name: "dcset/edit/perconstraint/n=8", NsPerOp: 300},
+			{Name: "dcset/edit/planned/n=8", NsPerOp: 100},
+		}, structuralOK)},
+		{"structural-batch-only", "no gated violations delta/rebuild scenario pair", withRows([]PerfResult{
+			{Name: "violations/batch/rebuild", NsPerOp: 1000},
+			{Name: "violations/batch/delta", NsPerOp: 100},
+		}, dcsetOK)},
+	} {
+		path := writeReport(t, dir, tc.name+".json", tc.rows)
+		var out bytes.Buffer
+		err := RatioGate(&out, path)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: want %q error, got %v\n%s", tc.name, tc.want, err, out.String())
+		}
+	}
+	both := writeReport(t, dir, "both.json", withRows(dcsetOK, structuralOK))
+	var out bytes.Buffer
+	if err := RatioGate(&out, both); err != nil {
+		t.Fatalf("report with both families must pass: %v\n%s", err, out.String())
 	}
 }
 
 func TestStructuralSpeedupGatesInsertDeletePairs(t *testing.T) {
 	dir := t.TempDir()
-	path := writeReport(t, dir, "r.json", []PerfResult{
+	path := writeReport(t, dir, "r.json", withRows([]PerfResult{
 		{Name: "violations/insert/rebuild", NsPerOp: 1000},
 		{Name: "violations/insert/delta", NsPerOp: 100}, // 10x: ok
 		{Name: "violations/delete/rebuild", NsPerOp: 900},
@@ -139,7 +195,7 @@ func TestStructuralSpeedupGatesInsertDeletePairs(t *testing.T) {
 		{Name: "violations/batch/delta", NsPerOp: 499}, // ~1x: batch never gates
 		{Name: "violations/edit/rebuild", NsPerOp: 10}, // cell-edit pair: out of scope
 		{Name: "violations/edit/delta", NsPerOp: 10},
-	})
+	}, dcsetOK))
 	var out bytes.Buffer
 	if err := RatioGate(&out, path); err != nil {
 		t.Fatalf("ratio gate failed: %v\n%s", err, out.String())
@@ -151,12 +207,12 @@ func TestStructuralSpeedupGatesInsertDeletePairs(t *testing.T) {
 		t.Fatalf("cell-edit pair must not be part of the structural check:\n%s", out.String())
 	}
 
-	slow := writeReport(t, dir, "slow.json", []PerfResult{
+	slow := writeReport(t, dir, "slow.json", withRows([]PerfResult{
 		{Name: "violations/insert/rebuild", NsPerOp: 1000},
 		{Name: "violations/insert/delta", NsPerOp: 400}, // 2.5x < 5x
 		{Name: "violations/delete/rebuild", NsPerOp: 900},
 		{Name: "violations/delete/delta", NsPerOp: 100},
-	})
+	}, dcsetOK))
 	out.Reset()
 	err := RatioGate(&out, slow)
 	if err == nil {
@@ -166,11 +222,11 @@ func TestStructuralSpeedupGatesInsertDeletePairs(t *testing.T) {
 		t.Fatalf("unexpected failure shape: %v\n%s", err, out.String())
 	}
 
-	empty := writeReport(t, dir, "none.json", []PerfResult{
+	empty := writeReport(t, dir, "none.json", withRows([]PerfResult{
 		{Name: "violations/insert/delta", NsPerOp: 5}, // twin missing: no pair
-	})
+	}, dcsetOK))
 	if err := RatioGate(os.Stderr, empty); err == nil ||
-		!strings.Contains(err.Error(), "no declared ratio scenario pairs") {
+		!strings.Contains(err.Error(), "no gated violations delta/rebuild scenario pair") {
 		t.Fatalf("want missing-pairs error, got %v", err)
 	}
 }

@@ -527,6 +527,7 @@ func colsSignature(cols []int) string {
 // DCs, over every ordered pair for join-free DCs, and inside each hash
 // bucket otherwise. Pair violations are reported once per ordered pair
 // (i, j) with i != j that satisfies the body, sorted by (Row1, Row2).
+// ix must be non-nil (see NewScanIndex).
 func (c *Constraint) AppendViolations(t *table.Table, ix *ScanIndex, out []Violation) ([]Violation, error) {
 	return ix.appendScan(c, t, out, 1, nil)
 }
@@ -538,7 +539,7 @@ func (c *Constraint) AppendViolations(t *table.Table, ix *ScanIndex, out []Viola
 // Algorithm 1. With equality join attributes only the row's hash bucket
 // is probed — partners outside it cannot co-satisfy the equality
 // predicates — and the incrementally-maintained reverse index makes the
-// bucket lookup key-free.
+// bucket lookup key-free. ix must be non-nil (see NewScanIndex).
 func (c *Constraint) ViolatesRowCached(t *table.Table, i int, ix *ScanIndex) (bool, error) {
 	n, err := ix.probeRow(c, t, i, true)
 	return n > 0, err
@@ -548,7 +549,8 @@ func (c *Constraint) ViolatesRowCached(t *table.Table, i int, ix *ScanIndex) (bo
 // participates in under the constraint: for pair DCs, the number of (i, j)
 // and (j, i) bindings with j ≠ i that satisfy the denied conjunction; for
 // single-tuple DCs, 1 when the row itself violates. With equality join
-// keys only the row's hash bucket is scanned, at O(bucket) cost.
+// keys only the row's hash bucket is scanned, at O(bucket) cost. ix must
+// be non-nil (see NewScanIndex).
 func (c *Constraint) ViolationPairsForRow(t *table.Table, i int, ix *ScanIndex) (int, error) {
 	return ix.probeRow(c, t, i, false)
 }
