@@ -1,5 +1,5 @@
-// Benchmarks, one per experiment of DESIGN.md §4 (plus component micro-
-// benchmarks in the internal packages). Run with:
+// Benchmarks, one per experiment of internal/bench's registry (plus
+// component micro-benchmarks in the internal packages). Run with:
 //
 //	go test -bench=. -benchmem
 package repro_test

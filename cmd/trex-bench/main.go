@@ -1,6 +1,6 @@
 // Command trex-bench regenerates every experiment of the reproduction
-// (DESIGN.md §4) and prints paper-vs-measured rows. EXPERIMENTS.md is
-// produced from this tool's output.
+// (the internal/bench registry; -list names them) and prints
+// paper-vs-measured rows.
 //
 // Usage:
 //

@@ -5,8 +5,25 @@
 // The system explains the output of a black-box table-repair algorithm
 // with Shapley values: given a repaired cell of interest, it ranks the
 // denial constraints and the input table cells by their contribution to
-// that repair. See README.md for the tour, DESIGN.md for the system
-// inventory, and EXPERIMENTS.md for the paper-vs-measured record.
+// that repair. The examples/ directory holds runnable walkthroughs of the
+// public API, and `trex-bench -exp all` (cmd/trex-bench) prints the
+// paper-vs-measured record of every experiment.
+//
+// # Explain pipeline
+//
+// Every explanation is one composition, core.Explainer.Explain(ctx, Query):
+// resolve the target (the full repair's clean value for the cell, or the
+// query's Desired value for a why-not question), build the players
+// (constraints, cells, relevant cells, rows, columns or explicit groups)
+// and their game, value them with one estimator (exact Shapley, sampled
+// Shapley, exact-or-sampled by player count, top-k racing, Banzhaf or
+// pairwise interaction) and assemble one Report. The query's selectors
+// replace per-shape entry points: ExplainConstraints and ExplainCells are
+// one-statement delegations kept for their callers, and the HTTP server
+// maps each request kind onto a Query through one table. Each estimator
+// keeps its cache rule: exact and top-k games bind to the shared
+// coalition cache, sampled estimates are memoized whole. A cell outside
+// the table fails the query with an error.
 //
 // # Evaluation fast path
 //
@@ -103,7 +120,7 @@
 //     *diff* of the full black-box repair, keyed by a repair descriptor
 //     (algorithm + constraint-set fingerprint) and stamped with the table
 //     generation.
-//     Every explain entry point re-resolves its target through
+//     Every explain re-resolves its target through
 //     core.Explainer.Target; within one session state that is a pure
 //     function of the inputs, so the first call per generation runs the
 //     black box and every later call replays the diff — Target scans it
@@ -379,7 +396,9 @@
 //   - txnbracket: every exported context-taking Explainer entry point in
 //     internal/core opens with `defer e.finishEntry(e.begin(), &err)` so
 //     no partial work escapes a failed entry (the PR 6 transaction
-//     bracket); single-statement delegations are exempt.
+//     bracket). Five do: Explain, Repair, RepairDiff, Target and
+//     Achievable; single-statement delegations such as ExplainConstraints
+//     and ExplainCells are exempt.
 //
 // Four further analyzers are flow-sensitive: they reason about paths and
 // cycles rather than single sites, on two shared layers. internal/lint/cfg
@@ -458,7 +477,7 @@
 //	internal/core       the T-REx engine: games, explainer, sessions
 //	internal/data       La Liga example, generators, error injection
 //	internal/server     HTTP API + embedded GUI (Figure 3/4)
-//	internal/bench      experiment implementations (DESIGN.md §4)
+//	internal/bench      experiment implementations (`trex-bench -list`)
 //	internal/lint       trexlint invariant analyzers (see # Linting)
 //	internal/lint/cfg   per-function control-flow graphs + worklist solver
 //	internal/lint/dataflow  bounded call-graph summaries for the analyzers

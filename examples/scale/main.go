@@ -90,10 +90,9 @@ func main() {
 		}
 		explCell = inj.Ref
 		start = time.Now()
-		report, err := exp.ExplainCells(ctx, inj.Ref, core.CellExplainOptions{
-			Samples:            *samples,
-			Seed:               9,
-			RestrictToRelevant: true,
+		report, err := exp.Explain(ctx, core.Query{
+			Cell: inj.Ref, Players: core.RelevantCellPlayers, Estimator: core.SampledShapley,
+			CellExplainOptions: core.CellExplainOptions{Samples: *samples, Seed: 9},
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -129,8 +128,9 @@ func main() {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		rep, err := sess.Explainer().ExplainCells(ctx, explCell, core.CellExplainOptions{
-			Samples: *samples, Seed: 9, Workers: cfg, RestrictToRelevant: true,
+		rep, err := sess.Explainer().Explain(ctx, core.Query{
+			Cell: explCell, Players: core.RelevantCellPlayers, Estimator: core.SampledShapley,
+			CellExplainOptions: core.CellExplainOptions{Samples: *samples, Seed: 9, Workers: cfg},
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -166,7 +166,7 @@ func main() {
 		screens++
 	}
 	hitsWarm, missesWarm := sess.Engine().CacheStats()
-	if _, err := sess.Explainer().ExplainConstraintInteractions(ctx, explCell); err == nil {
+	if _, err := sess.Explainer().Explain(ctx, core.Query{Cell: explCell, Estimator: core.InteractionIndex}); err == nil {
 		screens++
 	}
 	if _, err := sess.Explainer().ExplainConstraints(ctx, explCell); err == nil {

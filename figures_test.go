@@ -8,7 +8,7 @@ import (
 	"repro/internal/bench"
 )
 
-// runExperiment executes one experiment of DESIGN.md §4 end to end and
+// runExperiment executes one experiment of internal/bench end to end and
 // fails the test on any paper-vs-measured MISMATCH line. The bench package
 // is the single source of truth for what each experiment checks; these
 // tests guarantee the whole suite regenerates cleanly from `go test`.

@@ -1,7 +1,7 @@
-// Package bench implements the reproduction's experiments (the per-
-// experiment index of DESIGN.md §4). Each experiment writes a
-// paper-vs-measured comparison to an io.Writer; cmd/trex-bench is the CLI
-// front-end and the root-level Go benchmarks reuse the same entry points.
+// Package bench implements the reproduction's experiments (IDs lists
+// them). Each experiment writes a paper-vs-measured comparison to an
+// io.Writer; cmd/trex-bench is the CLI front-end and the root-level Go
+// benchmarks reuse the same entry points.
 package bench
 
 import (

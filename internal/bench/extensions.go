@@ -20,20 +20,21 @@ func runInteraction(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	report, err := exp.ExplainConstraintInteractions(context.Background(), ll.CellOfInterest)
+	inter, err := exp.Explain(context.Background(), core.Query{Cell: ll.CellOfInterest, Estimator: core.InteractionIndex})
 	if err != nil {
 		return err
 	}
+	report := (*core.InteractionReport)(inter)
 	fmt.Fprint(w, report)
 	c12, _ := report.Find("C1", "C2")
 	c13, _ := report.Find("C1", "C3")
 	c14, _ := report.Find("C1", "C4")
-	fmt.Fprintf(w, "\npaper narrative: C1+C2 act only as a pair  -> I(C1,C2) > 0: %s\n", checkMark(c12.Value > 0))
-	fmt.Fprintf(w, "paper narrative: C3 alone covers the repair -> I(C1,C3) < 0: %s\n", checkMark(c13.Value < 0))
-	fmt.Fprintf(w, "paper narrative: C4 is uninvolved           -> I(C1,C4) = 0: %s\n", checkMark(c14.Value == 0))
+	fmt.Fprintf(w, "\npaper narrative: C1+C2 act only as a pair  -> I(C1,C2) > 0: %s\n", checkMark(c12.Shapley > 0))
+	fmt.Fprintf(w, "paper narrative: C3 alone covers the repair -> I(C1,C3) < 0: %s\n", checkMark(c13.Shapley < 0))
+	fmt.Fprintf(w, "paper narrative: C4 is uninvolved           -> I(C1,C4) = 0: %s\n", checkMark(c14.Shapley == 0))
 
 	// Banzhaf ablation: does the equal-weight index rank the same?
-	banz, err := exp.ExplainConstraintsBanzhaf(context.Background(), ll.CellOfInterest)
+	banz, err := exp.Explain(context.Background(), core.Query{Cell: ll.CellOfInterest, Estimator: core.BanzhafIndex})
 	if err != nil {
 		return err
 	}
@@ -60,7 +61,7 @@ func runGroups(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rows, err := exp.ExplainCellGroups(ctx, ll.CellOfInterest, exp.RowGroups(ll.CellOfInterest))
+	rows, err := exp.Explain(ctx, core.Query{Cell: ll.CellOfInterest, Players: core.RowPlayers, Estimator: core.AutoShapley})
 	if err != nil {
 		return err
 	}
@@ -69,7 +70,7 @@ func runGroups(w io.Writer) error {
 	top, _ := rows.Top()
 	fmt.Fprintf(w, "the dirty tuple's own row dominates: %s (top = %s)\n\n", checkMark(top.Name == "row t5"), top.Name)
 
-	cols, err := exp.ExplainCellGroups(ctx, ll.CellOfInterest, exp.ColumnGroups(ll.CellOfInterest))
+	cols, err := exp.Explain(ctx, core.Query{Cell: ll.CellOfInterest, Players: core.ColumnPlayers, Estimator: core.AutoShapley})
 	if err != nil {
 		return err
 	}
@@ -91,16 +92,19 @@ func runWhyNot(w io.Writer) error {
 		return err
 	}
 
-	report, separated, err := exp.ExplainCellsTopK(ctx, ll.CellOfInterest, 3, core.CellExplainOptions{Samples: 800, Seed: 42})
+	report, err := exp.Explain(ctx, core.Query{
+		Cell: ll.CellOfInterest, Players: core.CellPlayers, Estimator: core.TopKShapley, K: 3,
+		CellExplainOptions: core.CellExplainOptions{Samples: 800, Seed: 42},
+	})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "adaptive top-3 cells (confidence-interval racing):")
 	fmt.Fprint(w, report)
 	top, _ := report.Top()
-	fmt.Fprintf(w, "matches the uniform-budget top cell (t5[League]): %s (separated: %v)\n\n", checkMark(top.Name == "t5[League]"), separated)
+	fmt.Fprintf(w, "matches the uniform-budget top cell (t5[League]): %s (separated: %v)\n\n", checkMark(top.Name == "t5[League]"), report.Separated)
 
-	toward, err := exp.ExplainToward(ctx, ll.CellOfInterest, table.String("Portugal"))
+	toward, err := exp.Explain(ctx, core.Query{Cell: ll.CellOfInterest, Desired: table.String("Portugal")})
 	if err != nil {
 		return err
 	}

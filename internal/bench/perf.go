@@ -631,8 +631,9 @@ func perfScenarios(short bool, workers int) ([]perfScenario, error) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := exp.ExplainCells(ctx, cell, core.CellExplainOptions{
-						Samples: 32, Seed: int64(i), Workers: workers, RestrictToRelevant: true,
+					if _, err := exp.Explain(ctx, core.Query{
+						Cell: cell, Players: core.RelevantCellPlayers, Estimator: core.SampledShapley,
+						CellExplainOptions: core.CellExplainOptions{Samples: 32, Seed: int64(i), Workers: workers},
 					}); err != nil {
 						b.Fatal(err)
 					}

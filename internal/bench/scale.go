@@ -46,10 +46,9 @@ func runScale(w io.Writer) error {
 		repairTime := time.Since(start)
 
 		start = time.Now()
-		report, err := exp.ExplainCells(ctx, cell, core.CellExplainOptions{
-			Samples:            60,
-			Seed:               3,
-			RestrictToRelevant: true,
+		report, err := exp.Explain(ctx, core.Query{
+			Cell: cell, Players: core.RelevantCellPlayers, Estimator: core.SampledShapley,
+			CellExplainOptions: core.CellExplainOptions{Samples: 60, Seed: 3},
 		})
 		if err != nil {
 			return err

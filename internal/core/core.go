@@ -391,6 +391,9 @@ func repairedSubset(exact []table.CellDiff) []table.CellDiff {
 // per-repair.
 func (e *Explainer) Target(ctx context.Context, cell table.CellRef) (_ table.Value, _ bool, err error) {
 	defer e.finishEntry(e.begin(), &err)
+	if err := e.checkCell(cell); err != nil {
+		return table.Null(), false, err
+	}
 	exact, err := e.repairExact(ctx)
 	if err != nil {
 		return table.Null(), false, err
@@ -458,7 +461,7 @@ const (
 // pinning makes the game well-defined and reproduces the ranking of
 // Example 2.4 (t5[League] on top). Treating the cell of interest as a
 // player instead makes it an almost-veto player that dominates the ranking
-// — an artifact, not an explanation (see EXPERIMENTS.md E5).
+// — an artifact, not an explanation (experiment ex24 checks the ranking).
 type CellGame struct {
 	exp    *Explainer
 	cell   table.CellRef
@@ -641,23 +644,24 @@ func (g *CellGame) SampleValue(ctx context.Context, coalition []bool, rng *rand.
 	return g.eval(ctx, coalition, rng)
 }
 
-// replacement computes the out-of-coalition value for player k per the
-// policy.
-func (g *CellGame) replacement(k int, rng *rand.Rand) (table.Value, error) {
-	switch g.policy {
+// replacement computes the out-of-coalition value of a cell of column col
+// per the policy, drawing from the column distribution in stats under
+// ReplaceFromColumn. The cell and group games both mask through it.
+func replacement(policy ReplacementPolicy, stats *table.Stats, col int, rng *rand.Rand) (table.Value, error) {
+	switch policy {
 	case ReplaceWithNull:
 		return table.Null(), nil
 	case ReplaceFromColumn:
 		if rng == nil {
 			return table.Null(), fmt.Errorf("core: ReplaceFromColumn needs an RNG")
 		}
-		v, ok := g.stats.Column(g.players[k].Col).Sample(rng)
+		v, ok := stats.Column(col).Sample(rng)
 		if !ok {
 			v = table.Null()
 		}
 		return v, nil
 	default:
-		return table.Null(), fmt.Errorf("core: unknown replacement policy %d", g.policy)
+		return table.Null(), fmt.Errorf("core: unknown replacement policy %d", policy)
 	}
 }
 
@@ -691,7 +695,7 @@ func (g *CellGame) evalUncached(ctx context.Context, coalition []bool, rng *rand
 		if in {
 			continue
 		}
-		v, err := g.replacement(k, rng)
+		v, err := replacement(g.policy, g.stats, g.players[k].Col, rng)
 		if err != nil {
 			g.restore(sc)
 			g.putScratch(sc)
@@ -725,7 +729,7 @@ func (g *CellGame) evalClone(ctx context.Context, coalition []bool, rng *rand.Ra
 		if in {
 			continue
 		}
-		v, err := g.replacement(k, rng)
+		v, err := replacement(g.policy, g.stats, g.players[k].Col, rng)
 		if err != nil {
 			return 0, err
 		}
@@ -849,7 +853,7 @@ func (w *cellWalk) Value(ctx context.Context, rng *rand.Rand) (float64, error) {
 			if in {
 				continue
 			}
-			v, err := w.g.replacement(k, rng)
+			v, err := replacement(w.g.policy, w.g.stats, w.g.players[k].Col, rng)
 			if err != nil {
 				return 0, err
 			}

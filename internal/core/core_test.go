@@ -193,7 +193,7 @@ func TestExplainCellsRestrictedMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restricted, err := e.ExplainCells(context.Background(), ll.CellOfInterest, CellExplainOptions{Samples: 2000, Seed: 11, RestrictToRelevant: true})
+	restricted, err := e.Explain(context.Background(), Query{Cell: ll.CellOfInterest, Players: RelevantCellPlayers, Estimator: SampledShapley, CellExplainOptions: CellExplainOptions{Samples: 2000, Seed: 11}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestBlackBoxAgnostic(t *testing.T) {
 			if math.Abs(sum-1) > 1e-9 {
 				t.Errorf("Σ Shapley = %v, want 1", sum)
 			}
-			cells, err := e.ExplainCells(context.Background(), ll.CellOfInterest, CellExplainOptions{Samples: 200, Seed: 3, RestrictToRelevant: true})
+			cells, err := e.Explain(context.Background(), Query{Cell: ll.CellOfInterest, Players: RelevantCellPlayers, Estimator: SampledShapley, CellExplainOptions: CellExplainOptions{Samples: 200, Seed: 3}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -387,7 +387,7 @@ func TestExactCellShapleyValidatesSampler(t *testing.T) {
 		t.Fatal(err)
 	}
 	cell := table.CellRef{Row: 1, Col: 1} // t2[B] = 2 -> 1
-	exact, err := e.ExplainCellsExact(context.Background(), cell, false)
+	exact, err := e.Explain(context.Background(), Query{Cell: cell, Players: CellPlayers})
 	if err != nil {
 		t.Fatal(err)
 	}

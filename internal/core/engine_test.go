@@ -51,10 +51,10 @@ func TestSharedCacheAcrossReportKinds(t *testing.T) {
 	}
 
 	// Interaction, Banzhaf and a repeat ranking revisit the same game.
-	if _, err := sess.Explainer().ExplainConstraintInteractions(ctx, cell); err != nil {
+	if _, err := sess.Explainer().Explain(ctx, Query{Cell: cell, Estimator: InteractionIndex}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Explainer().ExplainConstraintsBanzhaf(ctx, cell); err != nil {
+	if _, err := sess.Explainer().Explain(ctx, Query{Cell: cell, Estimator: BanzhafIndex}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sess.Explainer().ExplainConstraints(ctx, cell); err != nil {

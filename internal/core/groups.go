@@ -290,26 +290,6 @@ func (g *GroupGame) evalUncached(ctx context.Context, coalition []bool, rng *ran
 	return v, err
 }
 
-// replacement computes the out-of-coalition value for a cell of column col
-// per the policy.
-func (g *GroupGame) replacement(col int, rng *rand.Rand) (table.Value, error) {
-	switch g.policy {
-	case ReplaceWithNull:
-		return table.Null(), nil
-	case ReplaceFromColumn:
-		if rng == nil {
-			return table.Null(), fmt.Errorf("core: ReplaceFromColumn needs an RNG")
-		}
-		v, ok := g.stats.Column(col).Sample(rng)
-		if !ok {
-			v = table.Null()
-		}
-		return v, nil
-	default:
-		return table.Null(), fmt.Errorf("core: unknown replacement policy %d", g.policy)
-	}
-}
-
 func (g *GroupGame) evalOn(ctx context.Context, sc *groupScratch, coalition []bool, rng *rand.Rand) (float64, error) {
 	for k, in := range coalition {
 		if err := ctx.Err(); err != nil {
@@ -319,7 +299,7 @@ func (g *GroupGame) evalOn(ctx context.Context, sc *groupScratch, coalition []bo
 			continue
 		}
 		for _, ref := range g.groups[k].Cells {
-			repl, err := g.replacement(ref.Col, rng)
+			repl, err := replacement(g.policy, g.stats, ref.Col, rng)
 			if err != nil {
 				return 0, err
 			}
@@ -346,7 +326,7 @@ func (g *GroupGame) evalClone(ctx context.Context, coalition []bool, rng *rand.R
 			continue
 		}
 		for _, ref := range g.groups[k].Cells {
-			repl, err := g.replacement(ref.Col, rng)
+			repl, err := replacement(g.policy, g.stats, ref.Col, rng)
 			if err != nil {
 				return 0, err
 			}
@@ -489,7 +469,7 @@ func (w *groupWalk) Value(ctx context.Context, rng *rand.Rand) (float64, error) 
 				continue
 			}
 			for _, ref := range w.g.groups[k].Cells {
-				v, err := w.g.replacement(ref.Col, rng)
+				v, err := replacement(w.g.policy, w.g.stats, ref.Col, rng)
 				if err != nil {
 					return 0, err
 				}
@@ -524,111 +504,4 @@ func (w *groupWalk) Close() {
 	}
 	w.g.scratch.Put(w.sc)
 	w.sc = nil
-}
-
-// MaxExactGroups bounds exact subset enumeration for group games: beyond
-// it, 2^n black-box runs are infeasible and ExplainCellGroups switches to
-// permutation sampling over the group walk.
-const MaxExactGroups = 20
-
-// ExplainCellGroups ranks cell groups (e.g. whole rows) by their Shapley
-// contribution to the repair of the cell of interest. Group counts up to
-// MaxExactGroups are computed exactly under the null policy; larger group
-// sets (row groupings of real tables) fall back to permutation sampling
-// through the GroupGame prefix walk with default options, so row-level
-// explanations work at any table size. Use ExplainCellGroupsAuto to
-// control the sampling options of the fallback.
-func (e *Explainer) ExplainCellGroups(ctx context.Context, cell table.CellRef, groups []CellGroup) (*Report, error) {
-	return e.ExplainCellGroupsAuto(ctx, cell, groups, CellExplainOptions{})
-}
-
-// ExplainCellGroupsAuto is ExplainCellGroups with explicit options for the
-// sampled fallback: exact enumeration up to MaxExactGroups, permutation
-// sampling (honouring opts) beyond it. It is the single place the
-// exact-vs-sampled decision lives.
-func (e *Explainer) ExplainCellGroupsAuto(ctx context.Context, cell table.CellRef, groups []CellGroup, opts CellExplainOptions) (_ *Report, err error) {
-	defer e.finishEntry(e.begin(), &err)
-	if len(groups) > MaxExactGroups {
-		return e.ExplainCellGroupsSampled(ctx, cell, groups, opts)
-	}
-	target, repaired, err := e.Target(ctx, cell)
-	if err != nil {
-		return nil, err
-	}
-	if !repaired {
-		return nil, fmt.Errorf("core: cell %s was not repaired; nothing to explain", e.Dirty.RefName(cell))
-	}
-	game := e.NewGroupGame(cell, target, ReplaceWithNull, groups)
-	// The game's own binding (descriptor keyed on the exact group roster)
-	// lets the exact enumeration and the sampled fallback share one pool of
-	// memoized coalition values.
-	game.BindSharedCache()
-	values, err := shapley.ExactSubsets(ctx, game)
-	if err != nil {
-		return nil, fmt.Errorf("core: group Shapley: %w", err)
-	}
-	report := &Report{
-		Kind:      "cell-groups",
-		Cell:      e.Dirty.RefName(cell),
-		Target:    target.String(),
-		Algorithm: e.Alg.Name(),
-	}
-	for k, v := range values {
-		report.Entries = append(report.Entries, Entry{Name: game.groups[k].Name, Shapley: v})
-	}
-	sortEntries(report.Entries)
-	return report, nil
-}
-
-// ExplainCellGroupsSampled estimates group Shapley values by permutation
-// sampling (SampleAll over the GroupGame walk) — the group analogue of
-// ExplainCells, for group counts where exact enumeration is infeasible.
-// Its estimates are memoized like ExplainCells'.
-func (e *Explainer) ExplainCellGroupsSampled(ctx context.Context, cell table.CellRef, groups []CellGroup, opts CellExplainOptions) (_ *Report, err error) {
-	defer e.finishEntry(e.begin(), &err)
-	opts = opts.withDefaults()
-	target, repaired, err := e.Target(ctx, cell)
-	if err != nil {
-		return nil, err
-	}
-	if !repaired {
-		return nil, fmt.Errorf("core: cell %s was not repaired; nothing to explain", e.Dirty.RefName(cell))
-	}
-	desc := e.sampledDesc("groups-sampled", opts,
-		"cell="+refDesc(cell), "target="+targetDesc(target), "groups="+groupsDesc(e.Dirty, groups))
-	gen := e.Dirty.Generation()
-	ests, ok := e.cachedEstimates(desc, gen)
-	if !ok {
-		game := e.NewGroupGame(cell, target, opts.Policy, groups)
-		// Deterministic (null-policy) sampled values of a narrow roster
-		// join the shared cache.
-		if len(groups) <= maxBoundRoster {
-			game.BindSharedCache()
-		}
-		ests, err = shapley.SampleAll(ctx, game, shapley.Options{
-			Samples: opts.Samples,
-			Workers: opts.Workers,
-			Seed:    opts.Seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: group Shapley: %w", err)
-		}
-		e.storeEstimates(desc, gen, ests)
-	}
-	report := &Report{
-		Kind:      "cell-groups",
-		Cell:      e.Dirty.RefName(cell),
-		Target:    target.String(),
-		Algorithm: e.Alg.Name(),
-	}
-	for k, est := range ests {
-		report.Entries = append(report.Entries, Entry{
-			Name:    groups[k].Name,
-			Shapley: est.Mean,
-			CI95:    est.CI95(),
-			Samples: est.N,
-		})
-	}
-	sortEntries(report.Entries)
-	return report, nil
 }

@@ -49,7 +49,7 @@ func TestColumnGroupsShape(t *testing.T) {
 
 func TestExplainRowGroups(t *testing.T) {
 	e, ll := newPaperExplainer(t)
-	report, err := e.ExplainCellGroups(context.Background(), ll.CellOfInterest, e.RowGroups(ll.CellOfInterest))
+	report, err := e.Explain(context.Background(), Query{Cell: ll.CellOfInterest, Players: RowPlayers, Estimator: AutoShapley})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestExplainRowGroups(t *testing.T) {
 
 func TestExplainColumnGroups(t *testing.T) {
 	e, ll := newPaperExplainer(t)
-	report, err := e.ExplainCellGroups(context.Background(), ll.CellOfInterest, e.ColumnGroups(ll.CellOfInterest))
+	report, err := e.Explain(context.Background(), Query{Cell: ll.CellOfInterest, Players: ColumnPlayers, Estimator: AutoShapley})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestExplainColumnGroups(t *testing.T) {
 
 func TestExplainCellGroupsValidation(t *testing.T) {
 	e, ll := newPaperExplainer(t)
-	if _, err := e.ExplainCellGroups(context.Background(), table.CellRef{Row: 0, Col: 0}, e.RowGroups(table.CellRef{Row: 0, Col: 0})); err == nil {
+	if _, err := e.Explain(context.Background(), Query{Cell: table.CellRef{Row: 0, Col: 0}, Players: RowPlayers, Estimator: AutoShapley}); err == nil {
 		t.Error("unrepaired cell must error")
 	}
 	// Above the exact-enumeration bound the explainer no longer dead-ends:
@@ -110,7 +110,7 @@ func TestExplainCellGroupsValidation(t *testing.T) {
 	for i := range many {
 		many[i] = CellGroup{Name: fmt.Sprintf("g%d", i)}
 	}
-	report, err := e.ExplainCellGroups(context.Background(), ll.CellOfInterest, many)
+	report, err := e.Explain(context.Background(), Query{Cell: ll.CellOfInterest, Players: GroupPlayers, Groups: many, Estimator: AutoShapley})
 	if err != nil {
 		t.Fatalf("sampled fallback failed: %v", err)
 	}
@@ -140,26 +140,27 @@ func TestExplainConstraintInteractionsPaper(t *testing.T) {
 	// pair opens the City→Country pathway), and each is a substitute of
 	// C3 (the League pathway covers the same repair).
 	e, ll := newPaperExplainer(t)
-	report, err := e.ExplainConstraintInteractions(context.Background(), ll.CellOfInterest)
+	rep, err := e.Explain(context.Background(), Query{Cell: ll.CellOfInterest, Estimator: InteractionIndex})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Pairs) != 6 {
-		t.Fatalf("pairs = %d", len(report.Pairs))
+	report := (*InteractionReport)(rep)
+	if len(report.Entries) != 6 {
+		t.Fatalf("pairs = %d", len(report.Entries))
 	}
 	c12, _ := report.Find("C1", "C2")
-	if c12.Value <= 0 {
-		t.Errorf("I(C1,C2) = %v, want > 0 (complements)", c12.Value)
+	if c12.Shapley <= 0 {
+		t.Errorf("I(C1,C2) = %v, want > 0 (complements)", c12.Shapley)
 	}
 	c13, _ := report.Find("C1", "C3")
 	c23, _ := report.Find("C2", "C3")
-	if c13.Value >= 0 || c23.Value >= 0 {
-		t.Errorf("I(C1,C3) = %v, I(C2,C3) = %v, want < 0 (substitutes)", c13.Value, c23.Value)
+	if c13.Shapley >= 0 || c23.Shapley >= 0 {
+		t.Errorf("I(C1,C3) = %v, I(C2,C3) = %v, want < 0 (substitutes)", c13.Shapley, c23.Shapley)
 	}
 	for _, other := range []string{"C1", "C2", "C3"} {
 		p, _ := report.Find(other, "C4")
-		if p.Value != 0 {
-			t.Errorf("I(%s,C4) = %v, want 0 (dummy)", other, p.Value)
+		if p.Shapley != 0 {
+			t.Errorf("I(%s,C4) = %v, want 0 (dummy)", other, p.Shapley)
 		}
 	}
 	out := report.String()
@@ -179,7 +180,7 @@ func TestExplainConstraintsBanzhafAgreesOnRanking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	banzR, err := e.ExplainConstraintsBanzhaf(context.Background(), ll.CellOfInterest)
+	banzR, err := e.Explain(context.Background(), Query{Cell: ll.CellOfInterest, Estimator: BanzhafIndex})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,10 +212,10 @@ func TestExplainConstraintsBanzhafAgreesOnRanking(t *testing.T) {
 
 func TestInteractionUnrepairedCell(t *testing.T) {
 	e, _ := newPaperExplainer(t)
-	if _, err := e.ExplainConstraintInteractions(context.Background(), table.CellRef{Row: 0, Col: 0}); err == nil {
+	if _, err := e.Explain(context.Background(), Query{Cell: table.CellRef{Row: 0, Col: 0}, Estimator: InteractionIndex}); err == nil {
 		t.Error("unrepaired cell must error")
 	}
-	if _, err := e.ExplainConstraintsBanzhaf(context.Background(), table.CellRef{Row: 0, Col: 0}); err == nil {
+	if _, err := e.Explain(context.Background(), Query{Cell: table.CellRef{Row: 0, Col: 0}, Estimator: BanzhafIndex}); err == nil {
 		t.Error("unrepaired cell must error")
 	}
 }
@@ -234,7 +235,7 @@ func TestGroupExplainAcrossAlgorithms(t *testing.T) {
 		if !repaired {
 			continue
 		}
-		report, err := e.ExplainCellGroups(context.Background(), ll.CellOfInterest, e.RowGroups(ll.CellOfInterest))
+		report, err := e.Explain(context.Background(), Query{Cell: ll.CellOfInterest, Players: RowPlayers, Estimator: AutoShapley})
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
 		}

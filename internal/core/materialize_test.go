@@ -254,17 +254,17 @@ func TestCacheAwareSamplingGolden(t *testing.T) {
 	rosters := []struct {
 		name string
 		tbl  *table.Table
-		opts CellExplainOptions
+		q    Query
 	}{
-		{"narrow", ll.Dirty, CellExplainOptions{Samples: 48, Seed: 11, RestrictToRelevant: true}},
-		{"wide", wideLaLiga(t), CellExplainOptions{Samples: 24, Seed: 11}},
+		{"narrow", ll.Dirty, Query{Cell: cell, Players: RelevantCellPlayers, Estimator: SampledShapley, CellExplainOptions: CellExplainOptions{Samples: 48, Seed: 11}}},
+		{"wide", wideLaLiga(t), Query{Cell: cell, Players: CellPlayers, Estimator: SampledShapley, CellExplainOptions: CellExplainOptions{Samples: 24, Seed: 11}}},
 	}
 	for _, r := range rosters {
 		bare, err := NewExplainer(repair.NewAlgorithm1(), ll.DCs, r.tbl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := bare.ExplainCells(ctx, cell, r.opts)
+		want, err := bare.Explain(ctx, r.q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,9 +275,9 @@ func TestCacheAwareSamplingGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := r.opts
-			opts.Workers = w.cold
-			got, err := sess.Explainer().ExplainCells(ctx, cell, opts)
+			q := r.q
+			q.Workers = w.cold
+			got, err := sess.Explainer().Explain(ctx, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -286,8 +286,8 @@ func TestCacheAwareSamplingGolden(t *testing.T) {
 				t.Fatalf("%s: the cold explain must run the black box", label)
 			}
 			before := alg.calls.Load()
-			opts.Workers = w.warm
-			got, err = sess.Explainer().ExplainCells(ctx, cell, opts)
+			q.Workers = w.warm
+			got, err = sess.Explainer().Explain(ctx, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -306,7 +306,7 @@ func TestCacheAwareSamplingTopKAndGroupsGolden(t *testing.T) {
 	ll := data.NewLaLiga()
 	alg := repair.NewAlgorithm1()
 	cell := ll.CellOfInterest
-	opts := CellExplainOptions{Samples: 64, Seed: 5, RestrictToRelevant: true}
+	topk := Query{Cell: cell, Players: RelevantCellPlayers, Estimator: TopKShapley, K: 3, CellExplainOptions: CellExplainOptions{Samples: 64, Seed: 5}}
 
 	bare, err := NewExplainer(alg, ll.DCs, ll.Dirty)
 	if err != nil {
@@ -317,26 +317,26 @@ func TestCacheAwareSamplingTopKAndGroupsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wantTop, wantSep, err := bare.ExplainCellsTopK(ctx, cell, 3, opts)
+	wantTop, err := bare.Explain(ctx, topk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotTop, gotSep, err := sess.Explainer().ExplainCellsTopK(ctx, cell, 3, opts)
+	gotTop, err := sess.Explainer().Explain(ctx, topk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotSep != wantSep {
-		t.Fatalf("TopK separation: %v vs %v", gotSep, wantSep)
+	if gotTop.Separated != wantTop.Separated {
+		t.Fatalf("TopK separation: %v vs %v", gotTop.Separated, wantTop.Separated)
 	}
 	sameReports(t, "cached TopK", gotTop, wantTop)
 
-	groupOpts := CellExplainOptions{Samples: 32, Seed: 3}
 	groups := bare.RowGroups(cell)
-	wantG, err := bare.ExplainCellGroupsSampled(ctx, cell, groups, groupOpts)
+	sampledGroups := Query{Cell: cell, Players: GroupPlayers, Groups: groups, Estimator: SampledShapley, CellExplainOptions: CellExplainOptions{Samples: 32, Seed: 3}}
+	wantG, err := bare.Explain(ctx, sampledGroups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotG, err := sess.Explainer().ExplainCellGroupsSampled(ctx, cell, groups, groupOpts)
+	gotG, err := sess.Explainer().Explain(ctx, sampledGroups)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,11 +346,12 @@ func TestCacheAwareSamplingTopKAndGroupsGolden(t *testing.T) {
 	// after the sampled path must reuse coalition values (strictly more
 	// hits), and stay bit-identical to the engine-free exact report.
 	hitsBefore, _ := sess.Engine().CacheStats()
-	wantExact, err := bare.ExplainCellGroups(ctx, cell, groups[:6])
+	exactGroups := Query{Cell: cell, Players: GroupPlayers, Groups: groups[:6], Estimator: AutoShapley}
+	wantExact, err := bare.Explain(ctx, exactGroups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotExact, err := sess.Explainer().ExplainCellGroups(ctx, cell, groups[:6])
+	gotExact, err := sess.Explainer().Explain(ctx, exactGroups)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,13 +369,13 @@ func TestCacheAwareSamplingEditInvalidation(t *testing.T) {
 	ll := data.NewLaLiga()
 	alg := repair.NewAlgorithm1()
 	cell := ll.CellOfInterest
-	opts := CellExplainOptions{Samples: 40, Seed: 17, RestrictToRelevant: true}
+	q := Query{Cell: cell, Players: RelevantCellPlayers, Estimator: SampledShapley, CellExplainOptions: CellExplainOptions{Samples: 40, Seed: 17}}
 
 	sess, err := NewSession(alg, ll.DCs, ll.Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Explainer().ExplainCells(ctx, cell, opts); err != nil {
+	if _, err := sess.Explainer().Explain(ctx, q); err != nil {
 		t.Fatal(err)
 	}
 
@@ -387,11 +388,11 @@ func TestCacheAwareSamplingEditInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.ExplainCells(ctx, cell, opts)
+	want, err := ref.Explain(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sess.Explainer().ExplainCells(ctx, cell, opts)
+	got, err := sess.Explainer().Explain(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,13 +422,14 @@ func TestSampledExactCellRosterSharing(t *testing.T) {
 	}
 	cell := table.CellRef{Row: 1, Col: 1}
 
-	if _, err := sess.Explainer().ExplainCells(ctx, cell, CellExplainOptions{
-		Samples: 64, Seed: 2, RestrictToRelevant: true,
-	}); err != nil {
+	if _, err := sess.Explainer().Explain(ctx, Query{Cell: cell, Players: RelevantCellPlayers, Estimator: SampledShapley, CellExplainOptions: CellExplainOptions{
+		Samples: 64, Seed: 2,
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	hits1, _ := sess.Engine().CacheStats()
-	exact, err := sess.Explainer().ExplainCellsExact(ctx, cell, true)
+	exactQ := Query{Cell: cell, Players: RelevantCellPlayers}
+	exact, err := sess.Explainer().Explain(ctx, exactQ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +442,7 @@ func TestSampledExactCellRosterSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := bare.ExplainCellsExact(ctx, cell, true)
+	want, err := bare.Explain(ctx, exactQ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,13 +464,13 @@ func TestSampledWorkerDeterminismWithSharedCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := CellExplainOptions{Samples: 56, Seed: 23, Workers: workers, RestrictToRelevant: true}
+		q := Query{Cell: cell, Players: RelevantCellPlayers, Estimator: SampledShapley, CellExplainOptions: CellExplainOptions{Samples: 56, Seed: 23, Workers: workers}}
 		// Warm the cache with a *different* report kind first, so the
 		// sampled run sees a partially-populated shared cache.
 		if _, err := sess.Explainer().ExplainConstraints(ctx, cell); err != nil {
 			t.Fatal(err)
 		}
-		report, err := sess.Explainer().ExplainCells(ctx, cell, opts)
+		report, err := sess.Explainer().Explain(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -487,13 +489,13 @@ func TestCacheAwareSamplingStochasticUnbound(t *testing.T) {
 	ll := data.NewLaLiga()
 	alg := repair.NewAlgorithm1()
 	cell := ll.CellOfInterest
-	opts := CellExplainOptions{Samples: 24, Seed: 9, Policy: ReplaceFromColumn, RestrictToRelevant: true}
+	q := Query{Cell: cell, Players: RelevantCellPlayers, Estimator: SampledShapley, CellExplainOptions: CellExplainOptions{Samples: 24, Seed: 9, Policy: ReplaceFromColumn}}
 
 	bare, err := NewExplainer(alg, ll.DCs, ll.Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := bare.ExplainCells(ctx, cell, opts)
+	want, err := bare.Explain(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +503,7 @@ func TestCacheAwareSamplingStochasticUnbound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sess.Explainer().ExplainCells(ctx, cell, opts)
+	got, err := sess.Explainer().Explain(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,22 +1,19 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/shapley"
-	"repro/internal/table"
 )
 
-// Entry is one ranked line of an explanation: a constraint or a cell with
-// its Shapley value.
+// Entry is one ranked line of an explanation: a player with its value.
 type Entry struct {
-	// Name is the constraint ID (e.g. "C3") or the cell in the paper's
-	// notation (e.g. "t5[League]").
+	// Name is the constraint ID (e.g. "C3"), the cell in the paper's
+	// notation (e.g. "t5[League]"), the group name (e.g. "row t5") or the
+	// interaction pair (e.g. "I(C1,C2)").
 	Name string
 	// Shapley is the (exact or estimated) Shapley value.
 	Shapley float64
@@ -30,7 +27,13 @@ type Entry struct {
 // Report is a ranked explanation for the repair of one cell, highest
 // Shapley value first — what the explanation screen of Figure 3c shows.
 type Report struct {
-	// Kind is "constraints" or "cells".
+	// Kind names the players and the estimator: "constraints", "cells" or
+	// "cell-groups" (rows, columns or explicit groups), suffixed "-topk"
+	// or "-banzhaf" for those estimators, or "interaction" for pairs; then
+	// "-toward" when the query named a Desired value. The HTTP kinds
+	// answer "constraints", "cells", "cells-topk", "cell-groups",
+	// "interaction" and "constraints-toward"; the Banzhaf ablation is
+	// "constraints-banzhaf".
 	Kind string
 	// Cell is the explained cell in paper notation.
 	Cell string
@@ -38,8 +41,12 @@ type Report struct {
 	Target string
 	// Algorithm is the black box's name.
 	Algorithm string
-	// Entries are sorted by descending Shapley value (ties by name).
+	// Entries are sorted by descending Shapley value (ties by name), except
+	// for top-k (racing order) and interaction reports (see Explain).
 	Entries []Entry
+	// Separated reports, for top-k, whether the K entries were separated
+	// from the rest at the racing confidence level.
+	Separated bool
 }
 
 // String renders the report as an aligned text ranking.
@@ -74,48 +81,55 @@ func (r *Report) Find(name string) (Entry, bool) {
 	return Entry{}, false
 }
 
-// sortEntries orders by descending Shapley, ties by name for determinism.
-func sortEntries(entries []Entry) {
-	sort.Slice(entries, func(a, b int) bool {
-		if entries[a].Shapley != entries[b].Shapley {
-			return entries[a].Shapley > entries[b].Shapley
+// InteractionReport renders an "interaction" report (InteractionIndex over
+// the constraints): the pairwise structure of the constraint set for one
+// repair — the "why do C1 and C2 only matter together?" question that
+// plain Shapley values cannot answer.
+type InteractionReport Report
+
+// String renders the pairs, each marked complements, substitutes or
+// independent.
+func (r *InteractionReport) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Constraint interactions for repair of %s -> %q by %s\n", r.Cell, r.Target, r.Algorithm)
+	for _, p := range r.Entries {
+		kind := "independent"
+		switch {
+		case p.Shapley > 1e-12:
+			kind = "complements"
+		case p.Shapley < -1e-12:
+			kind = "substitutes"
 		}
-		return entries[a].Name < entries[b].Name
+		fmt.Fprintf(&b, "  %s = %+.4f (%s)\n", p.Name, p.Shapley, kind)
+	}
+	return b.String()
+}
+
+// Find returns the entry of an unordered pair of player names.
+func (r *InteractionReport) Find(a, b string) (Entry, bool) {
+	if p, ok := (*Report)(r).Find("I(" + a + "," + b + ")"); ok {
+		return p, true
+	}
+	return (*Report)(r).Find("I(" + b + "," + a + ")")
+}
+
+// sortEntries orders by descending Shapley, ties by name for determinism.
+// slices.SortFunc runs the same pattern-defeating quicksort as sort.Slice
+// without its reflective swaps, so the order is the same, ties included.
+func sortEntries(entries []Entry) {
+	slices.SortFunc(entries, func(a, b Entry) int {
+		if a.Shapley != b.Shapley {
+			if a.Shapley > b.Shapley {
+				return -1
+			}
+			return 1
+		}
+		return strings.Compare(a.Name, b.Name)
 	})
 }
 
-// ExplainConstraints computes the exact Shapley value of every constraint
-// for the repair of the cell of interest and returns the ranking
-// (Figure 1's numbers). The black box is memoized on the coalition, so the
-// 2^n enumeration costs at most 2^n repair runs.
-func (e *Explainer) ExplainConstraints(ctx context.Context, cell table.CellRef) (_ *Report, err error) {
-	defer e.finishEntry(e.begin(), &err)
-	target, repaired, err := e.Target(ctx, cell)
-	if err != nil {
-		return nil, err
-	}
-	if !repaired {
-		return nil, fmt.Errorf("core: cell %s was not repaired; nothing to explain", e.Dirty.RefName(cell))
-	}
-	game := e.cachedGame(e.constraintGameDesc(cell, target), e.NewConstraintGame(cell, target))
-	values, err := shapley.ExactSubsets(ctx, game)
-	if err != nil {
-		return nil, fmt.Errorf("core: constraint Shapley: %w", err)
-	}
-	report := &Report{
-		Kind:      "constraints",
-		Cell:      e.Dirty.RefName(cell),
-		Target:    target.String(),
-		Algorithm: e.Alg.Name(),
-	}
-	for i, v := range values {
-		report.Entries = append(report.Entries, Entry{Name: e.DCs[i].ID, Shapley: v})
-	}
-	sortEntries(report.Entries)
-	return report, nil
-}
-
-// CellExplainOptions configures ExplainCells.
+// CellExplainOptions are the sampling parameters of an explain (see
+// Query).
 type CellExplainOptions struct {
 	// Samples is the number of sampled permutations (default 500). Each
 	// permutation walk costs len(players)+1 black-box runs and yields one
@@ -128,9 +142,6 @@ type CellExplainOptions struct {
 	// Policy selects null masking (paper's definition) or column-sampled
 	// replacement (Example 2.5). Default ReplaceWithNull.
 	Policy ReplacementPolicy
-	// RestrictToRelevant scopes players to RelevantCells, dropping cells
-	// that are provably dummies for constraint-driven repairers.
-	RestrictToRelevant bool
 }
 
 func (o CellExplainOptions) withDefaults() CellExplainOptions {
@@ -185,116 +196,4 @@ func (e *Explainer) storeEstimates(desc string, gen uint64, ests []shapley.Estim
 		return
 	}
 	e.Engine.RepairTargets().StoreEstimates(desc, gen, ests)
-}
-
-// cellPlayers is the player roster of a cell explain: every cell, or only
-// the relevant ones, without the pinned cell of interest — the roster
-// NewCellGame and RestrictPlayers build.
-func (e *Explainer) cellPlayers(cell table.CellRef, restrict bool) []table.CellRef {
-	if restrict {
-		return e.RelevantCells(cell)
-	}
-	return slices.DeleteFunc(e.Dirty.Cells(), func(ref table.CellRef) bool { return ref == cell })
-}
-
-// ExplainCells estimates the Shapley value of every table cell for the
-// repair of the cell of interest by permutation sampling and returns the
-// ranking (the cell half of the explanation screen). With a session
-// engine the estimates are memoized per (game, Samples, Seed, Policy) at
-// the table generation, so a repeat explain runs no black box at all.
-func (e *Explainer) ExplainCells(ctx context.Context, cell table.CellRef, opts CellExplainOptions) (_ *Report, err error) {
-	defer e.finishEntry(e.begin(), &err)
-	opts = opts.withDefaults()
-	target, repaired, err := e.Target(ctx, cell)
-	if err != nil {
-		return nil, err
-	}
-	if !repaired {
-		return nil, fmt.Errorf("core: cell %s was not repaired; nothing to explain", e.Dirty.RefName(cell))
-	}
-	players := e.cellPlayers(cell, opts.RestrictToRelevant)
-	roster := "all"
-	if opts.RestrictToRelevant {
-		roster = "relevant"
-	}
-	desc := e.sampledDesc("cells-sampled", opts,
-		"cell="+refDesc(cell), "target="+targetDesc(target), "players="+roster)
-	gen := e.Dirty.Generation()
-	ests, ok := e.cachedEstimates(desc, gen)
-	if !ok {
-		game := e.NewCellGame(cell, target, opts.Policy)
-		if opts.RestrictToRelevant {
-			game.RestrictPlayers(players)
-		}
-		// Under the deterministic null policy the sampled coalition values
-		// of a narrow roster join the session's shared cache, where the
-		// exact path over the same roster finds them.
-		if len(players) <= maxBoundRoster {
-			game.BindSharedCache()
-		}
-		ests, err = shapley.SampleAll(ctx, game, shapley.Options{
-			Samples: opts.Samples,
-			Workers: opts.Workers,
-			Seed:    opts.Seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: cell Shapley: %w", err)
-		}
-		e.storeEstimates(desc, gen, ests)
-	}
-	report := &Report{
-		Kind:      "cells",
-		Cell:      e.Dirty.RefName(cell),
-		Target:    target.String(),
-		Algorithm: e.Alg.Name(),
-	}
-	for k, est := range ests {
-		report.Entries = append(report.Entries, Entry{
-			Name:    e.Dirty.RefName(players[k]),
-			Shapley: est.Mean,
-			CI95:    est.CI95(),
-			Samples: est.N,
-		})
-	}
-	sortEntries(report.Entries)
-	return report, nil
-}
-
-// ExplainCellsExact computes exact cell Shapley values by subset
-// enumeration under the null policy. Only feasible when the (possibly
-// restricted) player count is small; used to validate the sampler.
-func (e *Explainer) ExplainCellsExact(ctx context.Context, cell table.CellRef, restrict bool) (_ *Report, err error) {
-	defer e.finishEntry(e.begin(), &err)
-	target, repaired, err := e.Target(ctx, cell)
-	if err != nil {
-		return nil, err
-	}
-	if !repaired {
-		return nil, fmt.Errorf("core: cell %s was not repaired; nothing to explain", e.Dirty.RefName(cell))
-	}
-	game := e.NewCellGame(cell, target, ReplaceWithNull)
-	if restrict {
-		game.RestrictPlayers(e.RelevantCells(cell))
-	}
-	// The game's own binding replaces the cachedGame wrapper here: the
-	// descriptor is keyed on the exact roster, so the exact enumeration and
-	// the sampled null-policy paths over the same roster share one pool of
-	// memoized coalition values.
-	game.BindSharedCache()
-	values, err := shapley.ExactSubsets(ctx, game)
-	if err != nil {
-		return nil, fmt.Errorf("core: exact cell Shapley: %w", err)
-	}
-	report := &Report{
-		Kind:      "cells",
-		Cell:      e.Dirty.RefName(cell),
-		Target:    target.String(),
-		Algorithm: e.Alg.Name(),
-	}
-	players := game.Players()
-	for k, v := range values {
-		report.Entries = append(report.Entries, Entry{Name: e.Dirty.RefName(players[k]), Shapley: v})
-	}
-	sortEntries(report.Entries)
-	return report, nil
 }

@@ -4,88 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/shapley"
 	"repro/internal/table"
 )
-
-// ExplainCellsTopK identifies the K most influential cells with adaptive
-// confidence-interval elimination instead of a uniform sampling budget.
-// The interactive workflow of the paper (§3: pick a cell, look at the top
-// of the ranking, edit, repeat) only needs the top of the list, and racing
-// concentrates black-box calls on the contenders.
-func (e *Explainer) ExplainCellsTopK(ctx context.Context, cell table.CellRef, k int, opts CellExplainOptions) (_ *Report, _ bool, err error) {
-	defer e.finishEntry(e.begin(), &err)
-	opts = opts.withDefaults()
-	target, repaired, err := e.Target(ctx, cell)
-	if err != nil {
-		return nil, false, err
-	}
-	if !repaired {
-		return nil, false, fmt.Errorf("core: cell %s was not repaired; nothing to explain", e.Dirty.RefName(cell))
-	}
-	game := e.NewCellGame(cell, target, opts.Policy)
-	if opts.RestrictToRelevant {
-		game.RestrictPlayers(e.RelevantCells(cell))
-	}
-	// The racing rounds re-probe overlapping coalition prefixes; under the
-	// null policy they draw from (and feed) the session's shared cache.
-	game.BindSharedCache()
-	res, err := shapley.TopK(ctx, game, shapley.TopKOptions{
-		K:            k,
-		RoundSamples: opts.Samples / 8,
-		Workers:      opts.Workers,
-		Seed:         opts.Seed,
-	})
-	if err != nil {
-		return nil, false, fmt.Errorf("core: top-k cell Shapley: %w", err)
-	}
-	report := &Report{
-		Kind:      "cells-topk",
-		Cell:      e.Dirty.RefName(cell),
-		Target:    target.String(),
-		Algorithm: e.Alg.Name(),
-	}
-	players := game.Players()
-	for _, est := range res.Top {
-		report.Entries = append(report.Entries, Entry{
-			Name:    e.Dirty.RefName(players[est.Player]),
-			Shapley: est.Mean,
-			CI95:    est.CI95(),
-			Samples: est.N,
-		})
-	}
-	return report, res.Separated, nil
-}
-
-// ExplainToward explains a *hypothetical* repair: how much each constraint
-// contributes to the cell of interest ending up with the given desired
-// value — whether or not the actual repair produces it. With desired set
-// to the observed clean value this reduces to ExplainConstraints; with a
-// different value it answers the "why not?" question: if every Shapley
-// value is 0, no subset of the current constraints ever yields the desired
-// value, so the constraint set (or the data) is what needs changing.
-func (e *Explainer) ExplainToward(ctx context.Context, cell table.CellRef, desired table.Value) (_ *Report, err error) {
-	defer e.finishEntry(e.begin(), &err)
-	if desired.IsNull() {
-		return nil, fmt.Errorf("core: desired value must be non-null")
-	}
-	game := e.cachedGame(e.constraintGameDesc(cell, desired), e.NewConstraintGame(cell, desired))
-	values, err := shapley.ExactSubsets(ctx, game)
-	if err != nil {
-		return nil, fmt.Errorf("core: why-not Shapley: %w", err)
-	}
-	report := &Report{
-		Kind:      "constraints-toward",
-		Cell:      e.Dirty.RefName(cell),
-		Target:    desired.String(),
-		Algorithm: e.Alg.Name(),
-	}
-	for i, v := range values {
-		report.Entries = append(report.Entries, Entry{Name: e.DCs[i].ID, Shapley: v})
-	}
-	sortEntries(report.Entries)
-	return report, nil
-}
 
 // Achievable reports whether any subset of the constraint set makes the
 // black box assign the desired value to the cell — the decision version of
@@ -95,14 +15,17 @@ func (e *Explainer) ExplainToward(ctx context.Context, cell table.CellRef, desir
 // returned witness is one of the smallest).
 func (e *Explainer) Achievable(ctx context.Context, cell table.CellRef, desired table.Value) (_ bool, _ []string, err error) {
 	defer e.finishEntry(e.begin(), &err)
+	if err := e.checkCell(cell); err != nil {
+		return false, nil, err
+	}
 	if desired.IsNull() {
 		return false, nil, fmt.Errorf("core: desired value must be non-null")
 	}
 	n := len(e.DCs)
-	if n > 20 {
+	if n > MaxExactPlayers {
 		return false, nil, fmt.Errorf("core: %d constraints is too many for subset search", n)
 	}
-	game := e.cachedGame(e.constraintGameDesc(cell, desired), e.NewConstraintGame(cell, desired))
+	game := e.game(cell, desired, &roster{players: ConstraintPlayers}, ReplaceWithNull, false)
 	// Order masks by popcount so the first witness is minimal in size.
 	masks := make([]int, 0, 1<<uint(n))
 	for mask := 0; mask < 1<<uint(n); mask++ {

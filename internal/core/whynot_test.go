@@ -10,10 +10,10 @@ import (
 
 func TestExplainCellsTopK(t *testing.T) {
 	e, ll := newPaperExplainer(t)
-	report, separated, err := e.ExplainCellsTopK(context.Background(), ll.CellOfInterest, 3, CellExplainOptions{
+	report, err := e.Explain(context.Background(), Query{Cell: ll.CellOfInterest, Players: CellPlayers, Estimator: TopKShapley, K: 3, CellExplainOptions: CellExplainOptions{
 		Samples: 800,
 		Seed:    42,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestExplainCellsTopK(t *testing.T) {
 	if report.Kind != "cells-topk" {
 		t.Errorf("kind = %s", report.Kind)
 	}
-	_ = separated // separation depends on budget; correctness asserted above
+	_ = report.Separated // separation depends on budget; correctness asserted above
 }
 
 func TestExplainCellsTopKAgreesWithUniform(t *testing.T) {
@@ -36,7 +36,7 @@ func TestExplainCellsTopKAgreesWithUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topk, _, err := e.ExplainCellsTopK(context.Background(), ll.CellOfInterest, 1, CellExplainOptions{Samples: 800, Seed: 7})
+	topk, err := e.Explain(context.Background(), Query{Cell: ll.CellOfInterest, Players: CellPlayers, Estimator: TopKShapley, K: 1, CellExplainOptions: CellExplainOptions{Samples: 800, Seed: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,17 +49,17 @@ func TestExplainCellsTopKAgreesWithUniform(t *testing.T) {
 
 func TestExplainCellsTopKValidation(t *testing.T) {
 	e, ll := newPaperExplainer(t)
-	if _, _, err := e.ExplainCellsTopK(context.Background(), table.CellRef{Row: 0, Col: 0}, 3, CellExplainOptions{}); err == nil {
+	if _, err := e.Explain(context.Background(), Query{Cell: table.CellRef{Row: 0, Col: 0}, Players: CellPlayers, Estimator: TopKShapley, K: 3}); err == nil {
 		t.Error("unrepaired cell must error")
 	}
-	if _, _, err := e.ExplainCellsTopK(context.Background(), ll.CellOfInterest, 0, CellExplainOptions{}); err == nil {
+	if _, err := e.Explain(context.Background(), Query{Cell: ll.CellOfInterest, Players: CellPlayers, Estimator: TopKShapley}); err == nil {
 		t.Error("k=0 must error")
 	}
 }
 
 func TestExplainTowardActualValueMatchesExplainConstraints(t *testing.T) {
 	e, ll := newPaperExplainer(t)
-	toward, err := e.ExplainToward(context.Background(), ll.CellOfInterest, table.String("Spain"))
+	toward, err := e.Explain(context.Background(), Query{Cell: ll.CellOfInterest, Desired: table.String("Spain")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestExplainTowardWhyNot(t *testing.T) {
 	// Why is t5[Country] never repaired to "Portugal"? Because no subset
 	// of the constraints can produce it: all Shapley values are zero.
 	e, ll := newPaperExplainer(t)
-	report, err := e.ExplainToward(context.Background(), ll.CellOfInterest, table.String("Portugal"))
+	report, err := e.Explain(context.Background(), Query{Cell: ll.CellOfInterest, Desired: table.String("Portugal")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestExplainTowardKeepingDirtyValue(t *testing.T) {
 	// does NOT happen, so values mirror the Spain game with opposite sign
 	// structure (C3's presence destroys it).
 	e, ll := newPaperExplainer(t)
-	report, err := e.ExplainToward(context.Background(), ll.CellOfInterest, table.String("España"))
+	report, err := e.Explain(context.Background(), Query{Cell: ll.CellOfInterest, Desired: table.String("España")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +109,25 @@ func TestExplainTowardKeepingDirtyValue(t *testing.T) {
 }
 
 func TestExplainTowardValidation(t *testing.T) {
+	// A null Desired is unset: the query explains the repair's own clean
+	// value, so it errors on a cell the repair leaves alone and is the
+	// plain constraint ranking on the repaired cell. A non-null Desired
+	// needs no repair: it explains a hypothetical one.
 	e, ll := newPaperExplainer(t)
-	if _, err := e.ExplainToward(context.Background(), ll.CellOfInterest, table.Null()); err == nil {
-		t.Error("null desired value must error")
+	ctx := context.Background()
+	unrepaired := table.CellRef{Row: 0, Col: 0}
+	if _, err := e.Explain(ctx, Query{Cell: unrepaired, Desired: table.Null()}); err == nil {
+		t.Error("null desired value must error on an unrepaired cell")
+	}
+	plain, err := e.Explain(ctx, Query{Cell: ll.CellOfInterest, Desired: table.Null()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Kind != "constraints" || plain.Target != "Spain" {
+		t.Errorf("null desired: kind %s, target %s; want the constraint ranking toward Spain", plain.Kind, plain.Target)
+	}
+	if _, err := e.Explain(ctx, Query{Cell: unrepaired, Desired: table.String("Girona")}); err != nil {
+		t.Errorf("a desired value on an unrepaired cell: %v", err)
 	}
 }
 

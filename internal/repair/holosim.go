@@ -14,8 +14,8 @@ import (
 
 // HoloSim is a HoloClean-style probabilistic repairer. It substitutes for
 // the real HoloClean system (Rekatsinas et al., PVLDB 2017) that the
-// paper's prototype queries — see DESIGN.md §6. The pipeline mirrors
-// HoloClean's stages:
+// paper's prototype queries, which a self-contained reproduction cannot
+// call. The pipeline mirrors HoloClean's stages:
 //
 //  1. Error detection: a cell is suspect when its attribute appears in an
 //     inequality predicate of a violated DC for a tuple participating in

@@ -8,7 +8,7 @@
 //     and conditional-most-probable fixes) generalized to arbitrary DC sets;
 //   - HoloSim: a HoloClean-style probabilistic cleaner (detect → candidate
 //     domains → features → log-linear inference), substituting for the real
-//     HoloClean per DESIGN.md §6;
+//     HoloClean system;
 //   - Greedy: a holistic violation-hypergraph baseline in the spirit of
 //     Chu, Ilyas and Papotti (ICDE 2013);
 //   - FDChase: an equivalence-class chase for FD-shaped DCs in the spirit

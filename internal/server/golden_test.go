@@ -15,7 +15,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the golden explain answers under testdata/golden")
 
 // soccerGoldenCSV is a 24-row generated standings table (more rows than
-// core.MaxExactGroups, so a "rows" explain takes the sampled fallback)
+// core.MaxExactPlayers, so a "rows" explain takes the sampled fallback)
 // with one Country typo for the constraints to repair.
 func soccerGoldenCSV(t *testing.T) string {
 	t.Helper()

@@ -2,7 +2,7 @@
 // single-page GUI with the three screens of Figure 3 (input, repair,
 // explanation) and the iterative edit loop of Figure 4. It substitutes a
 // stdlib net/http implementation for the paper's JavaScript/CSS/HTML
-// front-end and Python backend (DESIGN.md §6).
+// front-end and Python backend.
 //
 // Answers are JSON, written by the append-style encoder in wire.go with
 // Content-Length set; they are byte-identical to encoding/json's encoding
@@ -344,6 +344,25 @@ type explainRequest struct {
 	Desired string `json:"desired"`
 }
 
+// explainKinds maps each request kind onto the query it asks for; the
+// request fills in the cell, the sampling budget and seed, K, and for
+// kinds marked desired the hypothetical value. Rows and columns are ranked
+// exactly when feasible; the request's budget and seed apply to the
+// sampled fallback.
+var explainKinds = map[string]struct {
+	query   core.Query
+	desired bool
+}{
+	"":            {query: core.Query{}},
+	"constraints": {query: core.Query{}},
+	"cells":       {query: core.Query{Players: core.CellPlayers, Estimator: core.SampledShapley}},
+	"cells-topk":  {query: core.Query{Players: core.CellPlayers, Estimator: core.TopKShapley}},
+	"rows":        {query: core.Query{Players: core.RowPlayers, Estimator: core.AutoShapley}},
+	"columns":     {query: core.Query{Players: core.ColumnPlayers, Estimator: core.AutoShapley}},
+	"interaction": {query: core.Query{Estimator: core.InteractionIndex}},
+	"toward":      {query: core.Query{}, desired: true},
+}
+
 // explainResponse is the wire form of a report. A sampled entry's CI95 is
 // null when it is not finite: an estimate from a single sample has no
 // bounded interval (encoding/json cannot encode +Inf).
@@ -393,63 +412,28 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	exp := sess.Explainer()
-	samples := req.Samples
-	if samples <= 0 {
-		samples = s.ExplainSamples
-	}
-	var report *core.Report
-	switch req.Kind {
-	case "", "constraints":
-		report, err = exp.ExplainConstraints(ctx, cell)
-	case "cells":
-		report, err = exp.ExplainCells(ctx, cell, core.CellExplainOptions{
-			Samples: samples,
-			Seed:    req.Seed,
-			Workers: s.Workers,
-		})
-	case "cells-topk":
-		k := req.K
-		if k <= 0 {
-			k = 5
-		}
-		report, _, err = exp.ExplainCellsTopK(ctx, cell, k, core.CellExplainOptions{
-			Samples: samples,
-			Seed:    req.Seed,
-			Workers: s.Workers,
-		})
-	case "rows", "columns":
-		groups := exp.RowGroups(cell)
-		if req.Kind == "columns" {
-			groups = exp.ColumnGroups(cell)
-		}
-		// Exact when feasible; the request's sampling budget and seed apply
-		// to the fallback.
-		report, err = exp.ExplainCellGroupsAuto(ctx, cell, groups, core.CellExplainOptions{
-			Samples: samples,
-			Seed:    req.Seed,
-			Workers: s.Workers,
-		})
-	case "toward":
-		if req.Desired == "" {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("kind toward needs a desired value"))
-			return
-		}
-		report, err = exp.ExplainToward(ctx, cell, table.ParseValue(req.Desired))
-	case "interaction":
-		inter, ierr := exp.ExplainConstraintInteractions(ctx, cell)
-		if ierr != nil {
-			err = ierr
-			break
-		}
-		report = &core.Report{Kind: "interaction", Cell: inter.Cell, Target: inter.Target, Algorithm: inter.Algorithm}
-		for _, p := range inter.Pairs {
-			report.Entries = append(report.Entries, core.Entry{Name: "I(" + p.A + "," + p.B + ")", Shapley: p.Value})
-		}
-	default:
+	kind, ok := explainKinds[req.Kind]
+	if !ok {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown kind %q", req.Kind))
 		return
 	}
+	q := kind.query
+	q.Cell = cell
+	if kind.desired {
+		// A null Desired would silently explain the actual repair instead.
+		if q.Desired = table.ParseValue(req.Desired); q.Desired.IsNull() {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("kind %s needs a non-null desired value", req.Kind))
+			return
+		}
+	}
+	if q.Samples = req.Samples; q.Samples <= 0 {
+		q.Samples = s.ExplainSamples
+	}
+	if q.K = req.K; q.K <= 0 {
+		q.K = 5
+	}
+	q.Seed, q.Workers = req.Seed, s.Workers
+	report, err := sess.Explainer().Explain(ctx, q)
 	if err != nil {
 		if ctx.Err() != nil {
 			writeError(w, http.StatusRequestTimeout, err)

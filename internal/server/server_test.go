@@ -270,6 +270,7 @@ func TestExplainValidation(t *testing.T) {
 		{Cell: "nonsense"},
 		{Cell: "t1[Nope]"},
 		{Cell: "t5[Country]", Kind: "martians"},
+		{Cell: "t5[Country]", Kind: "toward", Desired: "null"},
 	} {
 		status, _ := post(t, ts.URL+"/api/session/"+sess.ID+"/explain", req, nil)
 		if status != http.StatusBadRequest {

@@ -3,6 +3,7 @@ package shapley
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -308,4 +309,71 @@ func TestLinearityAxiomProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// maxExactPermutationPlayers bounds ExactPermutations (n! growth).
+const maxExactPermutationPlayers = 10
+
+// ExactPermutations computes Shapley values by enumerating all n!
+// permutations and averaging marginal contributions. It is asymptotically
+// worse than ExactSubsets and serves as the independent test oracle for
+// it.
+func ExactPermutations(ctx context.Context, g Game) ([]float64, error) {
+	n := g.NumPlayers()
+	if n == 0 {
+		return nil, nil
+	}
+	if n > maxExactPermutationPlayers {
+		return nil, fmt.Errorf("%w: %d players (max %d for permutations)", ErrTooManyPlayers, n, maxExactPermutationPlayers)
+	}
+	shap := make([]float64, n)
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	coalition := make([]bool, n)
+	count := 0
+	var walk func(k int) error
+	walk = func(k int) error {
+		if k == n {
+			count++
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			for i := range coalition {
+				coalition[i] = false
+			}
+			prev := 0.0
+			v, err := g.Value(ctx, coalition)
+			if err != nil {
+				return err
+			}
+			prev = v
+			for _, p := range perm {
+				coalition[p] = true
+				v, err := g.Value(ctx, coalition)
+				if err != nil {
+					return err
+				}
+				shap[p] += v - prev
+				prev = v
+			}
+			return nil
+		}
+		for i := k; i < n; i++ {
+			perm[k], perm[i] = perm[i], perm[k]
+			if err := walk(k + 1); err != nil {
+				return err
+			}
+			perm[k], perm[i] = perm[i], perm[k]
+		}
+		return nil
+	}
+	if err := walk(0); err != nil {
+		return nil, err
+	}
+	for i := range shap {
+		shap[i] /= float64(count)
+	}
+	return shap, nil
 }

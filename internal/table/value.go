@@ -6,7 +6,7 @@
 // The paper's prototype stored its working tables in PostgreSQL; the repair
 // and explanation workloads only ever read and perturb a single small table,
 // so an in-memory representation preserves all behaviour that matters to
-// the explainer while removing the external dependency (see DESIGN.md §6).
+// the explainer while removing the external dependency.
 package table
 
 import (
