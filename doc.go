@@ -17,10 +17,10 @@
 // (constraints, cells, relevant cells, rows, columns or explicit groups)
 // and their game, value them with one estimator (exact Shapley, sampled
 // Shapley, exact-or-sampled by player count, top-k racing, Banzhaf or
-// pairwise interaction) and assemble one Report. The query's selectors
-// replace per-shape entry points: ExplainConstraints and ExplainCells are
-// one-statement delegations kept for their callers, and the HTTP server
-// maps each request kind onto a Query through one table. Each estimator
+// pairwise interaction) and assemble one Report. ExplainConstraints and
+// ExplainCells are one-statement delegations for the two shapes of
+// Figure 3c, and the HTTP server maps each request kind onto a Query
+// through one table. Each estimator
 // keeps its cache rule: exact and top-k games bind to the shared
 // coalition cache, sampled estimates are memoized whole. A cell outside
 // the table fails the query with an error.
