@@ -213,7 +213,7 @@ func BenchmarkCoalitionCache(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for p := 0; p < game.NumPlayers(); p++ {
-				if _, err := shapley.ExactOne(ctx, game, p); err != nil {
+				if _, err := bench.ExactOne(ctx, game, p); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -224,7 +224,7 @@ func BenchmarkCoalitionCache(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			game := shapley.NewCached(exp.NewConstraintGame(ll.CellOfInterest, target))
 			for p := 0; p < game.NumPlayers(); p++ {
-				if _, err := shapley.ExactOne(ctx, game, p); err != nil {
+				if _, err := bench.ExactOne(ctx, game, p); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -22,7 +22,9 @@
 // Figure 3c, and the HTTP server maps each request kind onto a Query
 // through one table. Each estimator
 // keeps its cache rule: exact and top-k games bind to the shared
-// coalition cache, sampled estimates are memoized whole. A cell outside
+// coalition cache, and a sampled explain's finished entries (named and
+// sorted) are memoized in exec.Memo, so a repeat is one lookup and a copy
+// that never lists the cell roster. A cell, or a group member, outside
 // the table fails the query with an error.
 //
 // # Evaluation fast path
@@ -102,8 +104,8 @@
 //     fan-out schedules a chunk grid whose size and RNG streams depend
 //     only on (Samples, Seed); chunk accumulators merge in chunk order, so
 //     Workers=1 and Workers=N produce bit-identical estimates (CI asserts
-//     this). One-marginal samplers (SamplePlayer, TopK) additionally morph
-//     walks coalition-to-coalition through shapley.DeltaWalk (Exclude),
+//     this). The one-marginal sampler (TopK) additionally morphs walks
+//     coalition-to-coalition through shapley.DeltaWalk (Exclude),
 //     and the group walk restores its mask baseline from a precomputed
 //     layout copy instead of re-walking every group per sample.
 //
@@ -128,12 +130,14 @@
 //     clone-plus-patch. SetCell invalidates by generation; AddDC/RemoveDC
 //     re-key the descriptor (Engine.InvalidateCache). Golden tests pin
 //     replayed answers to engine-free runs for all four black boxes. The
-//     same generation-stamped, Txn-staged memo holds the finished
-//     estimates of sampled cell and group explains per (game descriptor,
+//     same generation-stamped, Txn-staged memo holds the finished report
+//     entries of sampled cell and group explains per (game descriptor,
 //     Samples, Seed, Policy) — not Workers, which never changes an
-//     estimate — so a repeat sampled explain runs no black box and probes
-//     no coalition cache. A store at a newer generation drops the older
-//     ones; at most a few entries live per generation.
+//     estimate — so a repeat sampled explain runs no black box, probes no
+//     coalition cache and names and sorts nothing; it copies the entries,
+//     so a caller's edits never reach the memo. A store at a newer
+//     generation drops the older ones; at most a few entries live per
+//     generation.
 //   - Incremental statistics (table.Stats.Sync): the per-column
 //     distributions and row snapshot behind repair rules and column
 //     sampling catch up from the table's edit log instead of rebuilding
@@ -146,8 +150,8 @@
 //     table.
 //   - Cache-aware deterministic sampling (exec.Binding): null-policy
 //     coalition evaluations inside SampleAll over rosters of at most 64
-//     players, SamplePlayer and TopK consult the shared coalition cache
-//     through a per-game binding — the walks look up their membership
+//     players and TopK consult the shared coalition cache through a
+//     per-game binding — the walks look up their membership
 //     mirror before running the black box and memoize misses under the
 //     Lookup's generation stamp. Values
 //     are deterministic per (coalition, generation) and the null policy

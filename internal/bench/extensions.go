@@ -154,7 +154,7 @@ func runVariance(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	anti, err := shapley.SampleAllAntithetic(ctx, det, shapley.Options{Samples: budget, Seed: 13, Workers: 1})
+	anti, err := SampleAllAntithetic(ctx, det, budget, 13)
 	if err != nil {
 		return err
 	}
@@ -162,7 +162,7 @@ func runVariance(w io.Writer) error {
 	fmt.Fprintf(w, "%-10s %-12s %-12s %-12s %-12s\n", "player", "exact", "plain", "antithetic", "stratified")
 	var plainMAE, antiMAE, stratMAE float64
 	for p := 0; p < 4; p++ {
-		strat, err := shapley.SamplePlayerStratified(ctx, det, p, shapley.Options{Samples: budget, Seed: 13})
+		strat, err := SamplePlayerStratified(ctx, det, p, budget, 13)
 		if err != nil {
 			return err
 		}
@@ -176,7 +176,7 @@ func runVariance(w io.Writer) error {
 	// Realized error at one seed is noisy; the check is absolute accuracy
 	// for all three estimators (each within 0.01 of exact per player on
 	// average). Variance comparisons across many seeds live in
-	// internal/shapley's tests.
+	// the tests of these estimators.
 	fmt.Fprintf(w, "all estimators within 0.01 MAE of exact at m=%d: %s\n", budget,
 		checkMark(plainMAE/4 < 0.01 && antiMAE/4 < 0.01 && stratMAE/4 < 0.01))
 	return nil

@@ -616,18 +616,22 @@ func perfScenarios(short bool, workers int) ([]perfScenario, error) {
 		// fan-out makes both rows produce bit-identical estimates, so the
 		// ns/op ratio is pure scheduling win. Fixtures built lazily inside
 		// the scenario (see the large-scan comment above).
+		soccer48 := func(b *testing.B, workers int) (*core.Explainer, table.CellRef) {
+			big := data.GenerateSoccer(data.SoccerConfig{Leagues: 4, TeamsPerLeague: 12, Seed: 17})
+			country := big.Schema().MustIndex("Country")
+			cell := table.CellRef{Row: 5, Col: country}
+			big.Set(cell.Row, cell.Col, table.String("Wrongland"))
+			cs := data.SoccerDCs()
+			exp, err := core.NewExplainer(repair.NewRuleRepair(cs), cs, big)
+			if err != nil {
+				b.Fatal(err)
+			}
+			exp.Engine = exec.NewEngine(workers)
+			return exp, cell
+		}
 		largeExplain := func(workers int) func(b *testing.B) {
 			return func(b *testing.B) {
-				big := data.GenerateSoccer(data.SoccerConfig{Leagues: 4, TeamsPerLeague: 12, Seed: 17})
-				country := big.Schema().MustIndex("Country")
-				cell := table.CellRef{Row: 5, Col: country}
-				big.Set(cell.Row, cell.Col, table.String("Wrongland"))
-				cs := data.SoccerDCs()
-				exp, err := core.NewExplainer(repair.NewRuleRepair(cs), cs, big)
-				if err != nil {
-					b.Fatal(err)
-				}
-				exp.Engine = exec.NewEngine(workers)
+				exp, cell := soccer48(b, workers)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -640,9 +644,29 @@ func perfScenarios(short bool, workers int) ([]perfScenario, error) {
 				}
 			}
 		}
+		// The layer row under the end-to-end re-explain: a repeat of one
+		// sampled explain over all 287 other cells (what the HTTP kind
+		// cells asks for), served from the memo of finished entries. Its
+		// allocs/op does not grow with the table.
+		repeatExplain := func(b *testing.B) {
+			exp, cell := soccer48(b, workers)
+			q := core.Query{Cell: cell, Players: core.CellPlayers, Estimator: core.SampledShapley,
+				CellExplainOptions: core.CellExplainOptions{Samples: 32, Seed: 1, Workers: workers}}
+			if _, err := exp.Explain(ctx, q); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := exp.Explain(ctx, q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
 		out = append(out,
 			perfScenario{name: "explain-cells/soccer48/m=32/workers=1", bench: largeExplain(1)},
 			perfScenario{name: "explain-cells/soccer48/m=32/workers=auto", bench: largeExplain(workers)},
+			perfScenario{name: "explain-cells/soccer48/m=32/repeat", bench: repeatExplain},
 		)
 
 		// Saturation: concurrent explain load against a bounded in-flight

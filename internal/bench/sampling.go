@@ -157,7 +157,7 @@ func runCache(w io.Writer) error {
 	counter := exp.Alg.(countingAlg)
 	*counter.calls = 0
 	for p := 0; p < raw.NumPlayers(); p++ {
-		if _, err := shapley.ExactOne(ctx, raw, p); err != nil {
+		if _, err := ExactOne(ctx, raw, p); err != nil {
 			return err
 		}
 	}
@@ -166,7 +166,7 @@ func runCache(w io.Writer) error {
 	*counter.calls = 0
 	cached := shapley.NewCached(raw)
 	for p := 0; p < raw.NumPlayers(); p++ {
-		if _, err := shapley.ExactOne(ctx, cached, p); err != nil {
+		if _, err := ExactOne(ctx, cached, p); err != nil {
 			return err
 		}
 	}

@@ -603,10 +603,10 @@ func (g *CellGame) RestrictPlayers(cells []table.CellRef) {
 }
 
 // BindSharedCache enrolls the game's deterministic coalition evaluations —
-// Value, and the null-policy walk values driven by SampleAll, SamplePlayer
-// and TopK — in the session's shared coalition cache. The descriptor folds
-// in the cell, target and the exact player roster (positional keys); a nil
-// engine or a stochastic policy leaves the game unbound. Values are
+// Value, and the null-policy walk values driven by SampleAll and TopK — in
+// the session's shared coalition cache. The descriptor folds in the cell,
+// target and the exact player roster (positional keys); a nil engine or a
+// stochastic policy leaves the game unbound. Values are
 // deterministic per (coalition, generation), so cache participation can
 // never change an estimate — in particular the Workers=1 ≡ Workers=N
 // bit-identity of the samplers is preserved (no RNG draw is skipped: the

@@ -209,26 +209,27 @@ func TestSessionExplainCellsWorkerDeterminism(t *testing.T) {
 	sameReports(t, "workers 1 vs 4", reports[1], reports[0])
 }
 
-// TestDeltaWalkMarginalEquivalence: the coalition-morphing fast path of
-// SamplePlayer (DeltaWalk: Exclude + Include diffs instead of per-sample
-// rebuilds) must reproduce the generic clone path bit-for-bit on both cell
-// and group games, under both replacement policies.
+// TestDeltaWalkMarginalEquivalence: the coalition-morphing fast path of the
+// one-marginal samplers (DeltaWalk: Exclude + Include diffs instead of
+// per-sample rebuilds), as TopK drives it, must reproduce the generic
+// clone path bit-for-bit on both cell and group games, under both
+// replacement policies.
 func TestDeltaWalkMarginalEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, policy := range []ReplacementPolicy{ReplaceWithNull, ReplaceFromColumn} {
 		game := toyGroupGame(t, 6, policy)
-		for player := 0; player < 3; player++ {
-			opts := shapley.Options{Samples: 60, Seed: int64(31 + player), Workers: 2}
-			fast, err := shapley.SamplePlayer(ctx, game, player, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			slow, err := shapley.SamplePlayer(ctx, game.CloneEval(), player, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fast.Mean != slow.Mean || fast.Variance != slow.Variance || fast.N != slow.N {
-				t.Fatalf("policy %d player %d: walk %+v vs clone %+v", policy, player, fast, slow)
+		opts := shapley.TopKOptions{K: 1, RoundSamples: 20, MaxRounds: 3, Seed: 31, Workers: 2}
+		fast, err := shapley.TopK(ctx, game, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slow, err := shapley.TopK(ctx, game.CloneEval(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range fast.All {
+			if f, s := fast.All[i], slow.All[i]; f.Mean != s.Mean || f.Variance != s.Variance || f.N != s.N {
+				t.Fatalf("policy %d estimate %d: walk %+v vs clone %+v", policy, i, f, s)
 			}
 		}
 	}

@@ -110,10 +110,12 @@ func (e *Explainer) ExplainCells(ctx context.Context, cell table.CellRef, opts C
 //
 // Each estimator keeps one cache rule. Exact estimators and top-k enroll
 // their coalition values in the session's shared cache, where every game
-// over the same roster and target finds them. Sampled estimates are
-// memoized whole per (roster, target, Samples, Seed, Policy) at the table
-// generation, so a repeat explain runs no black box; their coalition
-// values join the shared cache only up to maxBoundRoster players.
+// over the same roster and target finds them. A sampled explain's finished
+// entries are memoized per (roster, target, Samples, Seed, Policy) at the
+// table generation, so a repeat explain is one lookup and a copy: it runs
+// no black box and names and sorts nothing (a cell roster is not even
+// listed). Its coalition values join the shared cache only up to
+// maxBoundRoster players.
 func (e *Explainer) Explain(ctx context.Context, q Query) (_ *Report, err error) {
 	defer e.finishEntry(e.begin(), &err)
 	if err := e.checkCell(q.Cell); err != nil {
@@ -170,11 +172,7 @@ func (e *Explainer) rank(ctx context.Context, q Query, est Estimator, target tab
 		matrix, err := shapley.ExactInteraction(ctx, e.game(q.Cell, target, r, ReplaceWithNull, true))
 		return interactionEntries(e, r, matrix), false, err
 	case SampledShapley:
-		ests, err := e.sampledEstimates(ctx, q.Cell, target, r, opts)
-		for k, est := range ests {
-			entries = append(entries, estimateEntry(r.name(e, k), est))
-		}
-		sortEntries(entries)
+		entries, err = e.sampledEntries(ctx, q.Cell, target, r, opts)
 		return entries, false, err
 	case TopKShapley:
 		game, err := stochastic(e.game(q.Cell, target, r, opts.Policy, true))
@@ -208,21 +206,25 @@ func (e *Explainer) checkCell(cell table.CellRef) error {
 	return nil
 }
 
-// roster is the player set of one explain: the constraints, a list of
-// cells or a list of cell groups.
+// roster is the player set of one explain: the constraints, the cells but
+// the cell of interest, a list of cells or a list of cell groups.
 type roster struct {
 	players Players
-	cells   []table.CellRef
-	groups  []CellGroup
+	// cell is the cell of interest, which CellPlayers skips.
+	cell   table.CellRef
+	cells  []table.CellRef
+	groups []CellGroup
 }
 
-// roster builds the query's player set.
+// roster builds the query's player set. CellPlayers lists no cells: player
+// k is the k-th cell in row-major order after skipping the cell of
+// interest (the order of NewCellGame), so a memoized explain never pays
+// for the roster. Every member of an explicit group must lie inside the
+// table.
 func (e *Explainer) roster(q Query) (roster, error) {
-	r := roster{players: q.Players}
+	r := roster{players: q.Players, cell: q.Cell}
 	switch q.Players {
-	case ConstraintPlayers:
-	case CellPlayers:
-		r.cells = slices.DeleteFunc(e.Dirty.Cells(), func(ref table.CellRef) bool { return ref == q.Cell })
+	case ConstraintPlayers, CellPlayers:
 	case RelevantCellPlayers:
 		r.cells = e.RelevantCells(q.Cell)
 	case RowPlayers:
@@ -230,6 +232,13 @@ func (e *Explainer) roster(q Query) (roster, error) {
 	case ColumnPlayers:
 		r.groups = e.ColumnGroups(q.Cell)
 	case GroupPlayers:
+		for _, g := range q.Groups {
+			for _, ref := range g.Cells {
+				if err := e.checkCell(ref); err != nil {
+					return r, fmt.Errorf("core: group %q: %w", g.Name, err)
+				}
+			}
+		}
 		r.groups = q.Groups
 	default:
 		return r, fmt.Errorf("core: unknown players %d", q.Players)
@@ -242,7 +251,9 @@ func (r *roster) size(e *Explainer) int {
 	switch r.players {
 	case ConstraintPlayers:
 		return len(e.DCs)
-	case CellPlayers, RelevantCellPlayers:
+	case CellPlayers:
+		return e.Dirty.NumCells() - 1
+	case RelevantCellPlayers:
 		return len(r.cells)
 	}
 	return len(r.groups)
@@ -254,7 +265,13 @@ func (r *roster) name(e *Explainer, k int) string {
 	switch r.players {
 	case ConstraintPlayers:
 		return e.DCs[k].ID
-	case CellPlayers, RelevantCellPlayers:
+	case CellPlayers:
+		if k >= e.Dirty.VecIndex(r.cell) {
+			k++
+		}
+		cols := e.Dirty.NumCols()
+		return e.Dirty.RefName(table.CellRef{Row: k / cols, Col: k % cols})
+	case RelevantCellPlayers:
 		return e.Dirty.RefName(r.cells[k])
 	}
 	return r.groups[k].Name
@@ -322,10 +339,12 @@ func stochastic(g shapley.Game) (shapley.StochasticGame, error) {
 	return sg, nil
 }
 
-// sampledEstimates returns the permutation-sampling estimates of the
-// roster's game: the memoized ones of an earlier explain with the same
-// descriptor at this table generation, or fresh ones, which it memoizes.
-func (e *Explainer) sampledEstimates(ctx context.Context, cell table.CellRef, target table.Value, r *roster, opts CellExplainOptions) ([]shapley.Estimate, error) {
+// sampledEntries returns the ranked entries of the roster's sampled game:
+// a copy of the memoized entries of an earlier explain with the same
+// descriptor at this table generation, or fresh ones, named and sorted,
+// which it memoizes. The copy keeps a caller that edits its report from
+// reaching the memo.
+func (e *Explainer) sampledEntries(ctx context.Context, cell table.CellRef, target table.Value, r *roster, opts CellExplainOptions) ([]Entry, error) {
 	kind, players := "cells-sampled", "players=all"
 	switch r.players {
 	case RelevantCellPlayers:
@@ -335,8 +354,8 @@ func (e *Explainer) sampledEstimates(ctx context.Context, cell table.CellRef, ta
 	}
 	desc := e.sampledDesc(kind, opts, "cell="+refDesc(cell), "target="+targetDesc(target), players)
 	gen := e.Dirty.Generation()
-	if ests, ok := e.cachedEstimates(desc, gen); ok {
-		return ests, nil
+	if entries, ok := e.cachedEntries(desc, gen); ok {
+		return slices.Clone(entries), nil
 	}
 	game, err := stochastic(e.game(cell, target, r, opts.Policy, r.size(e) <= maxBoundRoster))
 	if err != nil {
@@ -350,8 +369,13 @@ func (e *Explainer) sampledEstimates(ctx context.Context, cell table.CellRef, ta
 	if err != nil {
 		return nil, err
 	}
-	e.storeEstimates(desc, gen, ests)
-	return ests, nil
+	var entries []Entry
+	for k, est := range ests {
+		entries = append(entries, estimateEntry(r.name(e, k), est))
+	}
+	sortEntries(entries)
+	e.storeEntries(desc, gen, entries)
+	return entries, nil
 }
 
 // estimateEntry is the report line of a sampled estimate.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/dc"
@@ -24,9 +25,10 @@ func shapes(cell table.CellRef, groups []CellGroup) []Query {
 }
 
 // TestExplainOutOfRangeCell: a mis-addressed cell fails every query shape,
-// with and without a desired value, and fails Achievable and Target, each
-// with an error and never an index panic; the session's shared caches
-// stay bit-identical.
+// with and without a desired value, and fails Achievable and Target, and a
+// group with a member outside the table fails every estimator, each with
+// an error and never an index panic; the session's shared caches stay
+// bit-identical.
 func TestExplainOutOfRangeCell(t *testing.T) {
 	ctx := context.Background()
 	sess, cell := newRobustnessSession(t)
@@ -55,6 +57,17 @@ func TestExplainOutOfRangeCell(t *testing.T) {
 		}
 		if _, _, err := sess.Explainer().Target(ctx, bad); err == nil {
 			t.Errorf("Target(%v) must error", bad)
+		}
+	}
+	// A group member outside the table fails the query the same way,
+	// whichever estimator values the groups.
+	for _, bad := range []table.CellRef{{Row: 99, Col: 0}, {Row: 0, Col: -1}} {
+		outside := append(slices.Clone(groups), CellGroup{Name: "outside", Cells: []table.CellRef{{Row: 0, Col: 0}, bad}})
+		for est := ExactShapley; est <= InteractionIndex; est++ {
+			q := Query{Cell: cell, Players: GroupPlayers, Groups: outside, Estimator: est, K: 2, CellExplainOptions: cellOpts()}
+			if _, err := sess.Explainer().Explain(ctx, q); err == nil {
+				t.Errorf("estimator %d: group member %v outside the table must error", est, bad)
+			}
 		}
 	}
 	if after := captureState(sess); after != before {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/dc"
@@ -83,26 +84,23 @@ func TestGoldenEquivalenceSampleAll(t *testing.T) {
 	}
 }
 
-// TestGoldenEquivalenceSamplePlayer covers the two-evaluation walk of
-// SamplePlayer.
+// TestGoldenEquivalenceSamplePlayer covers the two-evaluation walk of the
+// one-marginal samplers, as TopK's racing loop drives it: one marginal of
+// a random active player per sampled permutation.
 func TestGoldenEquivalenceSamplePlayer(t *testing.T) {
 	ctx := context.Background()
 	for _, policy := range []ReplacementPolicy{ReplaceWithNull, ReplaceFromColumn} {
 		game := toyFDGame(t, 5, policy)
-		opts := shapley.Options{Samples: 48, Seed: 7, Workers: 1}
-		for _, p := range []int{0, game.NumPlayers() - 1} {
-			fast, err := shapley.SamplePlayer(ctx, game, p, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			slow, err := shapley.SamplePlayer(ctx, game.CloneEval(), p, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fast != slow {
-				t.Errorf("policy %d player %d: got %+v, want %+v", policy, p, fast, slow)
-			}
+		opts := shapley.TopKOptions{K: 1, RoundSamples: 12, MaxRounds: 4, Seed: 7, Workers: 1}
+		fast, err := shapley.TopK(ctx, game, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
+		slow, err := shapley.TopK(ctx, game.CloneEval(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameEstimates(t, fmt.Sprintf("policy %d", policy), fast.All, slow.All)
 	}
 }
 

@@ -10,19 +10,7 @@ import (
 )
 
 // Entry is one ranked line of an explanation: a player with its value.
-type Entry struct {
-	// Name is the constraint ID (e.g. "C3"), the cell in the paper's
-	// notation (e.g. "t5[League]"), the group name (e.g. "row t5") or the
-	// interaction pair (e.g. "I(C1,C2)").
-	Name string
-	// Shapley is the (exact or estimated) Shapley value.
-	Shapley float64
-	// CI95 is the half-width of the 95% confidence interval; zero for
-	// exact computation.
-	CI95 float64
-	// Samples is the number of Monte-Carlo samples; zero for exact.
-	Samples int
-}
+type Entry = shapley.Entry
 
 // Report is a ranked explanation for the repair of one cell, highest
 // Shapley value first — what the explanation screen of Figure 3c shows.
@@ -159,7 +147,7 @@ func (o CellExplainOptions) withDefaults() CellExplainOptions {
 // memoized whole instead (sampledDesc).
 const maxBoundRoster = 64
 
-// sampledDesc is the Memo descriptor of a sampled explain's estimates: the
+// sampledDesc is the Memo descriptor of a sampled explain's report: the
 // game's descriptor parts plus the options that fix the estimates. Workers
 // is left out, because estimates are bit-identical for every worker count.
 // It extends the memoized repair descriptor, which already folds in the
@@ -178,22 +166,23 @@ func (e *Explainer) sampledDesc(kind string, opts CellExplainOptions, parts ...s
 	return b.String()
 }
 
-// cachedEstimates returns the memoized estimates of desc at generation
-// gen, staged ones of the open entry point first.
-func (e *Explainer) cachedEstimates(desc string, gen uint64) ([]shapley.Estimate, bool) {
+// cachedEntries returns the memoized report entries of desc at generation
+// gen, staged ones of the open entry point first. They are owned by the
+// memo: callers copy before handing them out.
+func (e *Explainer) cachedEntries(desc string, gen uint64) ([]Entry, bool) {
 	if e.txn != nil {
-		return e.txn.EstimatesLookup(desc, gen)
+		return e.txn.EntriesLookup(desc, gen)
 	}
-	return e.Engine.RepairTargets().LookupEstimates(desc, gen)
+	return e.Engine.RepairTargets().LookupEntries(desc, gen)
 }
 
-// storeEstimates memoizes a sampled explain's estimates, staged in the
+// storeEntries memoizes a sampled explain's report entries, staged in the
 // entry point's transaction so an aborted explain leaves the Memo as it
 // was.
-func (e *Explainer) storeEstimates(desc string, gen uint64, ests []shapley.Estimate) {
+func (e *Explainer) storeEntries(desc string, gen uint64, entries []Entry) {
 	if t := e.liveTxn(); t != nil {
-		t.EstimatesStore(desc, gen, ests)
+		t.EntriesStore(desc, gen, entries)
 		return
 	}
-	e.Engine.RepairTargets().StoreEstimates(desc, gen, ests)
+	e.Engine.RepairTargets().StoreEntries(desc, gen, entries)
 }

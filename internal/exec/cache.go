@@ -300,7 +300,7 @@ func (c *CoalitionCache) Stats() (hits, misses uint64) {
 // Binding is one game's handle on the shared coalition cache: the interned
 // game ID plus the generation source. It is how *deterministic* evaluation
 // paths outside the exact enumerators — the null-policy coalition
-// evaluations inside the sampling loops (SampleAll, SamplePlayer, TopK) —
+// evaluations inside the sampling loops (SampleAll, TopK) —
 // participate in the shared cache without wrapping the game: the game keeps
 // its walk/scratch fast paths and consults the binding per evaluation.
 //

@@ -21,8 +21,8 @@
 //     clean-table diff of the full black-box repair per (repair
 //     descriptor, table generation), so repeat Target()/Repair() calls
 //     replay a diff instead of re-running the black box, and the finished
-//     estimates of sampled cell and group explains, so a repeat sampled
-//     explain is served whole.
+//     report entries of sampled cell and group explains, so a repeat
+//     sampled explain is one lookup.
 //   - Binding: a game's handle on the shared coalition cache, which is how
 //     the *sampled* deterministic paths participate in the cache without
 //     wrapping the game or touching its RNG stream: null-policy walks
@@ -91,7 +91,7 @@ func (e *Engine) Cache() *CoalitionCache {
 }
 
 // RepairTargets returns the engine's result memo, which holds the repair
-// targets and the sampled estimates; nil on a nil engine (a nil *Memo is a
+// targets and the sampled reports' entries; nil on a nil engine (a nil *Memo is a
 // valid always-miss memo).
 func (e *Engine) RepairTargets() *Memo {
 	if e == nil {
@@ -140,7 +140,7 @@ func (e *Engine) GameID(desc string) uint64 {
 }
 
 // InvalidateCache drops every memoized coalition value, every Memo entry
-// (repair diffs and sampled estimates), every compiled constraint-set
+// (repair diffs and sampled reports), every compiled constraint-set
 // plan, and the game-ID interning table. core.Session calls it on
 // constraint edits: AddDC and RemoveDC change every game and repair
 // descriptor without touching the table generation, so the previous

@@ -21,12 +21,12 @@ import (
 //     stored: the dirty table is live session state, so the clean table is
 //     reconstructed as clone-plus-patch on demand, and target resolution
 //     for one cell needs no reconstruction at all (scan the diff).
-//   - sampled estimates (LookupEstimates, StoreEstimates): the finished
-//     estimates of a sampled cell or group explain, per (game descriptor,
-//     Samples, Seed, Policy). Estimates are bit-identical for every worker
-//     count, so Workers is not part of the key. A repeat explain is served
-//     whole instead of probing the coalition cache once per sampled
-//     coalition.
+//   - sampled reports (LookupEntries, StoreEntries): the finished report
+//     entries of a sampled cell or group explain — named and sorted — per
+//     (game descriptor, Samples, Seed, Policy). Estimates are
+//     bit-identical for every worker count, so Workers is not part of the
+//     key. A repeat explain is one lookup and one copy: it runs no black
+//     box, probes no coalition cache, and names and sorts nothing.
 //
 // Invalidation: any table mutation — a SetCell, a row insert or delete, a
 // batch bracket — bumps the table generation, so the next Lookup misses.
@@ -59,16 +59,16 @@ type memoKind uint8
 
 const (
 	memoDiffs memoKind = iota
-	memoEstimates
+	memoEntries
 )
 
 // memoEntry is one memoized result: the generation it was computed at and
 // its payload (owned by the memo; callers get read-only views).
 type memoEntry struct {
-	gen   uint64
-	kind  memoKind
-	diffs []table.CellDiff
-	ests  []shapley.Estimate
+	gen     uint64
+	kind    memoKind
+	diffs   []table.CellDiff
+	entries []shapley.Entry
 }
 
 // maxMemoEntries bounds the entries of one generation: the repair diff
@@ -100,16 +100,16 @@ func (c *Memo) Lookup(desc string, gen uint64) ([]table.CellDiff, bool) {
 	return e.diffs, true
 }
 
-// LookupEstimates returns the memoized estimates for desc at generation
-// gen, read-only like Lookup's diffs.
-func (c *Memo) LookupEstimates(desc string, gen uint64) ([]shapley.Estimate, bool) {
+// LookupEntries returns the memoized report entries for desc at
+// generation gen, read-only like Lookup's diffs.
+func (c *Memo) LookupEntries(desc string, gen uint64) ([]shapley.Entry, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.lookup(desc, gen, memoEstimates)
-	return e.ests, ok
+	e, ok := c.lookup(desc, gen, memoEntries)
+	return e.entries, ok
 }
 
 // lookup finds desc's entry of the given kind at gen; callers hold mu.
@@ -127,18 +127,18 @@ func (c *Memo) Store(desc string, gen uint64, diffs []table.CellDiff) {
 	c.store(desc, diffsEntry(gen, diffs))
 }
 
-// StoreEstimates memoizes the estimates for desc at generation gen. The
-// slice is copied; no-op on a nil memo.
-func (c *Memo) StoreEstimates(desc string, gen uint64, ests []shapley.Estimate) {
-	c.store(desc, estimatesEntry(gen, ests))
+// StoreEntries memoizes the report entries for desc at generation gen.
+// The slice is copied; no-op on a nil memo.
+func (c *Memo) StoreEntries(desc string, gen uint64, entries []shapley.Entry) {
+	c.store(desc, entriesEntry(gen, entries))
 }
 
 func diffsEntry(gen uint64, diffs []table.CellDiff) memoEntry {
 	return memoEntry{gen: gen, kind: memoDiffs, diffs: append([]table.CellDiff(nil), diffs...)}
 }
 
-func estimatesEntry(gen uint64, ests []shapley.Estimate) memoEntry {
-	return memoEntry{gen: gen, kind: memoEstimates, ests: append([]shapley.Estimate(nil), ests...)}
+func entriesEntry(gen uint64, entries []shapley.Entry) memoEntry {
+	return memoEntry{gen: gen, kind: memoEntries, entries: append([]shapley.Entry(nil), entries...)}
 }
 
 // store publishes one owned entry under the generation rules of the type

@@ -176,18 +176,18 @@ func TestBindingStaleStoreDropped(t *testing.T) {
 
 // TestMemoGenerations: a store at a newer generation drops every older
 // entry, a store at an older generation is dropped, and diffs and
-// estimates under one descriptor never answer for each other.
+// report entries under one descriptor never answer for each other.
 func TestMemoGenerations(t *testing.T) {
 	c := NewMemo()
 	c.Store("repair", 4, diffFixture())
-	c.StoreEstimates("report", 4, []shapley.Estimate{{Player: 0, Mean: 1}})
-	if _, ok := c.LookupEstimates("repair", 4); ok {
-		t.Fatal("a diff entry must not answer an estimates lookup")
+	c.StoreEntries("report", 4, []shapley.Entry{{Name: "t1[A]", Shapley: 1}})
+	if _, ok := c.LookupEntries("repair", 4); ok {
+		t.Fatal("a diff entry must not answer an entries lookup")
 	}
 	if _, ok := c.Lookup("report", 4); ok {
-		t.Fatal("an estimates entry must not answer a diff lookup")
+		t.Fatal("an entries entry must not answer a diff lookup")
 	}
-	c.StoreEstimates("report", 5, []shapley.Estimate{{Player: 0, Mean: 2}})
+	c.StoreEntries("report", 5, []shapley.Entry{{Name: "t1[A]", Shapley: 2}})
 	if c.Len() != 1 {
 		t.Fatalf("memo holds %d entries after a newer store, want 1", c.Len())
 	}
@@ -195,7 +195,7 @@ func TestMemoGenerations(t *testing.T) {
 	if _, ok := c.Lookup("repair", 4); ok {
 		t.Fatal("a store at an older generation must be dropped")
 	}
-	if ests, ok := c.LookupEstimates("report", 5); !ok || ests[0].Mean != 2 {
-		t.Fatalf("current entry = %v, %v", ests, ok)
+	if got, ok := c.LookupEntries("report", 5); !ok || got[0].Shapley != 2 {
+		t.Fatalf("current entry = %v, %v", got, ok)
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // Txn is one explain's transactional view of the session's shared caches:
-// every coalition value, repair diff and sampled estimate the run computes
+// every coalition value, repair diff and sampled report the run computes
 // is staged privately and only published to the shared CoalitionCache /
 // Memo by Commit. An aborted run (cancellation, deadline, injected fault,
 // panic) calls Abort, which drops the staging wholesale — so the shared
@@ -195,21 +195,22 @@ func (t *Txn) RepairStore(desc string, gen uint64, diffs []table.CellDiff) {
 	t.stageMemo(desc, diffsEntry(gen, diffs))
 }
 
-// EstimatesLookup is Memo.LookupEstimates with the transaction's staged
-// estimates consulted first. Nil-safe like RepairLookup.
-func (t *Txn) EstimatesLookup(desc string, gen uint64) ([]shapley.Estimate, bool) {
+// EntriesLookup is Memo.LookupEntries with the transaction's staged
+// entries consulted first. Nil-safe like RepairLookup.
+func (t *Txn) EntriesLookup(desc string, gen uint64) ([]shapley.Entry, bool) {
 	if t == nil {
 		return nil, false
 	}
-	if e, ok := t.stagedMemo(desc, gen, memoEstimates); ok {
-		return e.ests, true
+	if e, ok := t.stagedMemo(desc, gen, memoEntries); ok {
+		return e.entries, true
 	}
-	return t.e.RepairTargets().LookupEstimates(desc, gen)
+	return t.e.RepairTargets().LookupEntries(desc, gen)
 }
 
-// EstimatesStore stages one explain's estimates for publication at Commit.
-func (t *Txn) EstimatesStore(desc string, gen uint64, ests []shapley.Estimate) {
-	t.stageMemo(desc, estimatesEntry(gen, ests))
+// EntriesStore stages one explain's report entries for publication at
+// Commit.
+func (t *Txn) EntriesStore(desc string, gen uint64, entries []shapley.Entry) {
+	t.stageMemo(desc, entriesEntry(gen, entries))
 }
 
 // stagedMemo finds a staged Memo entry of the given kind at gen.

@@ -31,8 +31,8 @@ func TestTxnAbortLeavesCachesPristine(t *testing.T) {
 	wide[0], wide[99] = true, true
 	b.Store(7, wide, 2.5)
 	txn.RepairStore("doomed-repair", 7, []table.CellDiff{{Ref: table.CellRef{Row: 1, Col: 1}}})
-	// A sampled explain stages its finished estimates the same way.
-	txn.EstimatesStore("doomed-report", 7, []shapley.Estimate{{Player: 0, Mean: 0.5, N: 3}})
+	// A sampled explain stages its finished report entries the same way.
+	txn.EntriesStore("doomed-report", 7, []shapley.Entry{{Name: "t1[A]", Shapley: 0.5}})
 
 	// The run sees its own staged writes...
 	if v, ok := b.LookupAt(7, []bool{true, true}); !ok || v != 1.25 {
@@ -44,11 +44,11 @@ func TestTxnAbortLeavesCachesPristine(t *testing.T) {
 	if _, ok := txn.RepairLookup("doomed-repair", 7); !ok {
 		t.Fatal("staged repair diff must be visible inside the txn")
 	}
-	if ests, ok := txn.EstimatesLookup("doomed-report", 7); !ok || len(ests) != 1 || ests[0].Mean != 0.5 {
-		t.Fatalf("staged estimates = %v, %v; must be visible inside the txn", ests, ok)
+	if got, ok := txn.EntriesLookup("doomed-report", 7); !ok || len(got) != 1 || got[0].Shapley != 0.5 {
+		t.Fatalf("staged entries = %v, %v; must be visible inside the txn", got, ok)
 	}
-	if _, ok := e.RepairTargets().LookupEstimates("doomed-report", 7); ok {
-		t.Fatal("staged estimates must not reach the memo before commit")
+	if _, ok := e.RepairTargets().LookupEntries("doomed-report", 7); ok {
+		t.Fatal("staged entries must not reach the memo before commit")
 	}
 	// ...but the shared caches have not.
 	if got := e.Cache().Len(); got != baseLen {
@@ -65,8 +65,8 @@ func TestTxnAbortLeavesCachesPristine(t *testing.T) {
 	if got := e.RepairTargets().Len(); got != baseRepairs {
 		t.Fatalf("post-abort memo len = %d, want %d", got, baseRepairs)
 	}
-	if _, ok := e.RepairTargets().LookupEstimates("doomed-report", 7); ok {
-		t.Fatal("an aborted sampled explain must leave no estimates in the memo")
+	if _, ok := e.RepairTargets().LookupEntries("doomed-report", 7); ok {
+		t.Fatal("an aborted sampled explain must leave no entries in the memo")
 	}
 	if v, ok := e.Cache().Lookup(e.GameID("warm"), 1, warm); !ok || v != 0.5 {
 		t.Fatal("abort must not disturb pre-existing entries")
@@ -86,7 +86,7 @@ func TestTxnCommitPublishes(t *testing.T) {
 	wide[69] = true
 	b.Store(3, wide, 5.5)
 	txn.RepairStore("published-repair", 3, []table.CellDiff{{Ref: table.CellRef{Row: 2, Col: 0}}})
-	txn.EstimatesStore("published-report", 3, []shapley.Estimate{{Player: 1, Mean: 0.25, N: 4}})
+	txn.EntriesStore("published-report", 3, []shapley.Entry{{Name: "t1[A]", Shapley: 0.25}})
 	txn.Commit()
 
 	// A fresh (non-transactional) binding — the next run — must hit.
@@ -100,8 +100,8 @@ func TestTxnCommitPublishes(t *testing.T) {
 	if diffs, ok := e.RepairTargets().Lookup("published-repair", 3); !ok || len(diffs) != 1 {
 		t.Fatalf("committed repair diff = %v, %v", diffs, ok)
 	}
-	if ests, ok := e.RepairTargets().LookupEstimates("published-report", 3); !ok || len(ests) != 1 || ests[0].Mean != 0.25 {
-		t.Fatalf("committed estimates = %v, %v", ests, ok)
+	if got, ok := e.RepairTargets().LookupEntries("published-report", 3); !ok || len(got) != 1 || got[0].Shapley != 0.25 {
+		t.Fatalf("committed entries = %v, %v", got, ok)
 	}
 }
 

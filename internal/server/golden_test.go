@@ -31,8 +31,10 @@ func soccerGoldenCSV(t *testing.T) string {
 // TestExplainGoldenAnswers pins the exact answer bytes of every explain
 // kind: exact constraint, group and interaction rankings, seeded sampled
 // and top-k cell rankings, the why-not ranking, and the sampled fallback
-// of a row explain over more rows than exact enumeration allows. Run with
-// -update to rewrite testdata/golden after an intended answer change.
+// of a row explain over more rows than exact enumeration allows. A repeat
+// of each request, answered from the session's caches and memo, must send
+// the same bytes. Run with -update to rewrite testdata/golden after an
+// intended answer change.
 func TestExplainGoldenAnswers(t *testing.T) {
 	ts := newTestServer(t)
 	laliga := createSession(t, ts).ID
@@ -75,6 +77,9 @@ func TestExplainGoldenAnswers(t *testing.T) {
 			}
 			if raw != string(want) {
 				t.Errorf("answer differs from %s\n got: %s\nwant: %s", path, raw, want)
+			}
+			if status, repeat := post(t, ts.URL+"/api/session/"+c.session+"/explain", c.req, nil); status != http.StatusOK || repeat != raw {
+				t.Errorf("repeat answered %d %s, first answered %s", status, repeat, raw)
 			}
 		})
 	}

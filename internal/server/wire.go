@@ -344,6 +344,20 @@ func appendString(b []byte, s string) []byte {
 
 const hexDigits = "0123456789abcdef"
 
+// wireSafe marks the bytes appendStringBody copies verbatim: printable
+// ASCII except '"', '\\', '<', '>' and '&'. Control bytes and those five
+// are escaped; bytes from utf8.RuneSelf up start a multi-byte sequence,
+// which is decoded. One table load per byte replaces six comparisons.
+var wireSafe = func() (safe [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		safe[c] = true
+	}
+	for _, c := range "\"\\<>&" {
+		safe[c] = false
+	}
+	return safe
+}()
+
 // appendStringBody appends s escaped as encoding/json escapes it with
 // HTML escaping on (the Encoder default): '"' and '\\' backslashed;
 // \b, \f, \n, \r and \t by name; other control bytes and '<', '>' and
@@ -352,11 +366,12 @@ const hexDigits = "0123456789abcdef"
 func appendStringBody(b []byte, s string) []byte {
 	start := 0
 	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
+		c := s[i]
+		if wireSafe[c] {
+			i++
+			continue
+		}
+		if c < utf8.RuneSelf {
 			b = append(b, s[start:i]...)
 			switch c {
 			case '"', '\\':

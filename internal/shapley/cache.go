@@ -13,8 +13,8 @@ import (
 const cacheShards = 64
 
 // Cached memoizes a deterministic game's coalition values. Exact Shapley
-// computation revisits coalitions (ExactOne for several players of the same
-// game shares almost all of them), and permutation sampling of games with
+// computation revisits coalitions (single-player enumeration for several
+// players of the same game shares almost all of them), and permutation sampling of games with
 // few players revisits the small coalition space constantly; caching turns
 // those repeats into map lookups. Safe for concurrent use.
 //

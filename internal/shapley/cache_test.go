@@ -35,28 +35,6 @@ func TestCachedPreservesValues(t *testing.T) {
 	}
 }
 
-func TestCachedDeduplicatesCalls(t *testing.T) {
-	var calls atomic.Int64
-	cached := NewCached(countingGame(4, &calls))
-	// ExactOne for every player revisits the same 16 coalitions.
-	for p := 0; p < 4; p++ {
-		if _, err := ExactOne(context.Background(), cached, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := calls.Load(); got != 16 {
-		t.Errorf("underlying calls = %d, want 16 (2^4 distinct coalitions)", got)
-	}
-	hits, misses := cached.Stats()
-	if misses != 16 {
-		t.Errorf("misses = %d, want 16", misses)
-	}
-	// 4 players × 2^3 subsets × 2 evals = 64 total lookups; 48 are hits.
-	if hits != 48 {
-		t.Errorf("hits = %d, want 48", hits)
-	}
-}
-
 func TestCachedErrorNotCached(t *testing.T) {
 	boom := errors.New("boom")
 	fail := true

@@ -86,19 +86,6 @@ func TestTopKWorkerCountDeterminism(t *testing.T) {
 	}
 }
 
-func TestAntitheticWorkerCountDeterminism(t *testing.T) {
-	g := Deterministic{G: paperConstraintGame()}
-	base, err := SampleAllAntithetic(context.Background(), g, Options{Samples: 120, Seed: 3, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := SampleAllAntithetic(context.Background(), g, Options{Samples: 120, Seed: 3, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, base, got, "SampleAllAntithetic")
-}
-
 func TestFanChunkDependsOnlyOnBudget(t *testing.T) {
 	if fanChunk(1) != minChunkIters || fanChunk(100) != minChunkIters {
 		t.Error("small budgets must use the minimum chunk size")

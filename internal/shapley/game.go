@@ -111,57 +111,6 @@ func ExactSubsets(ctx context.Context, g Game) ([]float64, error) {
 	return shap, nil
 }
 
-// ExactOne computes the Shapley value of a single player by direct subset
-// enumeration over the other n-1 players. Cost: 2^(n-1) pairs of
-// evaluations; useful when only one player's value is needed.
-func ExactOne(ctx context.Context, g Game, player int) (float64, error) {
-	n := g.NumPlayers()
-	if player < 0 || player >= n {
-		return 0, fmt.Errorf("shapley: player %d out of range 0..%d", player, n-1)
-	}
-	if n > maxExactSubsetPlayers {
-		return 0, fmt.Errorf("%w: %d players (max %d)", ErrTooManyPlayers, n, maxExactSubsetPlayers)
-	}
-	w := subsetWeights(n)
-	others := make([]int, 0, n-1)
-	for i := 0; i < n; i++ {
-		if i != player {
-			others = append(others, i)
-		}
-	}
-	coalition := make([]bool, n)
-	var shap float64
-	total := 1 << uint(len(others))
-	for mask := 0; mask < total; mask++ {
-		if mask%512 == 0 {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-		}
-		size := 0
-		for i := range coalition {
-			coalition[i] = false
-		}
-		for b, p := range others {
-			if mask&(1<<uint(b)) != 0 {
-				coalition[p] = true
-				size++
-			}
-		}
-		without, err := g.Value(ctx, coalition)
-		if err != nil {
-			return 0, err
-		}
-		coalition[player] = true
-		with, err := g.Value(ctx, coalition)
-		if err != nil {
-			return 0, err
-		}
-		shap += w[size] * (with - without)
-	}
-	return shap, nil
-}
-
 // subsetWeights returns w[s] = s!·(n−s−1)!/n! for s in 0..n−1, computed
 // multiplicatively to stay in float range for any practical n.
 func subsetWeights(n int) []float64 {

@@ -134,33 +134,6 @@ func TestExactSubsetsContextCancel(t *testing.T) {
 	}
 }
 
-func TestExactOneMatchesExactSubsets(t *testing.T) {
-	g := paperConstraintGame()
-	all, err := ExactSubsets(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := 0; p < g.NumPlayers(); p++ {
-		one, err := ExactOne(context.Background(), g, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !approxEq(one, all[p], 1e-12) {
-			t.Errorf("ExactOne(%d) = %v, ExactSubsets = %v", p, one, all[p])
-		}
-	}
-}
-
-func TestExactOnePlayerRange(t *testing.T) {
-	g := paperConstraintGame()
-	if _, err := ExactOne(context.Background(), g, -1); err == nil {
-		t.Error("negative player must error")
-	}
-	if _, err := ExactOne(context.Background(), g, 4); err == nil {
-		t.Error("out-of-range player must error")
-	}
-}
-
 func TestExactPermutationsMatchesSubsets(t *testing.T) {
 	for _, g := range []Game{paperConstraintGame(), additiveGame([]float64{1, 2, 3}), unanimityGame(5, []int{0, 4})} {
 		a, err := ExactSubsets(context.Background(), g)

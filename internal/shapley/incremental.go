@@ -10,7 +10,7 @@ import (
 // player per step, so a game that maintains its evaluation state in place
 // (e.g. a scratch table with masked cells) can accept a single-player delta
 // instead of re-applying the full membership mask on every evaluation.
-// SampleAll, SamplePlayer and SampleTopK detect this interface and switch to
+// SampleAll and TopK detect this interface and switch to
 // the walk protocol below; the estimates are bit-identical to the generic
 // path for any conforming implementation (see the equivalence contract on
 // CoalitionWalk).
@@ -44,7 +44,7 @@ type CoalitionWalk interface {
 }
 
 // DeltaWalk is a CoalitionWalk that can also *remove* players. Samplers
-// that draw one marginal per permutation (SamplePlayer, TopK) then morph
+// that draw one marginal per permutation (TopK) then morph
 // the walk from one sample's coalition straight into the next — toggling
 // only the players whose membership changed — instead of rebuilding every
 // prefix from the empty coalition, which re-walks every player (for group
@@ -141,9 +141,9 @@ func (m *walkMorph) marginal(ctx context.Context, perm []int, player int, rng *r
 
 // walkMarginal samples one marginal contribution for player under perm via
 // the walk protocol: build the preceding-players prefix, evaluate without
-// and with the player, return the difference. Shared by SamplePlayer and
-// SampleTopK so the walk sequence (and its RNG consumption) cannot diverge
-// between them.
+// and with the player, return the difference. Shared by every
+// one-marginal sampler so the walk sequence (and its RNG consumption)
+// cannot diverge between them.
 //
 //lint:hotpath
 func walkMarginal(ctx context.Context, walk CoalitionWalk, perm []int, player int, rng *rand.Rand) (float64, error) {

@@ -75,8 +75,7 @@ func (e Estimate) String() string {
 // Options configures the sampler.
 type Options struct {
 	// Samples is m: the number of sampled permutations. For SampleAll each
-	// permutation yields one marginal per player; for SamplePlayer each
-	// yields one marginal for that player. Must be positive.
+	// permutation yields one marginal per player. Must be positive.
 	Samples int
 	// Workers is the parallel fan-out; 0 means GOMAXPROCS. Workers only
 	// changes scheduling, never results: iterations are partitioned into
@@ -108,23 +107,6 @@ func (o Options) withDefaults() Options {
 		o.Range = 1
 	}
 	return o
-}
-
-// hoeffdingSamples returns the m sufficient for P(|mean−μ| ≥ ε) ≤ δ with
-// marginals in [−r, r]: m ≥ (2r²/ε²)·ln(2/δ). Tiny ε overflows the float
-// bound past what an int can hold (converting +Inf to int is
-// implementation-defined and lands negative on amd64); the result is
-// clamped to MaxInt so callers keep their own Samples budget instead of
-// computing a negative one.
-func hoeffdingSamples(eps, delta, r float64) int {
-	m := math.Ceil(2 * r * r / (eps * eps) * math.Log(2/delta))
-	if math.IsNaN(m) || m >= float64(math.MaxInt) {
-		return math.MaxInt
-	}
-	if m < 1 {
-		return 1
-	}
-	return int(m)
 }
 
 // welford accumulates mean and variance in one pass (numerically stable).
@@ -165,7 +147,7 @@ func (w *welford) estimate(player int) Estimate {
 }
 
 // marginalState is the per-worker scratch of the one-marginal-per-sample
-// samplers (SamplePlayer, TopK): a permutation buffer, a coalition/prefix
+// samplers (TopK): a permutation buffer, a coalition/prefix
 // buffer, and — for incremental games — one borrowed walk reused across
 // every chunk the worker runs, with the membership mirror that lets a
 // DeltaWalk morph coalition to coalition instead of rebuilding from ∅.
@@ -230,54 +212,11 @@ func (st *marginalState) marginal(ctx context.Context, g StochasticGame, perm []
 	return with - without, nil
 }
 
-// SamplePlayer estimates one player's Shapley value with the
-// Strumbelj–Kononenko procedure of Example 2.5: repeat m times — draw a
-// random permutation of the players, form the coalition of players
-// preceding the target, evaluate the game with and without the target, and
-// average the differences.
-func SamplePlayer(ctx context.Context, g StochasticGame, player int, opts Options) (Estimate, error) {
-	opts = opts.withDefaults()
-	n := g.NumPlayers()
-	if player < 0 || player >= n {
-		return Estimate{}, fmt.Errorf("shapley: player %d out of range 0..%d", player, n-1)
-	}
-	if opts.Samples <= 0 {
-		return Estimate{}, fmt.Errorf("shapley: Samples must be positive, got %d", opts.Samples)
-	}
-	budget := opts.Samples
-	if opts.Epsilon > 0 {
-		if h := hoeffdingSamples(opts.Epsilon, opts.Delta, opts.Range); h < budget {
-			budget = h
-		}
-	}
-	accs, err := fanOut(ctx, opts, budget, 1,
-		func() *marginalState { return newMarginalState(g) },
-		(*marginalState).close,
-		func(ctx context.Context, st *marginalState, rng *rand.Rand, iters int, acc []welford) error {
-			for it := 0; it < iters; it++ {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				randPerm(rng, st.perm)
-				m, err := st.marginal(ctx, g, st.perm, player, rng)
-				if err != nil {
-					return err
-				}
-				acc[0].add(m)
-			}
-			return nil
-		})
-	if err != nil {
-		return Estimate{}, err
-	}
-	return accs[0].estimate(player), nil
-}
-
 // SampleAll estimates every player's Shapley value by permutation walks
 // (Castro, Gómez & Tejada 2009): each sampled permutation is traversed
 // once, evaluating the game on each prefix, which yields one marginal
 // contribution for every player at n+1 evaluations per permutation —
-// a factor-2n saving over running SamplePlayer per player.
+// a factor-2n saving over sampling each player on its own.
 func SampleAll(ctx context.Context, g StochasticGame, opts Options) ([]Estimate, error) {
 	opts = opts.withDefaults()
 	n := g.NumPlayers()

@@ -3,6 +3,7 @@ package shapley
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -347,4 +348,65 @@ func TestHoeffdingTinyEpsilonRegression(t *testing.T) {
 	if est.N != 50 {
 		t.Fatalf("tiny epsilon must clamp to the Samples budget: N = %d, want 50", est.N)
 	}
+}
+
+// SamplePlayer is the tests' one-player sampler, which also honours
+// Options' early stopping. It estimates one player's Shapley value with
+// the Strumbelj–Kononenko procedure of Example 2.5: repeat m times — draw a
+// random permutation of the players, form the coalition of players
+// preceding the target, evaluate the game with and without the target, and
+// average the differences.
+func SamplePlayer(ctx context.Context, g StochasticGame, player int, opts Options) (Estimate, error) {
+	opts = opts.withDefaults()
+	n := g.NumPlayers()
+	if player < 0 || player >= n {
+		return Estimate{}, fmt.Errorf("shapley: player %d out of range 0..%d", player, n-1)
+	}
+	if opts.Samples <= 0 {
+		return Estimate{}, fmt.Errorf("shapley: Samples must be positive, got %d", opts.Samples)
+	}
+	budget := opts.Samples
+	if opts.Epsilon > 0 {
+		if h := hoeffdingSamples(opts.Epsilon, opts.Delta, opts.Range); h < budget {
+			budget = h
+		}
+	}
+	accs, err := fanOut(ctx, opts, budget, 1,
+		func() *marginalState { return newMarginalState(g) },
+		(*marginalState).close,
+		func(ctx context.Context, st *marginalState, rng *rand.Rand, iters int, acc []welford) error {
+			for it := 0; it < iters; it++ {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				randPerm(rng, st.perm)
+				m, err := st.marginal(ctx, g, st.perm, player, rng)
+				if err != nil {
+					return err
+				}
+				acc[0].add(m)
+			}
+			return nil
+		})
+	if err != nil {
+		return Estimate{}, err
+	}
+	return accs[0].estimate(player), nil
+}
+
+// hoeffdingSamples returns the m sufficient for P(|mean−μ| ≥ ε) ≤ δ with
+// marginals in [−r, r]: m ≥ (2r²/ε²)·ln(2/δ). Tiny ε overflows the float
+// bound past what an int can hold (converting +Inf to int is
+// implementation-defined and lands negative on amd64); the result is
+// clamped to MaxInt so callers keep their own Samples budget instead of
+// computing a negative one.
+func hoeffdingSamples(eps, delta, r float64) int {
+	m := math.Ceil(2 * r * r / (eps * eps) * math.Log(2/delta))
+	if math.IsNaN(m) || m >= float64(math.MaxInt) {
+		return math.MaxInt
+	}
+	if m < 1 {
+		return 1
+	}
+	return int(m)
 }
