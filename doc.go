@@ -104,10 +104,18 @@
 //     fan-out schedules a chunk grid whose size and RNG streams depend
 //     only on (Samples, Seed); chunk accumulators merge in chunk order, so
 //     Workers=1 and Workers=N produce bit-identical estimates (CI asserts
-//     this). The one-marginal sampler (TopK) additionally morphs walks
-//     coalition-to-coalition through shapley.DeltaWalk (Exclude),
-//     and the group walk restores its mask baseline from a precomputed
-//     layout copy instead of re-walking every group per sample.
+//     this). When the game declares it draws no randomness
+//     (shapley.RandomnessFree: the cell and group games under the null
+//     policy), SampleAll schedules single permutations instead of whole
+//     chunks: a worker re-draws permutation j of chunk c from c's stream,
+//     records its marginal vector, and the chunk's vectors fold into its
+//     accumulators in permutation order, so the estimates stay those of
+//     the chunk schedule while m=16 (four chunks) keeps every worker busy.
+//     Stochastic games keep chunk units. The one-marginal sampler (TopK)
+//     additionally morphs walks coalition-to-coalition through
+//     shapley.DeltaWalk (Exclude), and the group walk restores its mask
+//     baseline from a precomputed layout copy instead of re-walking every
+//     group per sample.
 //
 // Parallelism and caching are scheduling choices, never semantic ones:
 // every layer's parallel/cached path is pinned bit-for-bit to its serial,

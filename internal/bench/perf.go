@@ -629,15 +629,15 @@ func perfScenarios(short bool, workers int) ([]perfScenario, error) {
 			exp.Engine = exec.NewEngine(workers)
 			return exp, cell
 		}
-		largeExplain := func(workers int) func(b *testing.B) {
+		largeExplain := func(players core.Players, samples, workers int) func(b *testing.B) {
 			return func(b *testing.B) {
 				exp, cell := soccer48(b, workers)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := exp.Explain(ctx, core.Query{
-						Cell: cell, Players: core.RelevantCellPlayers, Estimator: core.SampledShapley,
-						CellExplainOptions: core.CellExplainOptions{Samples: 32, Seed: int64(i), Workers: workers},
+						Cell: cell, Players: players, Estimator: core.SampledShapley,
+						CellExplainOptions: core.CellExplainOptions{Samples: samples, Seed: int64(i), Workers: workers},
 					}); err != nil {
 						b.Fatal(err)
 					}
@@ -664,8 +664,13 @@ func perfScenarios(short bool, workers int) ([]perfScenario, error) {
 			}
 		}
 		out = append(out,
-			perfScenario{name: "explain-cells/soccer48/m=32/workers=1", bench: largeExplain(1)},
-			perfScenario{name: "explain-cells/soccer48/m=32/workers=auto", bench: largeExplain(workers)},
+			perfScenario{name: "explain-cells/soccer48/m=32/workers=1", bench: largeExplain(core.RelevantCellPlayers, 32, 1)},
+			perfScenario{name: "explain-cells/soccer48/m=32/workers=auto", bench: largeExplain(core.RelevantCellPlayers, 32, workers)},
+			// The layer row under the end-to-end explain: what the HTTP kind
+			// cells asks for (all 287 other cells, 16 samples, a fresh seed
+			// per call), serial and across the engine's workers.
+			perfScenario{name: "explain-cells/soccer48/m=16/cells/workers=1", bench: largeExplain(core.CellPlayers, 16, 1)},
+			perfScenario{name: "explain-cells/soccer48/m=16/cells/workers=auto", bench: largeExplain(core.CellPlayers, 16, workers)},
 			perfScenario{name: "explain-cells/soccer48/m=32/repeat", bench: repeatExplain},
 		)
 

@@ -638,6 +638,11 @@ func (g *CellGame) Value(ctx context.Context, coalition []bool) (float64, error)
 	return g.eval(ctx, coalition, nil)
 }
 
+// DrawsNoRandomness implements shapley.RandomnessFree: under the null
+// policy no evaluation reads the sampler's rng, so SampleAll schedules the
+// game one permutation at a time.
+func (g *CellGame) DrawsNoRandomness() bool { return g.policy == ReplaceWithNull }
+
 // SampleValue implements shapley.StochasticGame: absent cells are replaced
 // per the policy, with randomness (if any) drawn from rng.
 func (g *CellGame) SampleValue(ctx context.Context, coalition []bool, rng *rand.Rand) (float64, error) {
@@ -885,27 +890,32 @@ func (w *cellWalk) Close() {
 // RelevantCells returns the cells that can plausibly influence the repair
 // of the cell of interest under the constraint set: every cell in a column
 // mentioned by some constraint, plus the full row of the cell of interest,
-// excluding the (pinned) cell of interest itself. Cells outside this set
-// are dummies for constraint-driven repairers (they never enter a
-// violation check), so restricting the game to them preserves Shapley
-// values while shrinking the player space.
+// excluding the (pinned) cell of interest itself, in row-major order.
+// Cells outside this set are dummies for constraint-driven repairers (they
+// never enter a violation check), so restricting the game to them
+// preserves Shapley values while shrinking the player space.
 func (e *Explainer) RelevantCells(cell table.CellRef) []table.CellRef {
-	cols := make(map[int]bool)
+	r := roster{players: RelevantCellPlayers, cell: cell, cols: e.relevantCols()}
+	return r.cells(e)
+}
+
+// relevantCols lists, ascending, the columns some constraint mentions.
+func (e *Explainer) relevantCols() []int {
+	mentioned := make([]bool, e.Dirty.NumCols())
 	for _, c := range e.DCs {
-		for _, attr := range c.Attributes() {
-			if idx, ok := e.Dirty.Schema().Index(attr); ok {
-				cols[idx] = true
+		for _, p := range c.Preds {
+			for _, o := range [2]dc.Operand{p.Left, p.Right} {
+				if idx, ok := e.Dirty.Schema().Index(o.Attr); !o.IsConst && ok {
+					mentioned[idx] = true
+				}
 			}
 		}
 	}
-	var out []table.CellRef
-	for _, ref := range e.Dirty.Cells() {
-		if ref == cell {
-			continue
-		}
-		if cols[ref.Col] || ref.Row == cell.Row {
-			out = append(out, ref)
+	var cols []int
+	for col, ok := range mentioned {
+		if ok {
+			cols = append(cols, col)
 		}
 	}
-	return out
+	return cols
 }

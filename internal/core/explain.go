@@ -207,26 +207,27 @@ func (e *Explainer) checkCell(cell table.CellRef) error {
 }
 
 // roster is the player set of one explain: the constraints, the cells but
-// the cell of interest, a list of cells or a list of cell groups.
+// the cell of interest, the relevant cells or a list of cell groups.
 type roster struct {
 	players Players
-	// cell is the cell of interest, which CellPlayers skips.
-	cell   table.CellRef
-	cells  []table.CellRef
+	// cell is the cell of interest, which the cell rosters skip.
+	cell table.CellRef
+	// cols are the columns some constraint mentions (RelevantCellPlayers).
+	cols   []int
 	groups []CellGroup
 }
 
-// roster builds the query's player set. CellPlayers lists no cells: player
-// k is the k-th cell in row-major order after skipping the cell of
-// interest (the order of NewCellGame), so a memoized explain never pays
-// for the roster. Every member of an explicit group must lie inside the
-// table.
+// roster builds the query's player set. The cell rosters list no cells:
+// player k is the k-th cell of the roster in row-major order after
+// skipping the cell of interest (the order of NewCellGame and
+// RelevantCells), so a memoized explain never pays for the roster. Every
+// member of an explicit group must lie inside the table.
 func (e *Explainer) roster(q Query) (roster, error) {
 	r := roster{players: q.Players, cell: q.Cell}
 	switch q.Players {
 	case ConstraintPlayers, CellPlayers:
 	case RelevantCellPlayers:
-		r.cells = e.RelevantCells(q.Cell)
+		r.cols = e.relevantCols()
 	case RowPlayers:
 		r.groups = e.RowGroups(q.Cell)
 	case ColumnPlayers:
@@ -254,9 +255,46 @@ func (r *roster) size(e *Explainer) int {
 	case CellPlayers:
 		return e.Dirty.NumCells() - 1
 	case RelevantCellPlayers:
-		return len(r.cells)
+		// Every other row holds a player per relevant column; the cell's
+		// own row holds every other cell.
+		return (e.Dirty.NumRows()-1)*len(r.cols) + e.Dirty.NumCols() - 1
 	}
 	return len(r.groups)
+}
+
+// ref is player k's cell under the cell rosters.
+func (r *roster) ref(e *Explainer, k int) table.CellRef {
+	cols := e.Dirty.NumCols()
+	if r.players == CellPlayers {
+		if k >= e.Dirty.VecIndex(r.cell) {
+			k++
+		}
+		return table.CellRef{Row: k / cols, Col: k % cols}
+	}
+	// Rows above the cell's row, then the cell's row, then the rows below.
+	rel := len(r.cols)
+	above := r.cell.Row * rel
+	if k < above {
+		return table.CellRef{Row: k / rel, Col: r.cols[k%rel]}
+	}
+	k -= above
+	if k < cols-1 {
+		if k >= r.cell.Col {
+			k++
+		}
+		return table.CellRef{Row: r.cell.Row, Col: k}
+	}
+	k -= cols - 1
+	return table.CellRef{Row: r.cell.Row + 1 + k/rel, Col: r.cols[k%rel]}
+}
+
+// cells lists the cell roster's players in player order.
+func (r *roster) cells(e *Explainer) []table.CellRef {
+	out := make([]table.CellRef, r.size(e))
+	for k := range out {
+		out[k] = r.ref(e, k)
+	}
+	return out
 }
 
 // name is player k's name in reports: a constraint ID, a cell in paper
@@ -265,14 +303,8 @@ func (r *roster) name(e *Explainer, k int) string {
 	switch r.players {
 	case ConstraintPlayers:
 		return e.DCs[k].ID
-	case CellPlayers:
-		if k >= e.Dirty.VecIndex(r.cell) {
-			k++
-		}
-		cols := e.Dirty.NumCols()
-		return e.Dirty.RefName(table.CellRef{Row: k / cols, Col: k % cols})
-	case RelevantCellPlayers:
-		return e.Dirty.RefName(r.cells[k])
+	case CellPlayers, RelevantCellPlayers:
+		return e.Dirty.RefName(r.ref(e, k))
 	}
 	return r.groups[k].Name
 }
@@ -317,7 +349,7 @@ func (e *Explainer) game(cell table.CellRef, target table.Value, r *roster, poli
 	case CellPlayers, RelevantCellPlayers:
 		cg := e.NewCellGame(cell, target, policy)
 		if r.players == RelevantCellPlayers {
-			cg.RestrictPlayers(r.cells)
+			cg.RestrictPlayers(r.cells(e))
 		}
 		g = cg
 	default:

@@ -253,6 +253,11 @@ func (g *GroupGame) Value(ctx context.Context, coalition []bool) (float64, error
 	return g.eval(ctx, coalition, nil)
 }
 
+// DrawsNoRandomness implements shapley.RandomnessFree: under the null
+// policy no evaluation reads the sampler's rng, so SampleAll schedules the
+// game one permutation at a time.
+func (g *GroupGame) DrawsNoRandomness() bool { return g.policy == ReplaceWithNull }
+
 // SampleValue implements shapley.StochasticGame.
 func (g *GroupGame) SampleValue(ctx context.Context, coalition []bool, rng *rand.Rand) (float64, error) {
 	return g.eval(ctx, coalition, rng)

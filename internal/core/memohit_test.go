@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/dc"
 	"repro/internal/faults"
 	"repro/internal/repair"
 	"repro/internal/table"
@@ -105,32 +106,86 @@ func TestSampledMemoAbortLeavesMemo(t *testing.T) {
 }
 
 // TestSampledMemoHitAllocs: a memo hit allocates the same number of times
-// on a 48-row and a 192-row table (287 and 1151 cell players): the hit
-// copies the finished entries in one allocation and names, sorts and
-// lists nothing.
+// on a 48-row and a 192-row table (287 and 1151 cell players), over all
+// cells and over the relevant cells: the hit copies the finished entries
+// in one allocation and names, sorts and lists nothing.
 func TestSampledMemoHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	ctx := context.Background()
-	var allocs []float64
-	for _, size := range []struct{ leagues, teams int }{{4, 12}, {8, 24}} {
-		sess, cell := soccerSession(t, size.leagues, size.teams)
-		q := Query{Cell: cell, Players: CellPlayers, Estimator: SampledShapley, CellExplainOptions: CellExplainOptions{Samples: 2, Seed: 1, Workers: 1}}
-		if _, err := sess.Explainer().Explain(ctx, q); err != nil {
-			t.Fatal(err)
-		}
-		allocs = append(allocs, testing.AllocsPerRun(50, func() {
+	for _, players := range []Players{CellPlayers, RelevantCellPlayers} {
+		var allocs []float64
+		for _, size := range []struct{ leagues, teams int }{{4, 12}, {8, 24}} {
+			sess, cell := soccerSession(t, size.leagues, size.teams)
+			q := Query{Cell: cell, Players: players, Estimator: SampledShapley, CellExplainOptions: CellExplainOptions{Samples: 2, Seed: 1, Workers: 1}}
 			if _, err := sess.Explainer().Explain(ctx, q); err != nil {
 				t.Fatal(err)
 			}
-		}))
+			allocs = append(allocs, testing.AllocsPerRun(50, func() {
+				if _, err := sess.Explainer().Explain(ctx, q); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		t.Logf("players %d: allocations per memo hit: %v at 48 rows, %v at 192 rows", players, allocs[0], allocs[1])
+		if allocs[0] != allocs[1] {
+			t.Fatalf("players %d: allocations per memo hit grow with the roster: %v at 48 rows, %v at 192 rows", players, allocs[0], allocs[1])
+		}
+		if allocs[0] > 16 {
+			t.Fatalf("players %d: a memo hit allocates %v times, want at most 16", players, allocs[0])
+		}
 	}
-	t.Logf("allocations per memo hit: %v at 48 rows, %v at 192 rows", allocs[0], allocs[1])
-	if allocs[0] != allocs[1] {
-		t.Fatalf("allocations per memo hit grow with the roster: %v at 48 rows, %v at 192 rows", allocs[0], allocs[1])
+}
+
+// TestSampledMemoEntryStats: N repeat sampled explains are one miss and
+// N−1 hits of the memo's report entries, counted apart from its
+// repair-target lookups.
+func TestSampledMemoEntryStats(t *testing.T) {
+	ctx := context.Background()
+	sess, cell := soccerSession(t, 2, 6)
+	memo := sess.Engine().RepairTargets()
+	const n = 5
+	q := Query{Cell: cell, Players: CellPlayers, Estimator: SampledShapley, CellExplainOptions: CellExplainOptions{Samples: 2, Seed: 1, Workers: 1}}
+	for i := 0; i < n; i++ {
+		if _, err := sess.Explainer().Explain(ctx, q); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if allocs[0] > 16 {
-		t.Fatalf("a memo hit allocates %v times, want at most 16", allocs[0])
+	if hits, misses := memo.EntryStats(); hits != n-1 || misses != 1 {
+		t.Fatalf("%d repeat explains: %d entry hits and %d misses, want %d and 1", n, hits, misses, n-1)
+	}
+	if hits, misses := memo.Stats(); hits+misses != n {
+		t.Fatalf("%d explains made %d repair-target lookups, want %d", n, hits+misses, n)
+	}
+}
+
+// TestRelevantRosterMatchesFilter: the arithmetic relevant-cell roster is
+// the row-major list of the cells in a constraint-mentioned column or in
+// the row of the cell of interest, for every cell of interest.
+func TestRelevantRosterMatchesFilter(t *testing.T) {
+	ll := data.NewLaLiga()
+	for _, cs := range [][]*dc.Constraint{ll.DCs, ll.DCs[:1], ll.DCs[3:]} {
+		exp, err := NewExplainer(repair.NewAlgorithm1(), cs, ll.Dirty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mentioned := map[string]bool{}
+		for _, c := range cs {
+			for _, a := range c.Attributes() {
+				mentioned[a] = true
+			}
+		}
+		for _, cell := range ll.Dirty.Cells() {
+			var want []table.CellRef
+			for _, ref := range ll.Dirty.Cells() {
+				if ref != cell && (mentioned[ll.Dirty.Schema().Col(ref.Col).Name] || ref.Row == cell.Row) {
+					want = append(want, ref)
+				}
+			}
+			if got := exp.RelevantCells(cell); !slices.Equal(got, want) {
+				t.Fatalf("cell %v under %d constraints: roster %v, want %v", cell, len(cs), got, want)
+			}
+		}
 	}
 }

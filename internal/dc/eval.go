@@ -314,10 +314,14 @@ type ScanIndex struct {
 	rows        int
 	remap       table.RowRemap
 	reinsertBuf []int
-	// alive is the shared survivor mask for columnar bucket filtering, and
-	// scan the bucket-scan descriptor of appendScan.
-	alive []bool
-	scan  bucketScan
+	// alive is the shared survivor mask for columnar bucket filtering,
+	// scan the bucket-scan descriptor of appendScan, probeBuf the pairs of
+	// the last point probe, and allRows the identity row list a join-free
+	// probe takes as its candidates.
+	alive    []bool
+	scan     bucketScan
+	probeBuf []Violation
+	allRows  []int
 	// plan is the constraint-set plan in effect, nil for unplanned
 	// execution. pre/preOrdered hold the plan's materialized pre-filter
 	// bitmaps per constraint; the slice gives sync a deterministic sweep.
@@ -337,9 +341,9 @@ type colsEntry struct {
 	kernErr error
 	// scanCols/scanSig name the partition backing pair scans and point
 	// probes: the exact join columns, or the plan's shared (possibly
-	// coarser) subset. resid is the kernel run inside bucket pair loops —
-	// the full kernel, minus any predicates the plan pushed into
-	// pre-filter bitmaps.
+	// coarser) subset. resid is the kernel run on candidate pairs: the
+	// full kernel minus any predicates the plan pushed into pre-filter
+	// bitmaps and the join equalities over scanCols (bucketResidual).
 	scanCols []int
 	scanSig  string
 	resid    *Kernel
@@ -377,20 +381,20 @@ func (ix *ScanIndex) entryFor(c *Constraint, t *table.Table) colsEntry {
 	e := colsEntry{cols: cols, sig: colsSignature(cols)}
 	e.kern, e.kernErr = compileKernel(c, t.Schema())
 	e.scanCols, e.scanSig = e.cols, e.sig
-	e.resid = e.kern
-	if ix.plan != nil && e.kernErr == nil && ix.plan.PlanSchema() == t.Schema() {
-		if ch, ok := ix.plan.ConstraintPlan(c); ok {
-			ix.applyChoice(c, t, &e, ch)
+	if e.kernErr == nil {
+		var order []int
+		var pushed []bool
+		if ix.plan != nil && ix.plan.PlanSchema() == t.Schema() {
+			if ch, ok := ix.plan.ConstraintPlan(c); ok {
+				order, pushed = ix.applyChoice(c, t, &e, ch)
+			}
 		}
+		// The residual selects from the predicates the kernel already
+		// compiled, so it compiles too.
+		e.resid, _ = compileKernelSeq(c, t.Schema(), bucketResidual(c, t.Schema(), order, pushed, e.scanCols))
 	}
 	ix.colsOf[c] = e
 	return e
-}
-
-// kernelFor returns c's compiled predicate kernel over t's schema.
-func (ix *ScanIndex) kernelFor(c *Constraint, t *table.Table) (*Kernel, error) {
-	e := ix.entryFor(c, t)
-	return e.kern, e.kernErr
 }
 
 // sync points the index at t, catching up from the table's edit log when
@@ -557,67 +561,95 @@ func (c *Constraint) ViolationPairsForRow(t *table.Table, i int, ix *ScanIndex) 
 
 // probeRow is the point probe behind ViolatesRowCached and
 // ViolationPairsForRow: it counts the ordered violating pairs row i takes
-// part in through the compiled kernel, stopping at the first when first
-// is set.
+// part in, stopping at the first orientation that finds one when first is
+// set.
 func (ix *ScanIndex) probeRow(c *Constraint, t *table.Table, i int, first bool) (int, error) {
 	e := ix.entryFor(c, t)
 	if e.kernErr != nil {
 		return 0, e.kernErr
 	}
-	if c.SingleTuple() {
-		if e.kern.Pair(t, i, i) {
-			return 1, nil
-		}
-		return 0, nil
-	}
-	bs := ix.scanBucketSetFor(e, t)
-	if bs == nil {
-		// No join key: every other row is a candidate partner.
-		n := 0
-		for j := 0; j < t.NumRows(); j++ {
-			if j == i {
-				continue
-			}
-			n += pairsWith(e.kern, t, i, j)
-			if first && n > 0 {
-				break
-			}
-		}
-		return n, nil
-	}
-	slot := bs.rowBucket[i]
-	if slot < 0 {
-		// A null join key makes every equality predicate unknown, and a NaN
-		// join key can never satisfy = : row i cannot participate in any
-		// pair violation of this constraint. (The scan partition's columns
-		// are a subset of the exact join columns, so its null exclusion
-		// implies an unknown equality predicate just the same.)
-		return 0, nil
-	}
-	n := 0
-	for _, j := range bs.members[slot] {
-		if j == i {
-			continue
-		}
-		n += pairsWith(e.kern, t, i, j)
-		if first && n > 0 {
-			break
-		}
-	}
-	return n, nil
+	row := [1]int{i}
+	ix.probeBuf = ix.appendRowViolations(c, e, t, row[:], nil, first, ix.probeBuf[:0])
+	return len(ix.probeBuf), nil
 }
 
-// pairsWith counts the violating bindings of rows i and j: (i, j) and
-// (j, i).
-func pairsWith(k *Kernel, t *table.Table, i, j int) int {
-	n := 0
-	if k.Pair(t, i, j) {
-		n++
+// appendRowViolations appends the violations of c that any of rows takes
+// part in: (r, r) for a single-tuple constraint, else every ordered pair
+// binding r to t1 or t2. Pair candidates are the members of r's scan
+// bucket, or every row for a join-free constraint; they run through the
+// plan's pre-filter bitmaps and then the residual kernel column-at-a-time
+// (Kernel.Filter), once with r fixed as t1 and once as t2, as scanBucket
+// runs a bucket. A candidate j with skip[j] set and j < r is passed over:
+// the live set derives a pair of two of its rows from the lower one. With
+// first set, the second orientation is skipped once the first found a
+// pair. e must be c's entry, synced to t.
+func (ix *ScanIndex) appendRowViolations(c *Constraint, e colsEntry, t *table.Table, rows []int, skip []bool, first bool, out []Violation) []Violation {
+	if c.SingleTuple() {
+		for _, r := range rows {
+			if e.kern.Pair(t, r, r) {
+				out = append(out, Violation{Constraint: c, Row1: r, Row2: r})
+			}
+		}
+		return out
 	}
-	if k.Pair(t, j, i) {
-		n++
+	bs := ix.scanBucketSetFor(e, t)
+	var cand []int
+	if bs == nil {
+		for len(ix.allRows) < t.NumRows() {
+			ix.allRows = append(ix.allRows, len(ix.allRows))
+		}
+		cand = ix.allRows[:t.NumRows()]
 	}
-	return n
+	var pass [2][]bool
+	if pf := ix.prefilterFor(c, t); pf != nil {
+		pass = [2][]bool{pf.pass0, pf.pass1}
+	}
+	for _, r := range rows {
+		if bs != nil {
+			slot := bs.rowBucket[r]
+			if slot < 0 {
+				// A null join key makes every equality predicate unknown,
+				// and a NaN join key can never satisfy = : row r takes part
+				// in no pair violation. (The scan partition's columns are a
+				// subset of the exact join columns, so its null exclusion
+				// implies an unknown equality predicate just the same.)
+				continue
+			}
+			cand = bs.members[slot]
+		}
+		if cap(ix.alive) < len(cand) {
+			ix.alive = make([]bool, len(cand))
+		}
+		alive := ix.alive[:len(cand)]
+		base := len(out)
+		for tuple := 0; tuple < 2; tuple++ {
+			// r binds tuple t1 (0) or t2 (1); every candidate binds the other.
+			own, other := pass[tuple], pass[1-tuple]
+			if own != nil && !own[r] || first && len(out) > base {
+				continue
+			}
+			any := false
+			for m, j := range cand {
+				ok := j != r && (other == nil || other[j]) && (skip == nil || !skip[j] || j > r)
+				alive[m] = ok
+				any = any || ok
+			}
+			if !any {
+				continue
+			}
+			e.resid.Filter(t, tuple, r, cand, alive)
+			for m, j := range cand {
+				switch {
+				case !alive[m]:
+				case tuple == 0:
+					out = append(out, Violation{Constraint: c, Row1: r, Row2: j})
+				default:
+					out = append(out, Violation{Constraint: c, Row1: j, Row2: r})
+				}
+			}
+		}
+	}
+	return out
 }
 
 // AllViolations scans every constraint in order and concatenates the

@@ -354,68 +354,10 @@ func (s *LiveViolationSet) applyList(c *Constraint, l *liveList, t *table.Table,
 	// Re-derive the touched rows against the table's current state. Pairs
 	// between two untouched rows are unchanged by construction (no cell in
 	// a constraint-mentioned column moved), so this restores exactly the
-	// full-rescan answer.
-	s.newPairs = s.newPairs[:0]
-	if c.SingleTuple() {
-		kern, err := s.ix.kernelFor(c, t)
-		if err != nil {
-			return err
-		}
-		for _, r := range s.touchedRows {
-			if kern.Pair(t, r, r) {
-				s.newPairs = append(s.newPairs, Violation{Constraint: c, Row1: r, Row2: r})
-			}
-		}
-	} else {
-		// The scan partition (plan-shared when planned) is enough here:
-		// the full kernel re-checks every candidate pair, and a coarser
-		// bucket only adds candidates the kernel rejects.
-		e := s.ix.entryFor(c, t)
-		if e.kernErr != nil {
-			return e.kernErr
-		}
-		bs := s.ix.scanBucketSetFor(e, t)
-		kern := e.kern
-		derivePartner := func(r, j int) {
-			if j == r {
-				return
-			}
-			// A touched partner below r already derived this unordered pair
-			// (both orders) on its own iteration.
-			if mask[j] && j < r {
-				return
-			}
-			if kern.Pair(t, r, j) {
-				s.newPairs = append(s.newPairs, Violation{Constraint: c, Row1: r, Row2: j})
-			}
-			if kern.Pair(t, j, r) {
-				s.newPairs = append(s.newPairs, Violation{Constraint: c, Row1: j, Row2: r})
-			}
-		}
-		for _, r := range s.touchedRows {
-			if bs != nil {
-				slot := bs.rowBucket[r]
-				if slot < 0 {
-					// Null/NaN join key: r participates in no pair.
-					continue
-				}
-				for _, j := range bs.members[slot] {
-					derivePartner(r, j)
-				}
-				continue
-			}
-			// No join key: every row is a candidate partner.
-			for j := 0; j < n; j++ {
-				derivePartner(r, j)
-			}
-		}
-	}
-	slices.SortFunc(s.newPairs, violationOrder)
-
-	// Merge the sorted additions into the sorted survivors.
-	l.merge = mergeViolations(l.merge[:0], l.pairs, s.newPairs)
-	l.pairs, l.merge = l.merge, l.pairs
-	return nil
+	// full-rescan answer. The scan partition (plan-shared when planned) is
+	// enough here: the kernel re-checks every candidate pair, and a coarser
+	// bucket only adds candidates it rejects.
+	return s.rederive(c, l, t, s.touchedRows, mask)
 }
 
 // applyListStructural catches one list up with a window containing row
@@ -496,61 +438,19 @@ func (s *LiveViolationSet) applyListStructural(c *Constraint, l *liveList, t *ta
 	l.pairs = keep
 
 	// Re-derive the changed positions against the final table.
-	s.newPairs = s.newPairs[:0]
-	if c.SingleTuple() {
-		kern, err := s.ix.kernelFor(c, t)
-		if err != nil {
-			return err
-		}
-		for _, r := range s.deriveRows {
-			if kern.Pair(t, r, r) {
-				s.newPairs = append(s.newPairs, Violation{Constraint: c, Row1: r, Row2: r})
-			}
-		}
-	} else {
-		e := s.ix.entryFor(c, t)
-		if e.kernErr != nil {
-			return e.kernErr
-		}
-		bs := s.ix.scanBucketSetFor(e, t)
-		kern := e.kern
-		derivePartner := func(r, j int) {
-			if j == r {
-				return
-			}
-			// A derived partner below r already derived this unordered pair
-			// (both orders) on its own iteration.
-			if dmask[j] && j < r {
-				return
-			}
-			if kern.Pair(t, r, j) {
-				s.newPairs = append(s.newPairs, Violation{Constraint: c, Row1: r, Row2: j})
-			}
-			if kern.Pair(t, j, r) {
-				s.newPairs = append(s.newPairs, Violation{Constraint: c, Row1: j, Row2: r})
-			}
-		}
-		for _, r := range s.deriveRows {
-			if bs != nil {
-				slot := bs.rowBucket[r]
-				if slot < 0 {
-					// Null/NaN join key: r participates in no pair.
-					continue
-				}
-				for _, j := range bs.members[slot] {
-					derivePartner(r, j)
-				}
-				continue
-			}
-			// No join key: every row is a candidate partner.
-			for j := 0; j < n; j++ {
-				derivePartner(r, j)
-			}
-		}
-	}
-	slices.SortFunc(s.newPairs, violationOrder)
+	return s.rederive(c, l, t, s.deriveRows, dmask)
+}
 
-	// Merge the sorted additions into the sorted survivors.
+// rederive merges into l, whose pairs involving rows are already
+// retracted, the violations of c over t that involve any of rows; mask
+// marks those rows, so a pair of two of them is derived once.
+func (s *LiveViolationSet) rederive(c *Constraint, l *liveList, t *table.Table, rows []int, mask []bool) error {
+	e := s.ix.entryFor(c, t)
+	if e.kernErr != nil {
+		return e.kernErr
+	}
+	s.newPairs = s.ix.appendRowViolations(c, e, t, rows, mask, false, s.newPairs[:0])
+	slices.SortFunc(s.newPairs, violationOrder)
 	l.merge = mergeViolations(l.merge[:0], l.pairs, s.newPairs)
 	l.pairs, l.merge = l.merge, l.pairs
 	return nil

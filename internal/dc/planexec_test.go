@@ -186,3 +186,73 @@ func assertSameViolations(t *testing.T, label string, got, want []dc.Violation) 
 		}
 	}
 }
+
+// TestPlannedLiveDeltaWithPrefilters: under a plan that pushes single-side
+// predicates into pre-filter bitmaps, the live set re-derives the rows of
+// single-cell edits (its delta path) through those bitmaps, and after
+// every edit its lists and the point probes on its index match the naive
+// reference.
+func TestPlannedLiveDeltaWithPrefilters(t *testing.T) {
+	schema, err := table.SchemaOf("A", "B", "C")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := table.New(schema)
+	for i := 0; i < 24; i++ {
+		row := []table.Value{fuzzValue(byte(2 + 2*(i%4))), fuzzValue(byte(i * 7)), fuzzValue(byte(i * 5))}
+		if err := tbl.Append(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs := fuzzConstraints()
+	p := plan.Compile(schema, cs)
+	pushed := 0
+	for _, c := range cs {
+		if ch, ok := p.ConstraintPlan(c); ok {
+			pushed += len(ch.Pre0) + len(ch.Pre1)
+		}
+	}
+	if pushed == 0 {
+		t.Fatal("the plan pushed no predicate into a pre-filter bitmap")
+	}
+	live := dc.NewLiveViolationSet()
+	live.UsePlan(p)
+	check := func(stage string) {
+		t.Helper()
+		for _, c := range cs {
+			want, err := c.Violations(tbl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := live.Append(c, tbl, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameViolations(t, stage+"/live/"+c.ID, got, want)
+			for i := 0; i < tbl.NumRows(); i++ {
+				wantN := 0
+				for _, v := range want {
+					if v.Row1 == i || v.Row2 == i {
+						wantN++
+					}
+				}
+				n, err := c.ViolationPairsForRow(tbl, i, live.Index())
+				if err != nil {
+					t.Fatal(err)
+				}
+				violates, err := c.ViolatesRowCached(tbl, i, live.Index())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != wantN || violates != (wantN > 0) {
+					t.Fatalf("%s/%s: row %d: %d pairs (violates %v), want %d", stage, c.ID, i, n, violates, wantN)
+				}
+			}
+		}
+	}
+	check("initial")
+	for k := 0; k < 60; k++ {
+		tbl.Set(k*7%tbl.NumRows(), k%3, fuzzValue(byte(k*11)))
+		check(fmt.Sprintf("edit-%d", k))
+	}
+}

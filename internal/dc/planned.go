@@ -1,6 +1,7 @@
 package dc
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/table"
@@ -182,15 +183,17 @@ func (ix *ScanIndex) clearPrefilters() {
 	ix.preOrdered = ix.preOrdered[:0]
 }
 
-// applyChoice folds the plan's choice for c into its memo entry,
-// compiling the ordered and residual kernels and installing the
-// pre-filter bitmaps. Any malformed choice degrades to the unplanned
-// entry — the plan is an optimization surface, never a correctness one.
-func (ix *ScanIndex) applyChoice(c *Constraint, t *table.Table, e *colsEntry, ch PlanChoice) {
+// applyChoice folds the plan's choice for c into its memo entry: the
+// ordered kernel, the shared scan partition and the pre-filter bitmaps.
+// It returns the predicate order the bucket residual follows (nil for
+// declaration order) and the predicates the pre-filter bitmaps evaluate
+// (nil when none). Any malformed choice degrades to the unplanned entry —
+// the plan is an optimization surface, never a correctness one.
+func (ix *ScanIndex) applyChoice(c *Constraint, t *table.Table, e *colsEntry, ch PlanChoice) (order []int, pushed []bool) {
 	if len(ch.PredOrder) == len(c.Preds) {
 		if k, err := compileKernelSeq(c, t.Schema(), ch.PredOrder); err == nil {
 			e.kern = k
-			e.resid = k
+			order = ch.PredOrder
 		}
 	}
 	if len(ch.ScanCols) > 0 && len(e.cols) > 0 && colsSubset(ch.ScanCols, e.cols) {
@@ -198,26 +201,19 @@ func (ix *ScanIndex) applyChoice(c *Constraint, t *table.Table, e *colsEntry, ch
 		e.scanSig = colsSignature(ch.ScanCols)
 	}
 	if c.SingleTuple() || len(ch.Pre0)+len(ch.Pre1) == 0 {
-		return
+		return order, nil
 	}
-	resid := residualOrder(c, ch)
-	rk, err := compileKernelSeq(c, t.Schema(), resid)
-	if err != nil {
-		return
-	}
-	pf, ok := ix.pre[c]
-	if !ok {
-		pf = &prefilter{stale: true}
-		pf.kern0, err = sideKernel(c, t.Schema(), ch.Pre0)
-		if err != nil {
-			return
+	if _, ok := ix.pre[c]; !ok {
+		pf := &prefilter{stale: true}
+		var err error
+		if pf.kern0, err = sideKernel(c, t.Schema(), ch.Pre0); err != nil {
+			return order, nil
 		}
-		pf.kern1, err = sideKernel(c, t.Schema(), ch.Pre1)
-		if err != nil {
-			return
+		if pf.kern1, err = sideKernel(c, t.Schema(), ch.Pre1); err != nil {
+			return order, nil
 		}
 		if pf.kern0 == nil && pf.kern1 == nil {
-			return
+			return order, nil
 		}
 		pf.colRel = make([]bool, t.Schema().Len())
 		for _, idx := range ch.Pre0 {
@@ -229,40 +225,40 @@ func (ix *ScanIndex) applyChoice(c *Constraint, t *table.Table, e *colsEntry, ch
 		ix.pre[c] = pf
 		ix.preOrdered = append(ix.preOrdered, pf)
 	}
-	e.resid = rk
-}
-
-// residualOrder returns the planned evaluation order minus the pushed
-// predicates, preserving the plan's relative ordering.
-func residualOrder(c *Constraint, ch PlanChoice) []int {
-	pushed := make([]bool, len(c.Preds))
-	for _, idx := range ch.Pre0 {
-		if idx >= 0 && idx < len(pushed) {
-			pushed[idx] = true
-		}
-	}
-	for _, idx := range ch.Pre1 {
-		if idx >= 0 && idx < len(pushed) {
-			pushed[idx] = true
-		}
-	}
-	order := ch.PredOrder
-	if len(order) != len(c.Preds) {
-		order = nil
-	}
-	out := make([]int, 0, len(c.Preds))
-	if order == nil {
-		for i := range c.Preds {
-			if !pushed[i] {
-				out = append(out, i)
+	pushed = make([]bool, len(c.Preds))
+	for _, idxs := range [2][]int{ch.Pre0, ch.Pre1} {
+		for _, idx := range idxs {
+			if idx >= 0 && idx < len(pushed) {
+				pushed[idx] = true
 			}
 		}
-		return out
 	}
-	for _, i := range order {
-		if i >= 0 && i < len(pushed) && !pushed[i] {
-			out = append(out, i)
+	return order, pushed
+}
+
+// bucketResidual returns, in evaluation order (order, or declaration
+// order when nil), the predicates of c that a pair inside a bucket of the
+// scan partition over scanCols must still be checked against: all but
+// those pushed into pre-filter bitmaps and the equalities t1.A = t2.A over
+// a scan column A. Every pair in a bucket satisfies those already: the
+// bucket key is the = predicate's canonical form, and null and NaN keys
+// stay out of every bucket.
+func bucketResidual(c *Constraint, schema *table.Schema, order []int, pushed []bool, scanCols []int) []int {
+	out := make([]int, 0, len(c.Preds))
+	for n := range c.Preds {
+		i := n
+		if order != nil {
+			i = order[n]
 		}
+		if pushed != nil && pushed[i] {
+			continue
+		}
+		if p := c.Preds[i]; p.Op == OpEq && !p.Left.IsConst && !p.Right.IsConst && p.Left.Attr == p.Right.Attr && p.Left.Tuple != p.Right.Tuple {
+			if col, ok := schema.Index(p.Left.Attr); ok && slices.Contains(scanCols, col) {
+				continue
+			}
+		}
+		out = append(out, i)
 	}
 	return out
 }

@@ -49,9 +49,10 @@ type Memo struct {
 	// gen is the newest generation stored; every entry belongs to it.
 	gen     uint64
 	entries map[string]memoEntry
-	// hits and misses count repair-target lookups.
-	hits   uint64
-	misses uint64
+	// hits and misses count repair-target lookups (Stats); entryHits and
+	// entryMisses count sampled-report lookups (EntryStats).
+	hits, misses           uint64
+	entryHits, entryMisses uint64
 }
 
 // memoKind discriminates the memo's payloads.
@@ -109,7 +110,12 @@ func (c *Memo) LookupEntries(desc string, gen uint64) ([]shapley.Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.lookup(desc, gen, memoEntries)
-	return e.entries, ok
+	if !ok {
+		c.entryMisses++
+		return nil, false
+	}
+	c.entryHits++
+	return e.entries, true
 }
 
 // lookup finds desc's entry of the given kind at gen; callers hold mu.
@@ -191,4 +197,16 @@ func (c *Memo) Stats() (hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
+}
+
+// EntryStats returns cumulative hits and misses of sampled-report lookups
+// (LookupEntries), kept apart from Stats so its repair-target ratio keeps
+// its meaning.
+func (c *Memo) EntryStats() (hits, misses uint64) {
+	if c == nil {
+		return 0, 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.entryHits, c.entryMisses
 }

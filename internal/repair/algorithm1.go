@@ -73,12 +73,22 @@ type RuleRepair struct {
 // from delta-maintained lists (each fix retracts and re-derives one row's
 // pairs), and its inner scan index serves the point probes.
 type ruleRun struct {
-	present map[string]*dc.Constraint
-	live    *dc.LiveViolationSet
+	live *dc.LiveViolationSet
 	pooledStats
+	// rules holds the run's active rules with their attributes resolved.
+	rules   []activeRule
 	vsBuf   []dc.Violation
 	badRows []int
 	seen    []bool
+}
+
+// activeRule is a rule whose trigger constraint is present in the run,
+// with its fixed and conditioning attributes resolved to columns (given is
+// -1 for FixMode).
+type activeRule struct {
+	Rule
+	c           *dc.Constraint
+	attr, given int
 }
 
 // NewAlgorithm1 returns the paper's Algorithm 1: the four rules for the
@@ -194,7 +204,7 @@ func (a *RuleRepair) repairInto(ctx context.Context, cs []*dc.Constraint, dirty,
 	work = prepareWork(dirty, work)
 	st, ok := a.runs.Get().(*ruleRun)
 	if !ok {
-		st = &ruleRun{present: make(map[string]*dc.Constraint), live: dc.NewLiveViolationSet()}
+		st = &ruleRun{live: dc.NewLiveViolationSet()}
 	}
 	defer a.runs.Put(st)
 	// Install (or clear) the plan unconditionally: the run state is pooled
@@ -205,9 +215,13 @@ func (a *RuleRepair) repairInto(ctx context.Context, cs []*dc.Constraint, dirty,
 		st.live.Pool = pool
 		defer func() { st.live.Pool = nil }()
 	}
-	clear(st.present)
-	for _, c := range cs {
-		st.present[c.ID] = c
+	// A canceled run reports the cancellation, even over a schema that
+	// lacks a rule's attribute.
+	if err := canceled(ctx); err != nil {
+		return nil, err
+	}
+	if err := a.resolve(st, cs, work.Schema()); err != nil {
+		return nil, err
 	}
 	maxPasses := a.MaxPasses
 	if maxPasses <= 0 {
@@ -218,7 +232,7 @@ func (a *RuleRepair) repairInto(ctx context.Context, cs []*dc.Constraint, dirty,
 	// deltas, so only the violation pairs of refreshed or repaired rows are
 	// retracted and re-derived between fixpoint steps.
 	for pass := 0; pass < maxPasses; pass++ {
-		if err := ctx.Err(); err != nil {
+		if err := canceled(ctx); err != nil {
 			return nil, err
 		}
 		changed, err := a.pass(ctx, st, work)
@@ -232,27 +246,55 @@ func (a *RuleRepair) repairInto(ctx context.Context, cs []*dc.Constraint, dirty,
 	return work, nil
 }
 
-func (a *RuleRepair) pass(ctx context.Context, st *ruleRun, work *table.Table) (bool, error) {
-	changed := false
+// resolve lists the rules whose trigger constraint is in cs (the last
+// one with the rule's ID), with their attributes resolved against the
+// run's schema once instead of on every pass.
+func (a *RuleRepair) resolve(st *ruleRun, cs []*dc.Constraint, schema *table.Schema) error {
+	st.rules = st.rules[:0]
 	for _, rule := range a.Rules {
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
-		c, ok := st.present[rule.ConstraintID]
-		if !ok || rule.Attr == "" {
-			continue
-		}
-		attrIdx, ok := work.Schema().Index(rule.Attr)
-		if !ok {
-			return false, fmt.Errorf("repair: rule %v: no attribute %q", rule, rule.Attr)
-		}
-		givenIdx := -1
-		if rule.Kind == FixConditionalMode {
-			givenIdx, ok = work.Schema().Index(rule.Given)
-			if !ok {
-				return false, fmt.Errorf("repair: rule %v: no attribute %q", rule, rule.Given)
+		r := activeRule{Rule: rule, given: -1}
+		for _, c := range cs {
+			if c.ID == rule.ConstraintID {
+				r.c = c
 			}
 		}
+		if r.c == nil || rule.Attr == "" {
+			continue
+		}
+		var ok bool
+		if r.attr, ok = schema.Index(rule.Attr); !ok {
+			return fmt.Errorf("repair: rule %v: no attribute %q", rule, rule.Attr)
+		}
+		if rule.Kind == FixConditionalMode {
+			if r.given, ok = schema.Index(rule.Given); !ok {
+				return fmt.Errorf("repair: rule %v: no attribute %q", rule, rule.Given)
+			}
+		}
+		st.rules = append(st.rules, r)
+	}
+	return nil
+}
+
+// canceled polls ctx for cancellation without taking the context's lock:
+// Err locks a cancelable context's mutex, which every worker of a sampled
+// explain shares, while a non-blocking receive on Done does not.
+func canceled(ctx context.Context) error {
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	default:
+		return nil
+	}
+}
+
+func (a *RuleRepair) pass(ctx context.Context, st *ruleRun, work *table.Table) (bool, error) {
+	changed := false
+	for i := range st.rules {
+		if err := canceled(ctx); err != nil {
+			return false, err
+		}
+		rule := &st.rules[i]
+		c, attrIdx, givenIdx := rule.c, rule.attr, rule.given
 		// The live set answers "what does this rule's trigger violate now?"
 		// from its delta-maintained list; each row is re-verified against
 		// the current state before fixing, since earlier fixes within the
@@ -280,7 +322,7 @@ func (a *RuleRepair) pass(ctx context.Context, st *ruleRun, work *table.Table) (
 		}
 		sort.Ints(st.badRows)
 		for _, row := range st.badRows {
-			if err := ctx.Err(); err != nil {
+			if err := canceled(ctx); err != nil {
 				return false, err
 			}
 			violates, err := c.ViolatesRowCached(work, row, st.live.Index())

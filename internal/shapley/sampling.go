@@ -80,33 +80,37 @@ type Options struct {
 	// Workers is the parallel fan-out; 0 means GOMAXPROCS. Workers only
 	// changes scheduling, never results: iterations are partitioned into
 	// chunks whose size and RNG streams depend only on (Samples, Seed), so
-	// estimates are bit-identical for every Workers value.
+	// estimates are bit-identical for every Workers value. SampleAll over a
+	// game that draws no randomness (RandomnessFree) schedules single
+	// permutations instead of whole chunks, so a few slow chunks cannot
+	// leave a worker idle; each permutation is still drawn from its chunk's
+	// stream and folded in chunk order, so the estimates are the same.
 	Workers int
 	// Seed drives all randomness; runs with equal options are reproducible.
 	Seed int64
-	// Epsilon, when positive, enables early stopping: sampling for a
-	// player stops once the Hoeffding bound guarantees the estimate is
-	// within Epsilon of the true value of the sampled game with
-	// probability 1−Delta. Requires marginals in [-Range, Range].
-	Epsilon float64
-	// Delta is the early-stopping failure probability (default 0.05).
-	Delta float64
-	// Range bounds |marginal| for early stopping (default 1, exact for the
-	// binary repair games of the paper).
-	Range float64
 }
 
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.Delta <= 0 {
-		o.Delta = 0.05
-	}
-	if o.Range <= 0 {
-		o.Range = 1
-	}
 	return o
+}
+
+// RandomnessFree is implemented by a game that can declare that neither
+// SampleValue nor its walks' Value ever reads the sampler's rng (the cell
+// and group games under the null policy). The only randomness of a
+// SampleAll run over such a game is then the permutation draws, which is
+// what lets fanOut schedule single permutations across workers.
+type RandomnessFree interface {
+	// DrawsNoRandomness reports whether evaluation never reads rng.
+	DrawsNoRandomness() bool
+}
+
+// drawsNoRandomness reports whether g declares RandomnessFree.
+func drawsNoRandomness(g StochasticGame) bool {
+	rf, ok := g.(RandomnessFree)
+	return ok && rf.DrawsNoRandomness()
 }
 
 // welford accumulates mean and variance in one pass (numerically stable).
@@ -146,14 +150,15 @@ func (w *welford) estimate(player int) Estimate {
 	return e
 }
 
-// marginalState is the per-worker scratch of the one-marginal-per-sample
-// samplers (TopK): a permutation buffer, a coalition/prefix
-// buffer, and — for incremental games — one borrowed walk reused across
-// every chunk the worker runs, with the membership mirror that lets a
-// DeltaWalk morph coalition to coalition instead of rebuilding from ∅.
+// marginalState is the per-worker scratch of the samplers: a permutation
+// buffer, a coalition/prefix buffer, one permutation's marginal vector,
+// and — for incremental games — one borrowed walk reused across every
+// chunk the worker runs, with the membership mirror that lets a DeltaWalk
+// morph coalition to coalition instead of rebuilding from ∅ (TopK).
 type marginalState struct {
 	perm      []int
 	coalition []bool
+	marg      []float64
 	walk      CoalitionWalk
 	morph     *walkMorph
 }
@@ -161,7 +166,7 @@ type marginalState struct {
 // newMarginalState builds one worker's scratch for game g.
 func newMarginalState(g StochasticGame) *marginalState {
 	n := g.NumPlayers()
-	st := &marginalState{perm: make([]int, n), coalition: make([]bool, n)}
+	st := &marginalState{perm: make([]int, n), coalition: make([]bool, n), marg: make([]float64, n)}
 	if st.walk = walkOrNil(g); st.walk != nil {
 		if d, ok := st.walk.(DeltaWalk); ok {
 			st.morph = newWalkMorph(d, n)
@@ -212,11 +217,56 @@ func (st *marginalState) marginal(ctx context.Context, g StochasticGame, perm []
 	return with - without, nil
 }
 
+// permMarginals walks one permutation and writes every player's marginal
+// contribution into marg: the prefix walk when the game has one (each step
+// hands the game a single-cell delta instead of a full coalition mask),
+// the generic mask rebuild otherwise. Both consume rng identically.
+func (st *marginalState) permMarginals(ctx context.Context, g StochasticGame, perm []int, rng *rand.Rand, marg []float64) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if walk := st.walk; walk != nil {
+		walk.Reset()
+		st.morph.invalidate()
+		prev, err := walk.Value(ctx, rng)
+		if err != nil {
+			return err
+		}
+		for _, p := range perm {
+			walk.Include(p)
+			v, err := walk.Value(ctx, rng)
+			if err != nil {
+				return err
+			}
+			marg[p] = v - prev
+			prev = v
+		}
+		return nil
+	}
+	coalition := st.coalition
+	clear(coalition)
+	prev, err := g.SampleValue(ctx, coalition, rng)
+	if err != nil {
+		return err
+	}
+	for _, p := range perm {
+		coalition[p] = true
+		v, err := g.SampleValue(ctx, coalition, rng)
+		if err != nil {
+			return err
+		}
+		marg[p] = v - prev
+		prev = v
+	}
+	return nil
+}
+
 // SampleAll estimates every player's Shapley value by permutation walks
 // (Castro, Gómez & Tejada 2009): each sampled permutation is traversed
 // once, evaluating the game on each prefix, which yields one marginal
 // contribution for every player at n+1 evaluations per permutation —
-// a factor-2n saving over sampling each player on its own.
+// a factor-2n saving over sampling each player on its own. A
+// RandomnessFree game is scheduled one permutation at a time.
 func SampleAll(ctx context.Context, g StochasticGame, opts Options) ([]Estimate, error) {
 	opts = opts.withDefaults()
 	n := g.NumPlayers()
@@ -226,63 +276,27 @@ func SampleAll(ctx context.Context, g StochasticGame, opts Options) ([]Estimate,
 	if opts.Samples <= 0 {
 		return nil, fmt.Errorf("shapley: Samples must be positive, got %d", opts.Samples)
 	}
+	var unit func(ctx context.Context, st *marginalState, perm []int, marg []float64) error
+	if drawsNoRandomness(g) {
+		unit = func(ctx context.Context, st *marginalState, perm []int, marg []float64) error {
+			return st.permMarginals(ctx, g, perm, nil, marg)
+		}
+	}
 	accs, err := fanOut(ctx, opts, opts.Samples, n,
 		func() *marginalState { return newMarginalState(g) },
 		(*marginalState).close,
 		func(ctx context.Context, st *marginalState, rng *rand.Rand, iters int, acc []welford) error {
-			perm := st.perm
-			if walk := st.walk; walk != nil {
-				// Incremental fast path: the prefix walk grows by exactly one
-				// player per step, so each step hands the game a single-cell
-				// delta instead of a full coalition mask.
-				for it := 0; it < iters; it++ {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-					randPerm(rng, perm)
-					walk.Reset()
-					st.morph.invalidate()
-					prev, err := walk.Value(ctx, rng)
-					if err != nil {
-						return err
-					}
-					for _, p := range perm {
-						walk.Include(p)
-						v, err := walk.Value(ctx, rng)
-						if err != nil {
-							return err
-						}
-						acc[p].add(v - prev)
-						prev = v
-					}
-				}
-				return nil
-			}
-			coalition := st.coalition
 			for it := 0; it < iters; it++ {
-				if err := ctx.Err(); err != nil {
+				randPerm(rng, st.perm)
+				if err := st.permMarginals(ctx, g, st.perm, rng, st.marg); err != nil {
 					return err
 				}
-				randPerm(rng, perm)
-				for i := range coalition {
-					coalition[i] = false
-				}
-				prev, err := g.SampleValue(ctx, coalition, rng)
-				if err != nil {
-					return err
-				}
-				for _, p := range perm {
-					coalition[p] = true
-					v, err := g.SampleValue(ctx, coalition, rng)
-					if err != nil {
-						return err
-					}
-					acc[p].add(v - prev)
-					prev = v
+				for p, m := range st.marg {
+					acc[p].add(m)
 				}
 			}
 			return nil
-		})
+		}, unit)
 	if err != nil {
 		return nil, err
 	}
@@ -316,23 +330,43 @@ func fanChunk(iters int) int {
 	return size
 }
 
-// fanOut splits iters into a deterministic chunk grid and schedules the
-// chunks onto workers. Each chunk owns an RNG stream seeded by its chunk
-// index and its own accumulators, and chunk accumulators are merged in
-// chunk order after the last chunk completes — so the result is a pure
-// function of (iters, Seed), bit-identical for every Workers value (the
-// determinism contract CI's smoke job asserts). setup builds one reusable
-// per-worker state (scratch buffers, a borrowed coalition walk) that
-// amortizes across every chunk the worker runs; teardown releases it.
-func fanOut[S any](ctx context.Context, opts Options, iters, players int, setup func() S, teardown func(S), work func(ctx context.Context, st S, rng *rand.Rand, iters int, acc []welford) error) ([]welford, error) {
+// fanOut splits iters into a deterministic chunk grid and schedules it
+// onto workers. Each chunk owns an RNG stream seeded by its chunk index
+// and its own accumulators, and chunk accumulators are merged in chunk
+// order — so the result is a pure function of (iters, Seed), bit-identical
+// for every Workers value (the determinism contract CI's determinism job
+// asserts). setup builds one reusable per-worker state (scratch buffers, a
+// borrowed coalition walk) that amortizes across every unit the worker
+// runs; teardown releases it.
+//
+// With a nil unit, the unit of scheduling is a chunk: work runs the
+// chunk's iterations against its stream. A non-nil unit — SampleAll over a
+// RandomnessFree game, whose chunk streams hold nothing but permutation
+// draws — makes the unit one permutation: the worker re-draws permutation
+// j of chunk c from c's stream, unit writes its marginal vector into the
+// chunk's row of a permGrid, and the worker that records a chunk's last
+// permutation folds the chunk's vectors into its accumulators in
+// permutation order. The accumulators see the same additions in the same
+// order as under chunk units, so the estimates do not change; a budget of
+// a few long chunks (m=16 is four) just no longer leaves a worker idle
+// behind the slowest one.
+func fanOut[S any](ctx context.Context, opts Options, iters, players int, setup func() S, teardown func(S),
+	work func(ctx context.Context, st S, rng *rand.Rand, iters int, acc []welford) error,
+	unit func(ctx context.Context, st S, perm []int, marg []float64) error) ([]welford, error) {
 	if iters <= 0 {
 		return make([]welford, players), nil
 	}
 	size := fanChunk(iters)
 	chunks := (iters + size - 1) / size
+	units := chunks
+	var grid *permGrid
+	if unit != nil {
+		units = iters
+		grid = newPermGrid(iters, size, players)
+	}
 	workers := opts.Workers
-	if workers > chunks {
-		workers = chunks
+	if workers > units {
+		workers = units
 	}
 	if workers < 1 {
 		workers = 1
@@ -395,28 +429,33 @@ func fanOut[S any](ctx context.Context, opts Options, iters, players int, setup 
 			defer teardown(st)
 			faults.Hit(faults.SiteWorkerStart)
 			rng := rand.New(&splitmix{})
+			var cur permCursor
+			if grid != nil {
+				cur = permCursor{rng: rng, perm: make([]int, players), chunk: -1}
+			}
 			var acc []welford
 			for {
-				c := int(next.Add(1)) - 1
-				if c >= chunks {
+				u := int(next.Add(1)) - 1
+				if u >= units {
 					return
 				}
-				share := size
-				if c == chunks-1 {
-					share = iters - size*(chunks-1)
-				}
-				if acc == nil {
-					acc = make([]welford, players)
+				c, err := u, error(nil)
+				if grid == nil {
+					acc = cleared(acc, players)
+					rng.Seed(chunkSeed(opts.Seed, c))
+					err = work(ctx, st, rng, chunkShare(c, size, iters), acc)
 				} else {
-					clear(acc)
+					c = u / size
+					j := u % size
+					if err = unit(ctx, st, cur.draw(opts.Seed, c, j), grid.row(c, j)); err == nil {
+						if !grid.record(c) {
+							continue // other permutations of chunk c are still running
+						}
+						acc = cleared(acc, players)
+						grid.fold(c, acc)
+					}
 				}
-				// Golden-ratio stride (0x9E3779B97F4A7C15 as a signed 64-bit
-				// value) decorrelates per-chunk RNG streams; SplitMix64
-				// reseeds in constant time, so the per-chunk reseed costs
-				// nothing even for minimum-size chunks.
-				const streamStride = -0x61C8864680B583EB
-				rng.Seed(opts.Seed + int64(c)*streamStride)
-				if err := work(ctx, st, rng, share, acc); err != nil {
+				if err != nil {
 					errs[w] = err
 					cancel()
 					return
@@ -446,6 +485,120 @@ func fanOut[S any](ctx context.Context, opts Options, iters, players int, setup 
 		return nil, firstErr
 	}
 	return merged, nil
+}
+
+// cleared returns acc zeroed, or a new accumulator row when acc is nil
+// (its last buffer went to the merger).
+func cleared(acc []welford, players int) []welford {
+	if acc == nil {
+		return make([]welford, players)
+	}
+	clear(acc)
+	return acc
+}
+
+// chunkShare is the number of iterations of chunk c: size, except for a
+// shorter last chunk.
+func chunkShare(c, size, iters int) int {
+	return min(size, iters-c*size)
+}
+
+// chunkSeed seeds chunk c's RNG stream. The golden-ratio stride
+// (0x9E3779B97F4A7C15 as a signed 64-bit value) decorrelates the
+// per-chunk streams; SplitMix64 reseeds in constant time, so the per-chunk
+// reseed costs nothing even for minimum-size chunks.
+func chunkSeed(seed int64, c int) int64 {
+	const streamStride = -0x61C8864680B583EB
+	return seed + int64(c)*streamStride
+}
+
+// permCursor is one worker's position in the chunk streams under
+// permutation units: rng holds chunk's stream with pos permutations drawn.
+type permCursor struct {
+	rng        *rand.Rand
+	perm       []int
+	chunk, pos int
+}
+
+// draw leaves permutation j of chunk c in perm and returns it. A worker
+// whose previous unit was an earlier permutation of the same chunk
+// continues the stream; otherwise it reseeds and skips the draws before
+// j. Every worker thus draws each chunk's permutations at most once, and
+// a draw is O(players) against the players+1 evaluations of a walk.
+func (pc *permCursor) draw(seed int64, c, j int) []int {
+	if c != pc.chunk || j < pc.pos {
+		pc.rng.Seed(chunkSeed(seed, c))
+		pc.chunk, pc.pos = c, 0
+	}
+	for ; pc.pos <= j; pc.pos++ {
+		randPerm(pc.rng, pc.perm)
+	}
+	return pc.perm
+}
+
+// permGrid holds the marginal vectors of permutation units until their
+// chunk is complete. Safe for concurrent use; units write disjoint rows.
+type permGrid struct {
+	mu                   sync.Mutex
+	iters, size, players int
+	// rows[c] holds chunk c's vectors, permutation j at [j*players,
+	// (j+1)*players); nil until the chunk's first unit starts and after it
+	// is folded.
+	rows [][]float64
+	// left[c] counts chunk c's permutations not yet recorded.
+	left []int
+	// free holds folded chunks' buffers for reuse, so live rows stay
+	// bounded by the chunks in flight.
+	free [][]float64
+}
+
+func newPermGrid(iters, size, players int) *permGrid {
+	chunks := (iters + size - 1) / size
+	g := &permGrid{iters: iters, size: size, players: players, rows: make([][]float64, chunks), left: make([]int, chunks)}
+	for c := range g.left {
+		g.left[c] = chunkShare(c, size, iters)
+	}
+	return g
+}
+
+// row returns the marginal vector of permutation j of chunk c.
+func (g *permGrid) row(c, j int) []float64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.rows[c] == nil {
+		if n := len(g.free); n > 0 {
+			g.rows[c], g.free = g.free[n-1], g.free[:n-1]
+		} else {
+			g.rows[c] = make([]float64, g.size*g.players)
+		}
+	}
+	return g.rows[c][j*g.players : (j+1)*g.players]
+}
+
+// record notes that one permutation of chunk c wrote its row and reports
+// whether it was the chunk's last.
+func (g *permGrid) record(c int) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.left[c]--
+	return g.left[c] == 0
+}
+
+// fold adds chunk c's vectors into acc in permutation order — the order
+// chunk units add them in — and recycles the chunk's buffer.
+func (g *permGrid) fold(c int, acc []welford) {
+	g.mu.Lock()
+	rows := g.rows[c]
+	g.rows[c] = nil
+	g.mu.Unlock()
+	for off := 0; off < chunkShare(c, g.size, g.iters)*g.players; off += g.players {
+		for p := range acc {
+			acc[p].add(rows[off+p])
+		}
+	}
+	g.mu.Lock()
+	g.free = append(g.free, rows)
+	g.mu.Unlock()
 }
 
 // panicValue carries a recovered worker panic to the caller goroutine.

@@ -122,7 +122,7 @@ func TestSamplingDeterministicPerSeed(t *testing.T) {
 
 func TestSamplePlayerEarlyStopping(t *testing.T) {
 	g := Deterministic{G: paperConstraintGame()}
-	est, err := SamplePlayer(context.Background(), g, 2, Options{Samples: 1 << 30, Seed: 9, Epsilon: 0.2, Delta: 0.1})
+	est, err := samplePlayerUntil(context.Background(), g, 2, Options{Samples: 1 << 30, Seed: 9}, earlyStop{Epsilon: 0.2, Delta: 0.1, Range: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestHoeffdingTinyEpsilonRegression(t *testing.T) {
 		}
 	}
 	g := Deterministic{G: paperConstraintGame()}
-	est, err := SamplePlayer(context.Background(), g, 1, Options{Samples: 50, Seed: 3, Epsilon: 1e-300, Workers: 1})
+	est, err := samplePlayerUntil(context.Background(), g, 1, Options{Samples: 50, Seed: 3, Workers: 1}, earlyStop{Epsilon: 1e-300, Delta: 0.05, Range: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,13 +350,25 @@ func TestHoeffdingTinyEpsilonRegression(t *testing.T) {
 	}
 }
 
-// SamplePlayer is the tests' one-player sampler, which also honours
-// Options' early stopping. It estimates one player's Shapley value with
-// the Strumbelj–Kononenko procedure of Example 2.5: repeat m times — draw a
-// random permutation of the players, form the coalition of players
-// preceding the target, evaluate the game with and without the target, and
-// average the differences.
+// SamplePlayer is the tests' one-player sampler. It estimates one
+// player's Shapley value with the Strumbelj–Kononenko procedure of Example
+// 2.5: repeat m times — draw a random permutation of the players, form the
+// coalition of players preceding the target, evaluate the game with and
+// without the target, and average the differences.
 func SamplePlayer(ctx context.Context, g StochasticGame, player int, opts Options) (Estimate, error) {
+	return samplePlayerUntil(ctx, g, player, opts, earlyStop{})
+}
+
+// earlyStop is SamplePlayer's optional Hoeffding stopping rule: with a
+// positive Epsilon, sampling stops once the estimate is within Epsilon of
+// the sampled game's value with probability 1−Delta, for marginals in
+// [−Range, Range].
+type earlyStop struct {
+	Epsilon, Delta, Range float64
+}
+
+// samplePlayerUntil is SamplePlayer under a stopping rule.
+func samplePlayerUntil(ctx context.Context, g StochasticGame, player int, opts Options, stop earlyStop) (Estimate, error) {
 	opts = opts.withDefaults()
 	n := g.NumPlayers()
 	if player < 0 || player >= n {
@@ -366,8 +378,8 @@ func SamplePlayer(ctx context.Context, g StochasticGame, player int, opts Option
 		return Estimate{}, fmt.Errorf("shapley: Samples must be positive, got %d", opts.Samples)
 	}
 	budget := opts.Samples
-	if opts.Epsilon > 0 {
-		if h := hoeffdingSamples(opts.Epsilon, opts.Delta, opts.Range); h < budget {
+	if stop.Epsilon > 0 {
+		if h := hoeffdingSamples(stop.Epsilon, stop.Delta, stop.Range); h < budget {
 			budget = h
 		}
 	}
@@ -387,7 +399,7 @@ func SamplePlayer(ctx context.Context, g StochasticGame, player int, opts Option
 				acc[0].add(m)
 			}
 			return nil
-		})
+		}, nil)
 	if err != nil {
 		return Estimate{}, err
 	}

@@ -175,7 +175,7 @@ func topKRound(ctx context.Context, g StochasticGame, active []bool, accs []welf
 				acc[slot].add(m)
 			}
 			return nil
-		})
+		}, nil)
 	if err != nil {
 		return err
 	}
