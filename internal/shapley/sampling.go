@@ -107,12 +107,6 @@ type RandomnessFree interface {
 	DrawsNoRandomness() bool
 }
 
-// drawsNoRandomness reports whether g declares RandomnessFree.
-func drawsNoRandomness(g StochasticGame) bool {
-	rf, ok := g.(RandomnessFree)
-	return ok && rf.DrawsNoRandomness()
-}
-
 // welford accumulates mean and variance in one pass (numerically stable).
 type welford struct {
 	n    int
@@ -277,7 +271,7 @@ func SampleAll(ctx context.Context, g StochasticGame, opts Options) ([]Estimate,
 		return nil, fmt.Errorf("shapley: Samples must be positive, got %d", opts.Samples)
 	}
 	var unit func(ctx context.Context, st *marginalState, perm []int, marg []float64) error
-	if drawsNoRandomness(g) {
+	if rf, ok := g.(RandomnessFree); ok && rf.DrawsNoRandomness() {
 		unit = func(ctx context.Context, st *marginalState, perm []int, marg []float64) error {
 			return st.permMarginals(ctx, g, perm, nil, marg)
 		}
