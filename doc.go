@@ -34,19 +34,27 @@
 // Three layers keep that loop allocation-free and measured in
 // BENCH_<n>.json (regenerate with `trex-bench -perf -out BENCH_<n>.json`):
 //
+//   - One masking game (core.CellGame): a player is a set of cells, laid
+//     out flat once per game (distinct cells plus per-player offsets into
+//     one occurrence array); a cell player is the one-cell set, and rows,
+//     columns and explicit, possibly overlapping groups are larger sets.
+//     Every cell, relevant-cell, row, column and group explain runs through
+//     it.
 //   - Pooled scratch tables (internal/core): instead of Clone()-ing the
 //     dirty table per evaluation, each evaluation borrows a pooled working
 //     copy, masks absent cells in place, runs the black box, and restores
-//     only the touched cells via an undo list — zero steady-state
+//     only the absent players' cells from the dirty table — zero steady-state
 //     allocations per coalition evaluation (enforced by
-//     TestCellGameEvalAllocs).
+//     TestCellGameEvalAllocs and TestEvalRepairAllocsAlgorithm1).
 //   - Incremental prefix walks (internal/shapley.IncrementalGame): the
-//     samplers detect games that support single-player coalition deltas
-//     and drive them through the CoalitionWalk protocol — one SetRef per
-//     permutation step instead of a full mask rebuild. Estimates are
-//     bit-identical to the legacy clone path under a fixed seed (golden
-//     equivalence tests; the clone path survives behind
-//     core.CellGame.CloneEval for cross-validation).
+//     samplers drive the game through the CoalitionWalk protocol — one
+//     SetRef per cell of the player a permutation step adds, reference
+//     counted so a cell shared by players is restored only when its last
+//     absent player joins, instead of a full mask rebuild. Estimates are
+//     bit-identical to the clone-per-evaluation path under a fixed seed
+//     (golden equivalence tests; that path survives behind
+//     core.CellGame.CloneEval for cross-validation and the */clone rows
+//     of trex-bench -perf).
 //   - Packed, sharded coalition cache (internal/shapley.Cached): coalition
 //     keys are uint64 bitmasks for ≤64 players (packed bytes above) spread
 //     over 64 lock shards, so exact constraint-game enumeration no longer
@@ -61,12 +69,12 @@
 //     its few masked cells plus the repair's own writes, not the whole
 //     table) and repairs it in place with pooled per-run buffers — statistics
 //     (table.Stats.Reset), scan indexes, candidate domains — so the whole
-//     eval→repair round trip allocates nothing in steady state. Both cell
-//     and group games drive the samplers through CoalitionWalk, and pooled
-//     snapshots are generation-guarded so Session edits between
-//     evaluations re-snapshot instead of silently corrupting estimates.
-//     Golden tests pin RepairInto to Repair and both walks to the clone
-//     paths bit for bit.
+//     eval→repair round trip allocates nothing in steady state. Pooled
+//     scratch tables and column statistics are generation-guarded, so
+//     Session edits between evaluations re-snapshot instead of silently
+//     corrupting estimates. Golden tests pin RepairInto to Repair and the
+//     walk to the clone path bit for bit; repair.Dispatch is the one place
+//     that picks among a black box's repair protocols.
 //
 // # The session execution engine
 //
@@ -105,8 +113,8 @@
 //     only on (Samples, Seed); chunk accumulators merge in chunk order, so
 //     Workers=1 and Workers=N produce bit-identical estimates (CI asserts
 //     this). When the game declares it draws no randomness
-//     (shapley.RandomnessFree: the cell and group games under the null
-//     policy), SampleAll schedules single permutations instead of whole
+//     (shapley.RandomnessFree: the cell game, over cells or groups, under
+//     the null policy), SampleAll schedules single permutations instead of whole
 //     chunks: a worker re-draws permutation j of chunk c from c's stream,
 //     records its marginal vector, and the chunk's vectors fold into its
 //     accumulators in permutation order, so the estimates stay those of

@@ -224,12 +224,12 @@ func perfScenarios(short bool, workers int) ([]perfScenario, error) {
 		}},
 	)
 
-	// The group game: batch-mask clone path vs the new prefix walk.
+	// The cell game over row groups: clone path vs the prefix walk.
 	groupExp, err := core.NewExplainer(alg, ll.DCs, ll.Dirty)
 	if err != nil {
 		return nil, err
 	}
-	groupGame := groupExp.NewGroupGame(ll.CellOfInterest, target, core.ReplaceWithNull, groupExp.RowGroups(ll.CellOfInterest))
+	groupGame := groupExp.NewCellGameOfGroups(ll.CellOfInterest, target, core.ReplaceWithNull, groupExp.RowGroups(ll.CellOfInterest))
 	out = append(out,
 		perfScenario{name: "groupgame-sampleall/algorithm1-laliga/clone/m=8", bench: func(b *testing.B) {
 			b.ReportAllocs()

@@ -8,21 +8,20 @@
 //   - ConstraintGame: players are the DCs, the table is fixed, and
 //     v(S) = Alg|t[A](S, T_d). Constraint counts are small, so Shapley
 //     values are computed exactly (subset enumeration, memoized).
-//   - CellGame: players are the cells of T_d, the constraint set is fixed,
-//     and a cell outside the coalition is nulled (the paper's formal
-//     definition) or resampled from its column distribution (the
-//     Example 2.5 sampling procedure). Cell counts are large, so Shapley
-//     values are approximated by permutation sampling.
+//   - CellGame: players are sets of cells of T_d, the constraint set is
+//     fixed, and the cells of a player outside the coalition are nulled
+//     (the paper's formal definition) or resampled from their column
+//     distribution (the Example 2.5 sampling procedure). A cell player is
+//     the one-cell set; rows, columns and explicit groups are the same
+//     game over larger sets. Cell counts are large, so Shapley values are
+//     usually approximated by permutation sampling.
 package core
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/dc"
 	"repro/internal/exec"
@@ -169,8 +168,8 @@ func (e *Explainer) cachedGame(desc string, g shapley.Game) shapley.Game {
 
 // gameDesc builds the shared-cache descriptor of a game: the kind-specific
 // parts plus everything every game's characteristic function closes over —
-// the black box and the full constraint set (cell and group games depend
-// on the DCs through the repair; the constraint game's player roster *is*
+// the black box and the full constraint set (the cell game depends on
+// the DCs through the repair; the constraint game's player roster *is*
 // the DC list, so editing constraints re-keys every game). Table contents
 // are deliberately absent: they are covered by the generation stamp.
 //
@@ -340,15 +339,7 @@ func (e *Explainer) repairExact(ctx context.Context) ([]table.CellDiff, error) {
 	if rc != nil {
 		desc, gen = e.repairDesc(), e.Dirty.Generation()
 	}
-	var clean *table.Table
-	var err error
-	if pl, ok := e.Alg.(repair.PlannedRepairer); ok && e.Plan != nil {
-		clean, err = pl.RepairIntoPlanned(ctx, e.DCs, e.Dirty, nil, e.Engine.Pool(), e.Plan)
-	} else if pr, ok := e.Alg.(repair.PartitionedRepairer); ok && e.Engine.Workers() > 1 {
-		clean, err = pr.RepairIntoParallel(ctx, e.DCs, e.Dirty, nil, e.Engine.Pool())
-	} else {
-		clean, err = e.Alg.Repair(ctx, e.DCs, e.Dirty)
-	}
+	clean, err := repair.Dispatch(ctx, e.Alg, e.DCs, e.Dirty, nil, e.pool(), e.Plan)
 	if err != nil {
 		return nil, fmt.Errorf("core: repairing: %w", err)
 	}
@@ -435,456 +426,6 @@ func (g *ConstraintGame) Value(ctx context.Context, coalition []bool) (float64, 
 		}
 	}
 	return repair.CellRepairedPlanned(ctx, g.exp.Alg, subset, g.exp.Dirty, g.cell, g.target, g.exp.pool(), g.exp.planner())
-}
-
-// ReplacementPolicy selects what happens to cells outside a coalition in
-// the cell game.
-type ReplacementPolicy uint8
-
-const (
-	// ReplaceWithNull nulls absent cells — the paper's formal definition
-	// ("∀tj[C] ∈ T_d \ S. tj[C] = null"). Deterministic.
-	ReplaceWithNull ReplacementPolicy = iota
-	// ReplaceFromColumn draws absent cells from their column's empirical
-	// distribution — the Example 2.5 sampling procedure. Stochastic.
-	ReplaceFromColumn
-)
-
-// CellGame is the cell game of §2.2: player k is the k-th cell of T_d in
-// vectorization order, and v(S) = 1 iff the black box, run on the table
-// with absent cells replaced per the policy, repairs the cell of interest
-// to the target value.
-//
-// The cell of interest itself is pinned: it keeps its dirty value in every
-// coalition and is not a player. The repair event "España → Spain" is
-// undefined on a table that does not contain the España being repaired;
-// pinning makes the game well-defined and reproduces the ranking of
-// Example 2.4 (t5[League] on top). Treating the cell of interest as a
-// player instead makes it an almost-veto player that dominates the ranking
-// — an artifact, not an explanation (experiment ex24 checks the ranking).
-type CellGame struct {
-	exp    *Explainer
-	cell   table.CellRef
-	target table.Value
-	policy ReplacementPolicy
-	stats  *table.Stats
-	// players maps player index -> cell; defaults to all cells.
-	players []table.CellRef
-	// origs[k] is the dirty value of players[k]; the undo value the scratch
-	// path restores after masking.
-	origs []table.Value
-	// scratch pools reusable clones of the dirty table. Every evaluation
-	// borrows one, masks absent cells in place, runs the black box, and
-	// restores only the touched cells — zero steady-state allocation instead
-	// of one full Clone + O(cells) masking pass per evaluation.
-	scratch sync.Pool
-	// snapGen is the dirty-table generation the snapshots (origs, stats,
-	// pooled scratch clones) reflect. Session edits between evaluations bump
-	// the live table's generation; sync re-snapshots lazily so a stale undo
-	// value is never restored into a scratch (the silent-corruption bug this
-	// field exists to prevent). Read atomically on the eval hot path.
-	snapGen uint64
-	// syncMu serializes re-snapshotting.
-	syncMu sync.Mutex
-	// shared is the game's handle on the session's shared coalition cache
-	// (nil without an engine). Only the deterministic null policy consults
-	// it: under ReplaceFromColumn a coalition's value is a random
-	// realization, which must never be memoized. Set by BindSharedCache
-	// after the player roster is final; RestrictPlayers clears it, because
-	// coalition cache keys are positional in the roster.
-	shared *exec.Binding
-}
-
-// cellScratch is one pooled working table plus its undo list.
-type cellScratch struct {
-	tbl *table.Table
-	// touched lists the player indices currently masked, so restoration is
-	// O(|touched|) rather than O(cells).
-	touched []int
-	// gen is the dirty-table generation the clone was taken at; a pooled
-	// scratch from before a session edit no longer matches origs and is
-	// discarded instead of reused.
-	gen uint64
-}
-
-// sync re-snapshots origs and stats when the live dirty table was edited
-// since the last snapshot (core.Session.SetCell between evaluations).
-// Pooled scratch clones from older generations are discarded lazily by
-// getScratch. Evaluations running concurrently with an edit are not
-// supported (the table itself is not concurrency-safe); sync makes the
-// sequential edit→re-evaluate loop of §3/§4 correct without rebuilding the
-// game. Note the game's target is a caller-supplied constant: if the edit
-// changes what the full repair assigns to the cell of interest, the caller
-// must derive a new target (and usually a new game) — sync keeps v(S)
-// well-defined, not the question unchanged.
-func (g *CellGame) sync() {
-	cur := g.exp.Dirty.Generation()
-	if atomic.LoadUint64(&g.snapGen) == cur {
-		return
-	}
-	g.syncMu.Lock()
-	defer g.syncMu.Unlock()
-	if g.snapGen == cur {
-		return
-	}
-	for k, ref := range g.players {
-		//lint:allow editlog origs is the game's private snapshot buffer allocated by NewCellGame, not table storage
-		g.origs[k] = g.exp.Dirty.GetRef(ref)
-	}
-	// Catch the stats snapshot up from the edit log (per-column deltas;
-	// equivalent to a full rebuild) instead of rebuilding wholesale.
-	g.stats.Sync(g.exp.Dirty)
-	atomic.StoreUint64(&g.snapGen, cur)
-}
-
-func (g *CellGame) getScratch() *cellScratch {
-	gen := atomic.LoadUint64(&g.snapGen)
-	for {
-		sc, ok := g.scratch.Get().(*cellScratch)
-		if !ok {
-			break
-		}
-		if sc.gen == gen {
-			return sc
-		}
-		// Stale clone from before a session edit: drop it.
-	}
-	return &cellScratch{tbl: g.exp.Dirty.Clone(), gen: gen}
-}
-
-func (g *CellGame) putScratch(sc *cellScratch) { g.scratch.Put(sc) }
-
-// NewCellGame builds the cell game for a cell of interest; target must be
-// the clean value from Target.
-func (e *Explainer) NewCellGame(cell table.CellRef, target table.Value, policy ReplacementPolicy) *CellGame {
-	g := &CellGame{
-		exp:    e,
-		cell:   cell,
-		target: target,
-		policy: policy,
-		stats:  table.NewStats(e.Dirty),
-		// Stamp before RestrictPlayers so the just-built stats snapshot is
-		// not rebuilt a second time during construction.
-		snapGen: e.Dirty.Generation(),
-	}
-	g.RestrictPlayers(e.Dirty.Cells())
-	return g
-}
-
-// RestrictPlayers scopes the game to the given cells (players become
-// 0..len(cells)-1 in order); other cells stay at their dirty values in
-// every coalition. Restricting to the cells a game can actually depend on
-// leaves Shapley values of the kept players unchanged when the dropped
-// cells are dummies (see TestDummyDoesNotPerturbOthersProperty), and makes
-// exact enumeration feasible on small instances. The pinned cell of
-// interest is filtered out if present.
-func (g *CellGame) RestrictPlayers(cells []table.CellRef) {
-	g.syncMu.Lock()
-	defer g.syncMu.Unlock()
-	cur := g.exp.Dirty.Generation()
-	if g.snapGen != cur {
-		// The stats snapshot is part of the generation-stamped state: an
-		// edit between construction and restriction must refresh it too, or
-		// ReplaceFromColumn would keep sampling the pre-edit distribution.
-		g.stats.Sync(g.exp.Dirty)
-	}
-	g.players = g.players[:0]
-	g.origs = g.origs[:0]
-	for _, ref := range cells {
-		if ref != g.cell {
-			g.players = append(g.players, ref)
-			g.origs = append(g.origs, g.exp.Dirty.GetRef(ref))
-		}
-	}
-	// The roster moved, so the positional coalition keys of any earlier
-	// binding no longer describe this game; drop it (re-bind after).
-	g.shared = nil
-	atomic.StoreUint64(&g.snapGen, cur)
-}
-
-// BindSharedCache enrolls the game's deterministic coalition evaluations —
-// Value, and the null-policy walk values driven by SampleAll and TopK — in
-// the session's shared coalition cache. The descriptor folds in the cell,
-// target and the exact player roster (positional keys); a nil engine or a
-// stochastic policy leaves the game unbound. Values are
-// deterministic per (coalition, generation), so cache participation can
-// never change an estimate — in particular the Workers=1 ≡ Workers=N
-// bit-identity of the samplers is preserved (no RNG draw is skipped: the
-// null policy consumes none during Value).
-func (g *CellGame) BindSharedCache() {
-	if g.policy != ReplaceWithNull {
-		return
-	}
-	desc := g.exp.gameDesc("cell-game-null",
-		"cell="+refDesc(g.cell), "target="+targetDesc(g.target),
-		"players="+playersDesc(g.exp.Dirty, g.players))
-	g.shared = g.exp.bind(desc)
-}
-
-// Players returns the cells acting as players, in player order.
-func (g *CellGame) Players() []table.CellRef {
-	return append([]table.CellRef(nil), g.players...)
-}
-
-// NumPlayers implements shapley.Game and shapley.StochasticGame.
-func (g *CellGame) NumPlayers() int { return len(g.players) }
-
-// Value implements shapley.Game under the deterministic null policy.
-// It errors for ReplaceFromColumn, which needs an RNG — use SampleValue.
-func (g *CellGame) Value(ctx context.Context, coalition []bool) (float64, error) {
-	if g.policy != ReplaceWithNull {
-		return 0, fmt.Errorf("core: deterministic Value requires ReplaceWithNull; use SampleValue for ReplaceFromColumn")
-	}
-	return g.eval(ctx, coalition, nil)
-}
-
-// DrawsNoRandomness implements shapley.RandomnessFree: under the null
-// policy no evaluation reads the sampler's rng, so SampleAll schedules the
-// game one permutation at a time.
-func (g *CellGame) DrawsNoRandomness() bool { return g.policy == ReplaceWithNull }
-
-// SampleValue implements shapley.StochasticGame: absent cells are replaced
-// per the policy, with randomness (if any) drawn from rng.
-func (g *CellGame) SampleValue(ctx context.Context, coalition []bool, rng *rand.Rand) (float64, error) {
-	return g.eval(ctx, coalition, rng)
-}
-
-// replacement computes the out-of-coalition value of a cell of column col
-// per the policy, drawing from the column distribution in stats under
-// ReplaceFromColumn. The cell and group games both mask through it.
-func replacement(policy ReplacementPolicy, stats *table.Stats, col int, rng *rand.Rand) (table.Value, error) {
-	switch policy {
-	case ReplaceWithNull:
-		return table.Null(), nil
-	case ReplaceFromColumn:
-		if rng == nil {
-			return table.Null(), fmt.Errorf("core: ReplaceFromColumn needs an RNG")
-		}
-		v, ok := stats.Column(col).Sample(rng)
-		if !ok {
-			v = table.Null()
-		}
-		return v, nil
-	default:
-		return table.Null(), fmt.Errorf("core: unknown replacement policy %d", policy)
-	}
-}
-
-// eval is the scratch-table fast path: borrow a pooled working table, mask
-// absent cells in place, run the black box, restore only the touched cells.
-// Steady state it allocates nothing (see TestCellGameEvalAllocs). Bound
-// deterministic games consult the session's shared coalition cache first.
-func (g *CellGame) eval(ctx context.Context, coalition []bool, rng *rand.Rand) (float64, error) {
-	// g.shared is nil unless BindSharedCache enrolled this (null-policy)
-	// game, and a nil binding always misses, so no policy branch is needed:
-	// stochastic realizations can never be memoized. evalUncached syncs to
-	// the live generation, so a value computed after a concurrent edit
-	// carries a stale gen stamp and is dropped by Store.
-	v, gen, ok := g.shared.Lookup(coalition)
-	if ok {
-		return v, nil
-	}
-	v, err := g.evalUncached(ctx, coalition, rng)
-	if err == nil {
-		g.shared.Store(gen, coalition, v)
-	}
-	return v, err
-}
-
-// evalUncached is eval without the shared-cache consult.
-func (g *CellGame) evalUncached(ctx context.Context, coalition []bool, rng *rand.Rand) (float64, error) {
-	g.sync()
-	sc := g.getScratch()
-	sc.touched = sc.touched[:0]
-	for k, in := range coalition {
-		if in {
-			continue
-		}
-		v, err := replacement(g.policy, g.stats, g.players[k].Col, rng)
-		if err != nil {
-			g.restore(sc)
-			g.putScratch(sc)
-			return 0, err
-		}
-		sc.tbl.SetRef(g.players[k], v)
-		sc.touched = append(sc.touched, k)
-	}
-	out, err := repair.CellRepairedPlanned(ctx, g.exp.Alg, g.exp.DCs, sc.tbl, g.cell, g.target, g.exp.pool(), g.exp.planner())
-	g.restore(sc)
-	g.putScratch(sc)
-	return out, err
-}
-
-// restore undoes every masked cell of the scratch, returning it to a clean
-// copy of the dirty table.
-func (g *CellGame) restore(sc *cellScratch) {
-	for _, k := range sc.touched {
-		sc.tbl.SetRef(g.players[k], g.origs[k])
-	}
-	sc.touched = sc.touched[:0]
-}
-
-// evalClone is the seed's clone-per-evaluation path, kept for
-// cross-validation: the golden equivalence tests prove the scratch and walk
-// paths reproduce its estimates bit-for-bit. Reach it through CloneEval.
-func (g *CellGame) evalClone(ctx context.Context, coalition []bool, rng *rand.Rand) (float64, error) {
-	g.sync()
-	masked := g.exp.Dirty.Clone()
-	for k, in := range coalition {
-		if in {
-			continue
-		}
-		v, err := replacement(g.policy, g.stats, g.players[k].Col, rng)
-		if err != nil {
-			return 0, err
-		}
-		masked.SetRef(g.players[k], v)
-	}
-	return repair.CellRepaired(ctx, g.exp.Alg, g.exp.DCs, masked, g.cell, g.target)
-}
-
-// CloneEval returns a view of the game that evaluates through the legacy
-// clone-per-evaluation path and hides the IncrementalGame interface, so
-// samplers take their generic path. It exists for cross-validation (golden
-// equivalence tests) and A/B benchmarks against the scratch fast path.
-func (g *CellGame) CloneEval() shapley.StochasticGame { return cloneEvalGame{g} }
-
-// cloneEvalGame adapts CellGame to the seed evaluation strategy. It
-// deliberately does not implement shapley.IncrementalGame.
-type cloneEvalGame struct{ g *CellGame }
-
-// NumPlayers implements shapley.StochasticGame.
-func (c cloneEvalGame) NumPlayers() int { return c.g.NumPlayers() }
-
-// SampleValue implements shapley.StochasticGame.
-func (c cloneEvalGame) SampleValue(ctx context.Context, coalition []bool, rng *rand.Rand) (float64, error) {
-	return c.g.evalClone(ctx, coalition, rng)
-}
-
-// Value implements shapley.Game under the deterministic null policy.
-func (c cloneEvalGame) Value(ctx context.Context, coalition []bool) (float64, error) {
-	if c.g.policy != ReplaceWithNull {
-		return 0, fmt.Errorf("core: deterministic Value requires ReplaceWithNull; use SampleValue for ReplaceFromColumn")
-	}
-	return c.g.evalClone(ctx, coalition, nil)
-}
-
-// NewWalk implements shapley.IncrementalGame: the samplers' permutation
-// prefix walks grow the coalition one player at a time, and under the null
-// policy each step is a single SetRef on the walk's scratch table.
-func (g *CellGame) NewWalk() shapley.CoalitionWalk {
-	g.sync()
-	return &cellWalk{g: g, sc: g.getScratch(), in: make([]bool, len(g.players))}
-}
-
-// cellWalk holds one borrowed scratch table for a worker's sequence of
-// permutation walks. Confined to one goroutine.
-type cellWalk struct {
-	g  *CellGame
-	sc *cellScratch
-	// in mirrors coalition membership; needed under ReplaceFromColumn,
-	// where every absent cell is redrawn per evaluation.
-	in []bool
-	// masked reports whether the scratch table currently has the absent
-	// cells masked (i.e. Reset has run).
-	masked bool
-}
-
-// Reset implements shapley.CoalitionWalk: empty coalition, every player
-// masked.
-func (w *cellWalk) Reset() {
-	for k := range w.in {
-		w.in[k] = false
-	}
-	if w.g.policy == ReplaceWithNull {
-		for _, ref := range w.g.players {
-			w.sc.tbl.SetRef(ref, table.Null())
-		}
-	}
-	w.masked = true
-}
-
-// Include implements shapley.CoalitionWalk: the single-cell delta. The
-// player's cell returns to its dirty value; under ReplaceFromColumn the
-// next Value stops redrawing it.
-func (w *cellWalk) Include(p int) {
-	if w.in[p] {
-		return
-	}
-	w.in[p] = true
-	w.sc.tbl.SetRef(w.g.players[p], w.g.origs[p])
-}
-
-// Exclude implements shapley.DeltaWalk: the inverse single-cell delta,
-// letting samplers morph one sample's coalition into the next instead of
-// re-masking every player from the empty coalition. Under the null policy
-// the cell returns to Null; under ReplaceFromColumn the next Value simply
-// resumes redrawing it.
-func (w *cellWalk) Exclude(p int) {
-	if !w.in[p] {
-		return
-	}
-	w.in[p] = false
-	if w.g.policy == ReplaceWithNull {
-		w.sc.tbl.SetRef(w.g.players[p], table.Null())
-	}
-}
-
-// Value implements shapley.CoalitionWalk. Under the null policy the scratch
-// table already holds the coalition's exact masked state; under column
-// sampling every absent cell is redrawn in player order, consuming the RNG
-// exactly as the clone path's SampleValue does (the golden-equivalence
-// contract).
-//
-// Null-policy values are deterministic per coalition, so a bound walk
-// consults the session's shared coalition cache (keyed by the membership
-// mirror) before running the black box — this is how the sampled paths
-// participate in the cache without leaving the walk protocol. No RNG is
-// consumed under the null policy, so a hit and a computed value leave the
-// sampler's RNG stream identical: estimates stay bit-identical for every
-// Workers value and every cache state. (A stochastic walk's binding is
-// nil — stochastic games never bind — so its Lookup always misses.)
-//
-// Lookups and stores are both pinned to the *scratch's* snapshot
-// generation, not the live one: the walk computes from a table cloned at
-// w.sc.gen, so if a concurrent session edit bumped the live generation
-// mid-walk, (a) a store of the now-stale value is dropped by the shard's
-// generation guard instead of being served as current, and (b) a lookup
-// cannot hit a post-edit value some other explain stored — the walk's
-// samples all reflect one table state.
-func (w *cellWalk) Value(ctx context.Context, rng *rand.Rand) (float64, error) {
-	if w.g.policy != ReplaceWithNull {
-		for k, in := range w.in {
-			if in {
-				continue
-			}
-			v, err := replacement(w.g.policy, w.g.stats, w.g.players[k].Col, rng)
-			if err != nil {
-				return 0, err
-			}
-			w.sc.tbl.SetRef(w.g.players[k], v)
-		}
-	}
-	if v, ok := w.g.shared.LookupAt(w.sc.gen, w.in); ok {
-		return v, nil
-	}
-	v, err := repair.CellRepairedPlanned(ctx, w.g.exp.Alg, w.g.exp.DCs, w.sc.tbl, w.g.cell, w.g.target, w.g.exp.pool(), w.g.exp.planner())
-	if err == nil {
-		w.g.shared.Store(w.sc.gen, w.in, v)
-	}
-	return v, err
-}
-
-// Close implements shapley.CoalitionWalk: restores the scratch to the dirty
-// contents and returns it to the pool.
-func (w *cellWalk) Close() {
-	if w.masked || w.g.policy != ReplaceWithNull {
-		for k, ref := range w.g.players {
-			w.sc.tbl.SetRef(ref, w.g.origs[k])
-		}
-	}
-	w.g.putScratch(w.sc)
-	w.sc = nil
 }
 
 // RelevantCells returns the cells that can plausibly influence the repair

@@ -241,8 +241,11 @@ func TestDeltaWalkMarginalEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	game := exp.NewCellGame(ll.CellOfInterest, table.String("Spain"), ReplaceWithNull)
-	game.RestrictPlayers(exp.RelevantCells(ll.CellOfInterest))
+	r, err := exp.roster(Query{Cell: ll.CellOfInterest, Players: RelevantCellPlayers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	game := exp.newCellGame(ll.CellOfInterest, table.String("Spain"), ReplaceWithNull, &r)
 	tkOpts := shapley.TopKOptions{K: 3, RoundSamples: 12, MaxRounds: 3, Seed: 9, Workers: 2}
 	fast, err := shapley.TopK(ctx, game, tkOpts)
 	if err != nil {

@@ -219,9 +219,9 @@ type roster struct {
 
 // roster builds the query's player set. The cell rosters list no cells:
 // player k is the k-th cell of the roster in row-major order after
-// skipping the cell of interest (the order of NewCellGame and
-// RelevantCells), so a memoized explain never pays for the roster. Every
-// member of an explicit group must lie inside the table.
+// skipping the cell of interest (the order of RelevantCells), so a
+// memoized explain never pays for the roster. Every member of an explicit
+// group must lie inside the table.
 func (e *Explainer) roster(q Query) (roster, error) {
 	r := roster{players: q.Players, cell: q.Cell}
 	switch q.Players {
@@ -334,27 +334,15 @@ func (r *roster) kind(est Estimator, toward bool) string {
 }
 
 // game builds the game over the roster toward target: the constraint game
-// behind the shared coalition cache, or a cell or group game that replaces
-// absent cells per policy, enrolled in the shared cache when bind is set
-// (only null-policy games ever enroll). It is the one place an explain or
-// a why-not search gets its game from.
+// behind the shared coalition cache, or the cell game over the roster's
+// cells or groups, which replaces absent cells per policy and enrolls in
+// the shared cache when bind is set (only null-policy games ever enroll).
+// It is the one place an explain or a why-not search gets its game from.
 func (e *Explainer) game(cell table.CellRef, target table.Value, r *roster, policy ReplacementPolicy, bind bool) shapley.Game {
-	var g interface {
-		shapley.Game
-		BindSharedCache()
-	}
-	switch r.players {
-	case ConstraintPlayers:
+	if r.players == ConstraintPlayers {
 		return e.cachedGame(e.constraintGameDesc(cell, target), e.NewConstraintGame(cell, target))
-	case CellPlayers, RelevantCellPlayers:
-		cg := e.NewCellGame(cell, target, policy)
-		if r.players == RelevantCellPlayers {
-			cg.RestrictPlayers(r.cells(e))
-		}
-		g = cg
-	default:
-		g = e.NewGroupGame(cell, target, policy, r.groups)
 	}
+	g := e.newCellGame(cell, target, policy, r)
 	if bind {
 		g.BindSharedCache()
 	}

@@ -126,7 +126,7 @@ func TestExplainCellGroupsValidation(t *testing.T) {
 
 func TestGroupGamePolicies(t *testing.T) {
 	e, ll := newPaperExplainer(t)
-	g := e.NewGroupGame(ll.CellOfInterest, table.String("Spain"), ReplaceFromColumn, e.RowGroups(ll.CellOfInterest))
+	g := e.NewCellGameOfGroups(ll.CellOfInterest, table.String("Spain"), ReplaceFromColumn, e.RowGroups(ll.CellOfInterest))
 	if _, err := g.Value(context.Background(), make([]bool, 6)); err == nil {
 		t.Error("Value under ReplaceFromColumn must error")
 	}

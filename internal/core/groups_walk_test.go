@@ -13,7 +13,7 @@ import (
 
 // toyGroupGame builds an n-row FD instance repaired by RuleRepair and
 // returns the group game over row groups for the dirty cell.
-func toyGroupGame(t *testing.T, rows int, policy ReplacementPolicy) *GroupGame {
+func toyGroupGame(t *testing.T, rows int, policy ReplacementPolicy) *CellGame {
 	t.Helper()
 	grid := make([][]string, rows)
 	for i := range grid {
@@ -37,11 +37,11 @@ func toyGroupGame(t *testing.T, rows int, policy ReplacementPolicy) *GroupGame {
 	if !repaired {
 		t.Fatal("toy cell was not repaired")
 	}
-	return exp.NewGroupGame(cell, target, policy, exp.RowGroups(cell))
+	return exp.NewCellGameOfGroups(cell, target, policy, exp.RowGroups(cell))
 }
 
 // TestGroupWalkGoldenEquivalence is the group half of the tentpole's
-// golden contract: SampleAll over the GroupGame walk returns exactly the
+// golden contract: SampleAll over a row-group roster's walk returns exactly the
 // estimates of the clone-per-evaluation path, for both replacement
 // policies and both serial and parallel runs.
 func TestGroupWalkGoldenEquivalence(t *testing.T) {
@@ -100,7 +100,7 @@ func TestGroupWalkGoldenEquivalenceOverlapping(t *testing.T) {
 		{Name: "g2", Cells: []table.CellRef{{Row: 4, Col: 1}, {Row: 5, Col: 1}, shared}},
 	}
 	for _, policy := range []ReplacementPolicy{ReplaceWithNull, ReplaceFromColumn} {
-		game := exp.NewGroupGame(cell, target, policy, groups)
+		game := exp.NewCellGameOfGroups(cell, target, policy, groups)
 		opts := shapley.Options{Samples: 96, Seed: 23, Workers: 2}
 		fast, err := shapley.SampleAll(ctx, game, opts)
 		if err != nil {
@@ -182,7 +182,7 @@ func TestGroupWalkAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	game := exp.NewGroupGame(ll.CellOfInterest, table.String("Spain"), ReplaceWithNull, exp.RowGroups(ll.CellOfInterest))
+	game := exp.NewCellGameOfGroups(ll.CellOfInterest, table.String("Spain"), ReplaceWithNull, exp.RowGroups(ll.CellOfInterest))
 	w := game.NewWalk()
 	defer w.Close()
 	n := game.NumPlayers()

@@ -140,7 +140,7 @@ func TestScratchRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := game.getScratch()
-	defer game.putScratch(sc)
+	defer game.scratch.Put(sc)
 	if !sc.tbl.Equal(game.exp.Dirty) {
 		t.Fatalf("scratch not restored:\n%s\nvs dirty:\n%s", sc.tbl, game.exp.Dirty)
 	}
@@ -153,7 +153,7 @@ func TestScratchRestores(t *testing.T) {
 	}
 	w.Close()
 	sc2 := game.getScratch()
-	defer game.putScratch(sc2)
+	defer game.scratch.Put(sc2)
 	if !sc2.tbl.Equal(game.exp.Dirty) {
 		t.Fatal("walk scratch not restored on Close")
 	}
@@ -232,11 +232,11 @@ func TestCellWalkAllocs(t *testing.T) {
 }
 
 // TestGroupGameOverlappingGroupsRestore is the regression test for a
-// scratch-corruption bug: when two absent groups share a cell, the undo
-// list records the first mask's output as the second entry's "original",
-// so a forward-order restore left the pooled scratch permanently masked.
-// The LIFO restore must return the scratch to the dirty contents, and the
-// game must keep matching the clone-path semantics.
+// scratch-corruption bug: when two absent groups share a cell, an undo
+// list that records the first mask's output as the second entry's
+// "original" leaves the pooled scratch permanently masked. The restore
+// must return the scratch to the dirty contents, and the game must keep
+// matching the clone-path semantics.
 func TestGroupGameOverlappingGroupsRestore(t *testing.T) {
 	ctx := context.Background()
 	grid := make([][]string, 4)
@@ -263,7 +263,7 @@ func TestGroupGameOverlappingGroupsRestore(t *testing.T) {
 		{Name: "g0", Cells: []table.CellRef{shared, {Row: 2, Col: 1}}},
 		{Name: "g1", Cells: []table.CellRef{shared, {Row: 3, Col: 1}}}, // overlaps g0
 	}
-	game := exp.NewGroupGame(cell, target, ReplaceWithNull, groups)
+	game := exp.NewCellGameOfGroups(cell, target, ReplaceWithNull, groups)
 	coalition := []bool{false, false} // both groups absent: shared cell masked twice
 	want, err := game.Value(ctx, coalition)
 	if err != nil {

@@ -124,7 +124,7 @@ func TestGroupGameSurvivesSessionEdit(t *testing.T) {
 	cell := ll.CellOfInterest
 	target := table.String("Spain")
 	exp := sess.Explainer()
-	game := exp.NewGroupGame(cell, target, ReplaceWithNull, exp.RowGroups(cell))
+	game := exp.NewCellGameOfGroups(cell, target, ReplaceWithNull, exp.RowGroups(cell))
 	coalition := make([]bool, game.NumPlayers())
 	for i := range coalition {
 		coalition[i] = true
@@ -137,7 +137,7 @@ func TestGroupGameSurvivesSessionEdit(t *testing.T) {
 		t.Fatal(err)
 	}
 	freshExp := sess.Explainer()
-	fresh := freshExp.NewGroupGame(cell, target, ReplaceWithNull, freshExp.RowGroups(cell))
+	fresh := freshExp.NewCellGameOfGroups(cell, target, ReplaceWithNull, freshExp.RowGroups(cell))
 	for n := 0; n < 1<<len(coalition); n += 7 {
 		for i := range coalition {
 			coalition[i] = n&(1<<i) != 0
@@ -154,43 +154,4 @@ func TestGroupGameSurvivesSessionEdit(t *testing.T) {
 			t.Fatalf("coalition %b: stale game %v, fresh game %v", n, got, want)
 		}
 	}
-}
-
-// TestRestrictPlayersAfterEditRefreshesStats covers the narrower stale-
-// snapshot window: an edit landing between NewCellGame and RestrictPlayers
-// stamps the generation via RestrictPlayers, so sync alone would never
-// refresh the column statistics — RestrictPlayers must do it. Under
-// ReplaceFromColumn the stale distribution would silently bias every
-// masked draw.
-func TestRestrictPlayersAfterEditRefreshesStats(t *testing.T) {
-	ctx := context.Background()
-	ll := data.NewLaLiga()
-	sess, err := NewSession(repair.NewAlgorithm1(), ll.DCs, ll.Dirty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cell := ll.CellOfInterest
-	target := table.String("Spain")
-	exp := sess.Explainer()
-	game := exp.NewCellGame(cell, target, ReplaceFromColumn)
-	// The edit shifts the Country column's distribution decisively.
-	country := sess.Dirty().Schema().MustIndex("Country")
-	for row := 0; row < 3; row++ {
-		if err := sess.SetCell(table.CellRef{Row: row, Col: country}, table.String("Espana")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	game.RestrictPlayers(exp.RelevantCells(cell))
-	fresh := sess.Explainer().NewCellGame(cell, target, ReplaceFromColumn)
-	fresh.RestrictPlayers(exp.RelevantCells(cell))
-	opts := shapley.Options{Samples: 16, Seed: 9, Workers: 1}
-	got, err := shapley.SampleAll(ctx, game, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := shapley.SampleAll(ctx, fresh, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameEstimates(t, "restrict after edit", got, want)
 }

@@ -214,24 +214,15 @@ func CellRepaired(ctx context.Context, alg Algorithm, cs []*dc.Constraint, dirty
 // contract. A nil or one-worker pool and a nil plan are exactly
 // CellRepaired.
 func CellRepairedPlanned(ctx context.Context, alg Algorithm, cs []*dc.Constraint, dirty *table.Table, cell table.CellRef, target table.Value, pool *exec.Pool, plan dc.SetPlanner) (float64, error) {
-	sr, ok := alg.(ScratchRepairer)
-	if !ok {
-		clean, err := alg.Repair(ctx, cs, dirty)
-		if err != nil {
-			return 0, fmt.Errorf("repair: black box %s: %w", alg.Name(), err)
+	// A scratch repairer always runs in place, so a cold pool hands it a
+	// fresh clone rather than sending it down plain Repair.
+	var work *table.Table
+	if _, ok := alg.(ScratchRepairer); ok {
+		if work, _ = workPool.Get().(*table.Table); work == nil {
+			work = dirty.Clone()
 		}
-		return cellRepairedResult(alg, dirty, clean, cell, target)
 	}
-	work, _ := workPool.Get().(*table.Table)
-	var clean *table.Table
-	var err error
-	if pl, isPl := alg.(PlannedRepairer); isPl && plan != nil {
-		clean, err = pl.RepairIntoPlanned(ctx, cs, dirty, work, pool, plan)
-	} else if pr, isPar := alg.(PartitionedRepairer); isPar && pool.Workers() > 1 {
-		clean, err = pr.RepairIntoParallel(ctx, cs, dirty, work, pool)
-	} else {
-		clean, err = sr.RepairInto(ctx, cs, dirty, work)
-	}
+	clean, err := Dispatch(ctx, alg, cs, dirty, work, pool, plan)
 	if err != nil {
 		if work != nil {
 			workPool.Put(work)
@@ -239,8 +230,36 @@ func CellRepairedPlanned(ctx context.Context, alg Algorithm, cs []*dc.Constraint
 		return 0, fmt.Errorf("repair: black box %s: %w", alg.Name(), err)
 	}
 	out, err := cellRepairedResult(alg, dirty, clean, cell, target)
-	workPool.Put(clean)
+	if work != nil {
+		workPool.Put(clean)
+	}
 	return out, err
+}
+
+// Dispatch runs one repair of (cs, dirty) through the most specific
+// protocol alg implements: RepairIntoPlanned behind a non-nil plan,
+// RepairIntoParallel on a pool of more than one worker, RepairInto into a
+// caller's work table, and plain Repair otherwise. The protocols are
+// bit-identical by contract, so the choice only schedules the run. work may
+// be nil; a non-nil work table is refreshed from dirty, repaired in place
+// and returned.
+func Dispatch(ctx context.Context, alg Algorithm, cs []*dc.Constraint, dirty, work *table.Table, pool *exec.Pool, plan dc.SetPlanner) (*table.Table, error) {
+	if plan != nil {
+		if pl, ok := alg.(PlannedRepairer); ok {
+			return pl.RepairIntoPlanned(ctx, cs, dirty, work, pool, plan)
+		}
+	}
+	if pool.Workers() > 1 {
+		if pr, ok := alg.(PartitionedRepairer); ok {
+			return pr.RepairIntoParallel(ctx, cs, dirty, work, pool)
+		}
+	}
+	if work != nil {
+		if sr, ok := alg.(ScratchRepairer); ok {
+			return sr.RepairInto(ctx, cs, dirty, work)
+		}
+	}
+	return alg.Repair(ctx, cs, dirty)
 }
 
 // cellRepairedResult checks the repaired shape and reads off the binary

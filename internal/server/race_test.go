@@ -54,15 +54,19 @@ func raceDo(t *testing.T, client *http.Client, method, url string, body any) *ht
 // per-run repair state are sound; without -race it still exercises the
 // locking for deadlocks and non-2xx responses.
 func TestServerConcurrentSessions(t *testing.T) {
+	// Every production algorithm from the shared registry gets a session,
+	// plus a second session on the same algorithm to share pooled state.
+	algs := []string{"algorithm1", "holosim", "greedy-holistic", "fd-chase", "algorithm1"}
 	srv := New()
 	srv.ExplainSamples = 4 // keep explains cheap; we are testing safety, not accuracy
+	// One admission slot per session: every repair and explain may be in
+	// flight at once, and a 429 shed here would be a correct answer, not a
+	// race. Shedding has its own tests (TestSaturationReturns429, chaos).
+	srv.MaxInFlight = len(algs)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	client := ts.Client()
 
-	// Every production algorithm from the shared registry gets a session,
-	// plus a second session on the same algorithm to share pooled state.
-	algs := []string{"algorithm1", "holosim", "greedy-holistic", "fd-chase", "algorithm1"}
 	ids := make([]string, len(algs))
 	for i, alg := range algs {
 		resp := raceDo(t, client, http.MethodPost, ts.URL+"/api/session", map[string]string{

@@ -1,7 +1,7 @@
 // Metamorphic invariant suite: the Shapley axioms the paper's games must
 // satisfy regardless of black box, policy or execution engine. It lives in
-// an external test package so it can drive the *real* games (core.CellGame,
-// core.GroupGame) through the samplers — the package under test never
+// an external test package so it can drive the *real* game (core.CellGame,
+// over cells and over groups) through the samplers — the package under test never
 // imports core, preserving the black-box boundary.
 //
 //   - Efficiency: Σ_p φ_p = v(N) − v(∅). Exact computation satisfies it by
@@ -15,7 +15,7 @@
 //     under deterministic policies — and every sampled marginal is 0, so
 //     the estimate's variance is 0 too.
 //
-// Each invariant is checked across CellGame and GroupGame, both
+// Each invariant is checked across cell and group rosters, both
 // replacement policies, and cached (session engine) vs uncached execution,
 // asserting cached ≡ uncached bit-identically along the way.
 package shapley_test
@@ -85,32 +85,26 @@ func axiomGames(t *testing.T, e *core.Explainer, policy core.ReplacementPolicy) 
 		t.Fatal("fixture cell must be repaired")
 	}
 
-	cellGame := e.NewCellGame(cell, target, policy)
 	// Roster: the relevant cells plus one provably-null player — a D cell
-	// outside the target's row.
+	// outside the target's row — each its own one-cell group.
 	dummyRef := table.CellRef{Row: 2, Col: 2}
-	roster := append(e.RelevantCells(cell), dummyRef)
-	cellGame.RestrictPlayers(roster)
+	var cells []core.CellGroup
+	for _, ref := range append(e.RelevantCells(cell), dummyRef) {
+		cells = append(cells, core.CellGroup{Name: e.Dirty.RefName(ref), Cells: []table.CellRef{ref}})
+	}
+	cellGame := e.NewCellGameOfGroups(cell, target, policy, cells)
 	// Enroll deterministic evaluations in the session's shared coalition
 	// cache when the explainer carries an engine (a no-op for the uncached
 	// explainer and the stochastic policy) — the "cached engine" leg of the
 	// metamorphic matrix.
 	cellGame.BindSharedCache()
-	cellDummy := -1
-	for k, ref := range cellGame.Players() {
-		if ref == dummyRef {
-			cellDummy = k
-		}
-	}
-	if cellDummy < 0 {
-		t.Fatal("dummy cell missing from roster")
-	}
+	cellDummy := len(cells) - 1
 
 	groups := e.ColumnGroups(cell)
-	groupGame := e.NewGroupGame(cell, target, policy, groups)
+	groupGame := e.NewCellGameOfGroups(cell, target, policy, groups)
 	groupGame.BindSharedCache()
 	groupDummy := -1
-	for k, g := range groupGame.Groups() {
+	for k, g := range groups {
 		if g.Name == "col D" {
 			groupDummy = k
 		}

@@ -99,7 +99,7 @@ func (o Options) withDefaults() Options {
 
 // RandomnessFree is implemented by a game that can declare that neither
 // SampleValue nor its walks' Value ever reads the sampler's rng (the cell
-// and group games under the null policy). The only randomness of a
+// game, over cells or groups, under the null policy). The only randomness of a
 // SampleAll run over such a game is then the permutation draws, which is
 // what lets fanOut schedule single permutations across workers.
 type RandomnessFree interface {
