@@ -17,6 +17,10 @@ import (
 	"repro/internal/table"
 )
 
+// mustExplainer builds an explainer over the paper's table. Its engine
+// memoizes targets, reports and coalition values, so a benchmark that
+// repeats a call on it invalidates the engine every iteration to keep
+// measuring cold work.
 func mustExplainer(b *testing.B, alg repair.Algorithm) (*core.Explainer, *data.LaLiga) {
 	b.Helper()
 	ll := data.NewLaLiga()
@@ -34,6 +38,7 @@ func BenchmarkFigure1ConstraintShapley(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		exp.Engine.InvalidateCache()
 		if _, err := exp.ExplainConstraints(ctx, ll.CellOfInterest); err != nil {
 			b.Fatal(err)
 		}
@@ -60,6 +65,7 @@ func BenchmarkExample24CellShapley(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		exp.Engine.InvalidateCache()
 		if _, err := exp.ExplainCells(ctx, ll.CellOfInterest, core.CellExplainOptions{
 			Samples: 64, Seed: int64(i), Workers: 1,
 		}); err != nil {
@@ -77,7 +83,7 @@ func BenchmarkSamplingConvergence(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	game := shapley.NewCached(exp.NewConstraintGame(ll.CellOfInterest, target))
+	game := exp.Engine.CachedGame("convergence", exp.Dirty.Generation, exp.NewConstraintGame(ll.CellOfInterest, target))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := shapley.SampleAll(ctx, shapley.Deterministic{G: game}, shapley.Options{Samples: 1024, Seed: int64(i), Workers: 1}); err != nil {
@@ -134,6 +140,7 @@ func BenchmarkDemoCellDebug(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		exp.Engine.InvalidateCache()
 		if _, err := exp.ExplainCells(ctx, cell, core.CellExplainOptions{Samples: 64, Seed: int64(i), Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
@@ -222,7 +229,8 @@ func BenchmarkCoalitionCache(b *testing.B) {
 	b.Run("with", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			game := shapley.NewCached(exp.NewConstraintGame(ll.CellOfInterest, target))
+			exp.Engine.InvalidateCache()
+			game := exp.Engine.CachedGame("with", exp.Dirty.Generation, exp.NewConstraintGame(ll.CellOfInterest, target))
 			for p := 0; p < game.NumPlayers(); p++ {
 				if _, err := bench.ExactOne(ctx, game, p); err != nil {
 					b.Fatal(err)
@@ -249,6 +257,7 @@ func BenchmarkScaleRows(b *testing.B) {
 			ctx := context.Background()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				exp.Engine.InvalidateCache()
 				if _, err := exp.ExplainCells(ctx, cell, core.CellExplainOptions{Samples: 8, Seed: int64(i), Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
@@ -265,6 +274,7 @@ func BenchmarkHoloSimExplain(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		exp.Engine.InvalidateCache()
 		if _, err := exp.ExplainConstraints(ctx, ll.CellOfInterest); err != nil {
 			b.Fatal(err)
 		}

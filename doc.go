@@ -55,12 +55,13 @@
 //     (golden equivalence tests; that path survives behind
 //     core.CellGame.CloneEval for cross-validation and the */clone rows
 //     of trex-bench -perf).
-//   - Packed, sharded coalition cache (internal/shapley.Cached): coalition
-//     keys are uint64 bitmasks for ≤64 players (packed bytes above) spread
-//     over 64 lock shards, so exact constraint-game enumeration no longer
-//     serializes on one mutex, and violation scans reuse their hash
-//     buckets across scans of one table generation
-//     (internal/dc.ScanIndex, keyed on table.Generation).
+//   - Packed, sharded coalition cache (internal/exec.CoalitionCache, the
+//     only coalition-value cache; every core.Explainer carries an engine
+//     that owns one): coalition keys are uint64 bitmasks for ≤64 players
+//     (packed []uint64 words above) spread over 64 lock shards, so exact
+//     constraint-game enumeration does not serialize on one mutex, and
+//     violation scans reuse their hash buckets across scans of one table
+//     generation (internal/dc.ScanIndex, keyed on table.Generation).
 //   - In-place repair protocol (internal/repair.ScratchRepairer): the
 //     black boxes themselves no longer Clone() per run. RepairInto
 //     refreshes a pooled work table (table.CopyFrom logs per-cell deltas;
@@ -81,16 +82,17 @@
 // Above the evaluation fast path sits internal/exec: one Engine per
 // iterative session (core.Session constructs and owns it; every
 // Session.Explainer carries it) that owns the compute and cache all of the
-// session's hot paths draw from:
+// session's hot paths draw from. A stand-alone core.NewExplainer gets a
+// one-worker engine of its own, so every explainer runs the same cached,
+// transactional path:
 //
 //   - Shared coalition cache (exec.CoalitionCache): one generation-keyed
 //     cache spanning *all* of a session's games, keyed by (interned game
 //     descriptor, packed coalition) — a single uint64 bitmask up to 64
-//     players, packed []uint64 words above (allocation-free lookups; the
-//     same packed keys replaced the per-game cache's string fallback).
+//     players, packed []uint64 words above (allocation-free lookups).
 //     Above 64 players only the TopK racing rounds still bind, since they
 //     re-probe prefixes within one run.
-//     Where per-game caches died with their game, this one survives it:
+//     It is the only coalition-value cache, and it survives the game:
 //     the constraint ranking, the interaction matrix, the Banzhaf
 //     ablation, the why-not search and repeat explains of the same cell
 //     all enumerate the same characteristic function and hit each other's
@@ -145,7 +147,7 @@
 //     without materializing a clean table at all, Repair reconstructs
 //     clone-plus-patch. SetCell invalidates by generation; AddDC/RemoveDC
 //     re-key the descriptor (Engine.InvalidateCache). Golden tests pin
-//     replayed answers to engine-free runs for all four black boxes. The
+//     replayed answers to fresh-engine runs for all four black boxes. The
 //     same generation-stamped, Txn-staged memo holds the finished report
 //     entries of sampled cell and group explains per (game descriptor,
 //     Samples, Seed, Policy) — not Workers, which never changes an
@@ -173,7 +175,7 @@
 //     are deterministic per (coalition, generation) and the null policy
 //     consumes no RNG during evaluation, so cache participation can never
 //     change an estimate: Workers=1 ≡ Workers=N bit-identity and the
-//     golden equivalence to engine-free explainers both survive (tested).
+//     golden equivalence to fresh-engine explainers both survive (tested).
 //     Sampled and exact paths over the same player roster intern one
 //     descriptor, so a screen switch replays the other path's values.
 //     Stochastic (ReplaceFromColumn) games never bind: a realization must

@@ -142,7 +142,7 @@ func runVariance(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	game := shapley.NewCached(exp.NewConstraintGame(ll.CellOfInterest, target))
+	game := exp.Engine.CachedGame("variance/constraints", exp.Dirty.Generation, exp.NewConstraintGame(ll.CellOfInterest, target))
 	exact, err := shapley.ExactSubsets(ctx, game)
 	if err != nil {
 		return err

@@ -492,11 +492,12 @@ func perfScenarios(short bool, workers int) ([]perfScenario, error) {
 	// vs planned (see dcset.go).
 	out = append(out, dcsetScenarios(short)...)
 
-	// The >64-player coalition cache hit: the packed []uint64 key replacing
-	// the old string fallback (which allocated a key string per lookup).
+	// The >64-player coalition cache hit through the engine's shared cache,
+	// the one production coalition cache: the packed []uint64 key must not
+	// allocate per lookup.
 	out = append(out, perfScenario{name: "cache/wide/hit", bench: func(b *testing.B) {
 		n := 96
-		cached := shapley.NewCached(shapley.GameFunc{N: n, Fn: func(_ context.Context, c []bool) (float64, error) {
+		cached := exec.NewEngine(1).CachedGame("cache/wide/hit", func() uint64 { return 0 }, shapley.GameFunc{N: n, Fn: func(_ context.Context, c []bool) (float64, error) {
 			s := 0.0
 			for i, in := range c {
 				if in {
@@ -605,6 +606,9 @@ func perfScenarios(short bool, workers int) ([]perfScenario, error) {
 		out = append(out, perfScenario{name: "explain-cells/laliga/m=64", bench: func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				// Each explain starts cold: no memoized target, report or
+				// coalition value from the previous iteration.
+				exp.Engine.InvalidateCache()
 				if _, err := exp.ExplainCells(ctx, ll.CellOfInterest, core.CellExplainOptions{Samples: 64, Seed: int64(i), Workers: 1}); err != nil {
 					b.Fatal(err)
 				}

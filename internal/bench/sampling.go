@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dc"
+	"repro/internal/exec"
 	"repro/internal/repair"
 	"repro/internal/shapley"
 	"repro/internal/table"
@@ -46,7 +47,7 @@ func runConvergence(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cgame := shapley.NewCached(exp.NewConstraintGame(ll.CellOfInterest, target))
+	cgame := exp.Engine.CachedGame("convergence/constraints", exp.Dirty.Generation, exp.NewConstraintGame(ll.CellOfInterest, target))
 	cexact, err := shapley.ExactSubsets(ctx, cgame)
 	if err != nil {
 		return err
@@ -62,7 +63,7 @@ func runConvergence(w io.Writer) error {
 		return err
 	}
 	tgame := toy.NewCellGame(dirtyCell, ttarget, core.ReplaceWithNull)
-	texact, err := shapley.ExactSubsets(ctx, shapley.NewCached(tgame))
+	texact, err := shapley.ExactSubsets(ctx, toy.Engine.CachedGame("convergence/cells", toy.Dirty.Generation, tgame))
 	if err != nil {
 		return err
 	}
@@ -164,14 +165,15 @@ func runCache(w io.Writer) error {
 	uncached := *counter.calls
 
 	*counter.calls = 0
-	cached := shapley.NewCached(raw)
+	eng := exec.NewEngine(1)
+	cached := eng.CachedGame("cache-ablation", exp.Dirty.Generation, raw)
 	for p := 0; p < raw.NumPlayers(); p++ {
 		if _, err := ExactOne(ctx, cached, p); err != nil {
 			return err
 		}
 	}
 	withCache := *counter.calls
-	hits, misses := cached.Stats()
+	hits, misses := eng.CacheStats()
 
 	fmt.Fprintf(w, "black-box calls, ExactOne for all 4 DCs, no cache:   %d\n", uncached)
 	fmt.Fprintf(w, "black-box calls, ExactOne for all 4 DCs, with cache: %d (hits %d, misses %d)\n", withCache, hits, misses)

@@ -39,12 +39,12 @@ type Explainer struct {
 	DCs []*dc.Constraint
 	// Dirty is T_d.
 	Dirty *table.Table
-	// Engine, when set, is the session execution layer every hot path
-	// draws from: exact enumerations memoize coalition values in its
-	// *shared* generation-keyed cache (surviving this explainer and this
-	// game), and repairs fan disjoint-bucket passes across its bounded
-	// worker pool. Session.Explainer wires it; a nil Engine degrades to
-	// per-game caches and serial repair, preserving all semantics.
+	// Engine is the execution layer every hot path draws from: exact
+	// enumerations memoize coalition values in its *shared*
+	// generation-keyed cache (surviving this explainer and this game), and
+	// repairs fan disjoint-bucket passes across its bounded worker pool.
+	// Never nil: NewExplainer gives each explainer a one-worker engine of
+	// its own, and Session.Explainer wires the session's.
 	Engine *exec.Engine
 	// Plan, when set, is the compiled constraint-set query plan for
 	// (Dirty's schema, DCs): every black-box repair this explainer runs
@@ -65,7 +65,7 @@ type Explainer struct {
 	repairDescMemo string
 
 	// txn is the cache transaction of the public entry point currently
-	// running on this explainer (nil between calls, or without an engine).
+	// running on this explainer (nil between calls).
 	// Every store into the session's shared caches — coalition values,
 	// repair-target diffs — is staged here and only published when the
 	// entry point returns without error; cancellation, deadline expiry and
@@ -92,7 +92,7 @@ type Explainer struct {
 // (Target on the edit loop's screen refreshes) must not pay a closure
 // allocation or force the named error result to escape.
 func (e *Explainer) begin() bool {
-	if e.Engine == nil || e.entryOpen {
+	if e.entryOpen {
 		return false
 	}
 	e.entryOpen = true
@@ -146,19 +146,17 @@ func (e *Explainer) bind(desc string) *exec.Binding {
 	return e.Engine.Bind(desc, e.Dirty.Generation)
 }
 
-// pool returns the session worker pool (the nil serial pool without an
-// engine).
+// pool returns the engine's worker pool.
 func (e *Explainer) pool() *exec.Pool { return e.Engine.Pool() }
 
 // planner returns the compiled constraint-set plan, nil for unplanned
 // execution.
 func (e *Explainer) planner() dc.SetPlanner { return e.Plan }
 
-// cachedGame wraps a deterministic game with the session's shared
-// coalition cache under the given game descriptor, falling back to a
-// private per-game cache when the explainer has no engine. desc must come
-// from gameDesc so equal descriptors imply equal characteristic functions
-// at any fixed table generation.
+// cachedGame wraps a deterministic game with the engine's shared
+// coalition cache under the given game descriptor. desc must come from
+// gameDesc so equal descriptors imply equal characteristic functions at
+// any fixed table generation.
 func (e *Explainer) cachedGame(desc string, g shapley.Game) shapley.Game {
 	if t := e.liveTxn(); t != nil {
 		return t.CachedGame(desc, e.Dirty.Generation, g)
@@ -253,20 +251,17 @@ func (e *Explainer) repairDesc() string {
 
 // cachedRepairDiffs returns the memoized representation-exact clean-table
 // diff (table.DiffExact) of the full repair at the dirty table's current
-// generation, when a session engine is wired and a previous Repair/Target
-// stored one.
+// generation, when a previous Repair/Target stored one.
 func (e *Explainer) cachedRepairDiffs() ([]table.CellDiff, bool) {
 	if e.txn != nil {
 		return e.txn.RepairLookup(e.repairDesc(), e.Dirty.Generation())
 	}
-	rc := e.Engine.RepairTargets()
-	if rc == nil {
-		return nil, false
-	}
-	return rc.Lookup(e.repairDesc(), e.Dirty.Generation())
+	return e.Engine.RepairTargets().Lookup(e.repairDesc(), e.Dirty.Generation())
 }
 
-// NewExplainer validates the inputs and builds an Explainer.
+// NewExplainer validates the inputs and builds an Explainer with an engine
+// of its own: one worker, so repairs run serially, and empty caches that
+// it shares with no other explainer.
 func NewExplainer(alg repair.Algorithm, dcs []*dc.Constraint, dirty *table.Table) (*Explainer, error) {
 	if alg == nil {
 		return nil, fmt.Errorf("core: nil repair algorithm")
@@ -277,7 +272,7 @@ func NewExplainer(alg repair.Algorithm, dcs []*dc.Constraint, dirty *table.Table
 	if err := dc.ValidateSet(dcs, dirty.Schema()); err != nil {
 		return nil, err
 	}
-	return &Explainer{Alg: alg, DCs: dcs, Dirty: dirty}, nil
+	return &Explainer{Alg: alg, DCs: dcs, Dirty: dirty, Engine: exec.NewEngine(1)}, nil
 }
 
 // RepairDiff runs the black box on the full input and returns its answer
@@ -333,12 +328,7 @@ func (e *Explainer) repairExact(ctx context.Context) ([]table.CellDiff, error) {
 	if exact, ok := e.cachedRepairDiffs(); ok {
 		return exact, nil
 	}
-	rc := e.Engine.RepairTargets()
-	var desc string
-	var gen uint64
-	if rc != nil {
-		desc, gen = e.repairDesc(), e.Dirty.Generation()
-	}
+	desc, gen := e.repairDesc(), e.Dirty.Generation()
 	clean, err := repair.Dispatch(ctx, e.Alg, e.DCs, e.Dirty, nil, e.pool(), e.Plan)
 	if err != nil {
 		return nil, fmt.Errorf("core: repairing: %w", err)
@@ -350,13 +340,7 @@ func (e *Explainer) repairExact(ctx context.Context) ([]table.CellDiff, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rc != nil {
-		if t := e.liveTxn(); t != nil {
-			t.RepairStore(desc, gen, exact)
-		} else {
-			rc.Store(desc, gen, exact)
-		}
-	}
+	e.liveTxn().RepairStore(desc, gen, exact)
 	return exact, nil
 }
 

@@ -70,7 +70,7 @@ func TestSharedCacheAcrossReportKinds(t *testing.T) {
 
 	// The acceptance bar: the session-wide hit rate must be at least twice
 	// what one screen alone achieves (ExactSubsets evaluates each coalition
-	// once, so a per-game cache's first enumeration hits nothing).
+	// once, so one screen's first enumeration hits nothing).
 	perGame := float64(hits1) / float64(hits1+misses1)
 	shared := sess.Engine().HitRate()
 	if shared < 2*perGame || shared < 0.5 {
@@ -78,9 +78,21 @@ func TestSharedCacheAcrossReportKinds(t *testing.T) {
 	}
 }
 
-// TestSharedCacheInvalidatedBySetCell: after an edit, an engine-backed
-// explanation must match a fresh engine-free explainer bit-for-bit — no
-// coalition value computed before the generation bump may survive it.
+// freshExplain ranks the constraints for cell on a NewExplainer explainer
+// over the session's current state. Its engine is its own and starts
+// empty, so the answer shares no cached state with the session under
+// test.
+func freshExplain(ctx context.Context, s *Session, cell table.CellRef) (*Report, error) {
+	exp, err := NewExplainer(s.alg, s.dcs, s.dirty)
+	if err != nil {
+		return nil, err
+	}
+	return exp.ExplainConstraints(ctx, cell)
+}
+
+// TestSharedCacheInvalidatedBySetCell: after an edit, the session's
+// explanation must match freshExplain's bit-for-bit — no coalition value
+// computed before the generation bump may survive it.
 func TestSharedCacheInvalidatedBySetCell(t *testing.T) {
 	ctx := context.Background()
 	ll := data.NewLaLiga()
@@ -100,8 +112,7 @@ func TestSharedCacheInvalidatedBySetCell(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, gotErr := sess.Explainer().ExplainConstraints(ctx, cell)
-		fresh := &Explainer{Alg: sess.alg, DCs: sess.dcs, Dirty: sess.dirty}
-		want, wantErr := fresh.ExplainConstraints(ctx, cell)
+		want, wantErr := freshExplain(ctx, sess, cell)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("edit %d: error mismatch: %v vs %v", i, gotErr, wantErr)
 		}
@@ -115,9 +126,9 @@ func TestSharedCacheInvalidatedBySetCell(t *testing.T) {
 // TestSharedCacheHammer is the satellite's -race hammer: concurrent
 // engine-backed explains race a serialized editor (reader/writer
 // discipline, as the HTTP server enforces per session), and every explain
-// is cross-checked bit-for-bit against a fresh engine-free explainer under
-// the same read lock. Any stale cached coalition value surviving a
-// generation bump, or any data race in the shared cache/pool, fails here.
+// is cross-checked bit-for-bit against freshExplain under the same read
+// lock. Any stale cached coalition value surviving a generation bump, or
+// any data race in the shared cache/pool, fails here.
 func TestSharedCacheHammer(t *testing.T) {
 	ctx := context.Background()
 	ll := data.NewLaLiga()
@@ -146,8 +157,7 @@ func TestSharedCacheHammer(t *testing.T) {
 				}
 				mu.RLock()
 				got, gotErr := sess.Explainer().ExplainConstraints(ctx, cell)
-				fresh := &Explainer{Alg: sess.alg, DCs: sess.dcs, Dirty: sess.dirty}
-				want, wantErr := fresh.ExplainConstraints(ctx, cell)
+				want, wantErr := freshExplain(ctx, sess, cell)
 				mu.RUnlock()
 				if (gotErr == nil) != (wantErr == nil) {
 					errs <- fmt.Errorf("error mismatch: %v vs %v", gotErr, wantErr)
@@ -271,7 +281,10 @@ func TestDeltaWalkMarginalEquivalence(t *testing.T) {
 // names, and Value.String collapsing kinds.
 func TestGameDescInjective(t *testing.T) {
 	ll := data.NewLaLiga()
-	exp := &Explainer{Alg: repair.NewAlgorithm1(), DCs: ll.DCs, Dirty: ll.Dirty}
+	exp, err := NewExplainer(repair.NewAlgorithm1(), ll.DCs, ll.Dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
 	b := table.CellRef{Row: 0, Col: 1}
 	c := table.CellRef{Row: 0, Col: 2}
 	g1 := groupsDesc(ll.Dirty, []CellGroup{{Name: "x", Cells: []table.CellRef{b, c}}})
@@ -294,7 +307,7 @@ func TestGameDescInjective(t *testing.T) {
 
 // TestConstraintEditInvalidatesEngine: AddDC/RemoveDC re-key every game;
 // the engine must drop the orphaned coalition values (the leak fix) and
-// post-edit explains must match a fresh engine-free explainer.
+// post-edit explains must match freshExplain.
 func TestConstraintEditInvalidatesEngine(t *testing.T) {
 	ctx := context.Background()
 	ll := data.NewLaLiga()
@@ -311,8 +324,7 @@ func TestConstraintEditInvalidatesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, gotErr := sess.Explainer().ExplainConstraints(ctx, cell)
-	fresh := &Explainer{Alg: sess.alg, DCs: sess.dcs, Dirty: sess.dirty}
-	want, wantErr := fresh.ExplainConstraints(ctx, cell)
+	want, wantErr := freshExplain(ctx, sess, cell)
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("error mismatch after RemoveDC: %v vs %v", gotErr, wantErr)
 	}
@@ -323,8 +335,7 @@ func TestConstraintEditInvalidatesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, gotErr = sess.Explainer().ExplainConstraints(ctx, cell)
-	fresh = &Explainer{Alg: sess.alg, DCs: sess.dcs, Dirty: sess.dirty}
-	want, wantErr = fresh.ExplainConstraints(ctx, cell)
+	want, wantErr = freshExplain(ctx, sess, cell)
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("error mismatch after AddDC: %v vs %v", gotErr, wantErr)
 	}

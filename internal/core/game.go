@@ -45,7 +45,9 @@ type CellGame struct {
 	cell   table.CellRef
 	target table.Value
 	policy ReplacementPolicy
-	stats  *table.Stats
+	// stats holds the column distributions ReplaceFromColumn draws from;
+	// nil under the null policy, which never reads them.
+	stats *table.Stats
 	// groups are the caller's groups of a group roster, nil for a cell
 	// roster; only the shared-cache descriptor reads them.
 	groups []CellGroup
@@ -63,10 +65,10 @@ type CellGame struct {
 	snapGen uint64
 	// syncMu serializes re-snapshotting.
 	syncMu sync.Mutex
-	// shared is the game's handle on the session's shared coalition cache
-	// (nil without an engine). Only the deterministic null policy consults
-	// it: under ReplaceFromColumn a coalition's value is a random
-	// realization, which must never be memoized. Set by BindSharedCache.
+	// shared is the game's handle on the engine's shared coalition cache
+	// (nil until BindSharedCache enrolls the game). Only the deterministic
+	// null policy consults it: under ReplaceFromColumn a coalition's value
+	// is a random realization, which must never be memoized.
 	shared *exec.Binding
 }
 
@@ -163,8 +165,10 @@ func (e *Explainer) newCellGame(cell table.CellRef, target table.Value, policy R
 		cell:    cell,
 		target:  target,
 		policy:  policy,
-		stats:   table.NewStats(e.Dirty),
 		snapGen: e.Dirty.Generation(),
+	}
+	if policy == ReplaceFromColumn {
+		g.stats = table.NewStats(e.Dirty)
 	}
 	switch r.players {
 	case CellPlayers, RelevantCellPlayers:
@@ -176,7 +180,8 @@ func (e *Explainer) newCellGame(cell table.CellRef, target table.Value, policy R
 	return g
 }
 
-// sync re-snapshots the column statistics when the live dirty table was
+// sync re-snapshots the column statistics (if the policy keeps any) and
+// advances the game's snapshot generation when the live dirty table was
 // edited since the last snapshot (core.Session.SetCell between
 // evaluations). Pooled scratch clones from older generations are
 // discarded lazily by getScratch. Evaluations running concurrently with an
@@ -198,7 +203,9 @@ func (g *CellGame) sync() {
 	}
 	// Catch the stats snapshot up from the edit log (per-column deltas;
 	// equivalent to a full rebuild) instead of rebuilding wholesale.
-	g.stats.Sync(g.exp.Dirty)
+	if g.stats != nil {
+		g.stats.Sync(g.exp.Dirty)
+	}
 	atomic.StoreUint64(&g.snapGen, cur)
 }
 
@@ -219,13 +226,13 @@ func (g *CellGame) getScratch() *gameScratch {
 
 // BindSharedCache enrolls the game's deterministic coalition evaluations —
 // Value, and the null-policy walk values driven by SampleAll and TopK — in
-// the session's shared coalition cache. The descriptor folds in the cell,
-// target and the exact roster (positional keys); a nil engine or a
-// stochastic policy leaves the game unbound. Values are deterministic per
-// (coalition, generation), so cache participation can never change an
-// estimate — in particular the Workers=1 ≡ Workers=N bit-identity of the
-// samplers is preserved (no RNG draw is skipped: the null policy consumes
-// none during Value).
+// the engine's shared coalition cache. The descriptor folds in the cell,
+// target and the exact roster (positional keys); a stochastic policy
+// leaves the game unbound. Values are deterministic per (coalition,
+// generation), so cache participation can never change an estimate — in
+// particular the Workers=1 ≡ Workers=N bit-identity of the samplers is
+// preserved (no RNG draw is skipped: the null policy consumes none during
+// Value).
 func (g *CellGame) BindSharedCache() {
 	if g.policy != ReplaceWithNull {
 		return

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/data"
 	"repro/internal/dc"
 	"repro/internal/repair"
 	"repro/internal/shapley"
@@ -204,6 +205,30 @@ func TestCellGameEvalAllocs(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("pooled scratch eval allocates %.1f per op, want 0", got)
+	}
+}
+
+// TestNewCellGameNullAllocsFlat: under the null policy a cell game builds
+// no column statistics, so building one costs a fixed number of
+// allocations (the roster's cell list and its layout slices) however many
+// rows the table has.
+func TestNewCellGameNullAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	allocs := func(teams int) float64 {
+		dirty := data.GenerateSoccer(data.SoccerConfig{Leagues: 4, TeamsPerLeague: teams, Seed: 17})
+		cs := data.SoccerDCs()
+		exp, err := NewExplainer(repair.NewRuleRepair(cs), cs, dirty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell := table.CellRef{Row: 5, Col: dirty.Schema().MustIndex("Country")}
+		target := dirty.GetRef(cell)
+		return testing.AllocsPerRun(20, func() { exp.NewCellGame(cell, target, ReplaceWithNull) })
+	}
+	if small, large := allocs(12), allocs(48); small != large {
+		t.Errorf("NewCellGame allocates %.0f at 48 rows and %.0f at 192 rows, want equal", small, large)
 	}
 }
 

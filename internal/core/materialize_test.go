@@ -30,7 +30,7 @@ func sameDiffs(t *testing.T, label string, got, want []table.CellDiff) {
 // TestRepairTargetCacheGolden is the repair-target materialization's
 // bit-identity contract: repeat Repair and Target calls on a session
 // explainer replay the memoized diff, and every replayed answer matches
-// the engine-free reference exactly.
+// the fresh-engine reference exactly.
 func TestRepairTargetCacheGolden(t *testing.T) {
 	ctx := context.Background()
 	ll := data.NewLaLiga()
@@ -143,7 +143,7 @@ func TestRepairTargetCacheRepresentationExact(t *testing.T) {
 // TestRepairTargetCacheInvalidation: a SetCell bumps the generation (the
 // cached diff must not be replayed against the edited table), and
 // AddDC/RemoveDC re-key the descriptor; in both cases the next answer must
-// match a fresh engine-free run.
+// match a fresh-engine run.
 func TestRepairTargetCacheInvalidation(t *testing.T) {
 	ctx := context.Background()
 	ll := data.NewLaLiga()
@@ -243,7 +243,7 @@ func wideLaLiga(t *testing.T) *table.Table {
 
 // TestCacheAwareSamplingGolden is the bit-identity contract of sampled
 // explains on a session: with the shared coalition cache and the Memo
-// they produce exactly the engine-free estimates, cold or warm, for
+// they produce exactly the fresh-engine estimates, cold or warm, for
 // Workers=1, Workers=4 and a Workers change between the two calls, over a
 // narrow (cache-bound) roster and a wide (unbound) one. The warm call is
 // served from the Memo without running the black box once.
@@ -344,7 +344,7 @@ func TestCacheAwareSamplingTopKAndGroupsGolden(t *testing.T) {
 
 	// The exact group path shares the same descriptor space: running it
 	// after the sampled path must reuse coalition values (strictly more
-	// hits), and stay bit-identical to the engine-free exact report.
+	// hits), and stay bit-identical to the fresh-engine exact report.
 	hitsBefore, _ := sess.Engine().CacheStats()
 	exactGroups := Query{Cell: cell, Players: GroupPlayers, Groups: groups[:6], Estimator: AutoShapley}
 	wantExact, err := bare.Explain(ctx, exactGroups)
@@ -362,7 +362,7 @@ func TestCacheAwareSamplingTopKAndGroupsGolden(t *testing.T) {
 }
 
 // TestCacheAwareSamplingEditInvalidation: estimates after a session edit
-// must match a fresh engine-free explainer on the edited table — no stale
+// must match a fresh-engine explainer on the edited table — no stale
 // coalition value may survive the generation bump into the sampled paths.
 func TestCacheAwareSamplingEditInvalidation(t *testing.T) {
 	ctx := context.Background()
@@ -483,7 +483,7 @@ func TestSampledWorkerDeterminismWithSharedCache(t *testing.T) {
 
 // TestCacheAwareSamplingStochasticUnbound: ReplaceFromColumn games must
 // not enroll in the shared cache (their values are random realizations),
-// and their estimates must stay bit-identical to the engine-free run.
+// and their estimates must stay bit-identical to the fresh-engine run.
 func TestCacheAwareSamplingStochasticUnbound(t *testing.T) {
 	ctx := context.Background()
 	ll := data.NewLaLiga()
@@ -539,7 +539,7 @@ func TestCacheAwareSamplingStochasticUnbound(t *testing.T) {
 
 // TestSampledMemoInvalidation: a SetCell, an AddDC and a RemoveDC each
 // make the next sampled explain recompute — it runs the black box again
-// and answers like an engine-free explainer over the edited session — and
+// and answers like a fresh-engine explainer over the edited session — and
 // the repeat after each is served from the Memo again.
 func TestSampledMemoInvalidation(t *testing.T) {
 	ctx := context.Background()

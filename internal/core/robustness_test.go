@@ -197,7 +197,7 @@ func TestAbortDuringTargetResolution(t *testing.T) {
 		}
 	}
 
-	// Golden rerun against an engine-free explainer (the canonical result).
+	// Golden rerun against a fresh-engine explainer (the canonical result).
 	got, err := sess.Explainer().ExplainConstraints(context.Background(), cell)
 	if err != nil {
 		t.Fatal(err)

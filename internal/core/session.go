@@ -89,9 +89,7 @@ func (s *Session) refreshPlan() {
 }
 
 // planFor returns the compiled plan for (schema, cs), memoized in the
-// engine's plan cache under (schema identity, DC-set fingerprint). With
-// a nil engine the plan is compiled fresh each call — still correct,
-// just unmemoized.
+// engine's plan cache under (schema identity, DC-set fingerprint).
 func planFor(e *exec.Engine, schema *table.Schema, cs []*dc.Constraint) *plan.Plan {
 	pc := e.Plans()
 	key := exec.PlanKey{Schema: schema, Fingerprint: plan.Fingerprint(cs)}

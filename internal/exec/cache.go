@@ -16,18 +16,17 @@ import (
 func floatBits(v float64) uint64 { return math.Float64bits(v) }
 
 // cacheShards is the lock-striping factor of the shared cache; must be a
-// power of two. Matches the per-game cache's striping so exact-enumeration
-// fan-out never serializes on one mutex.
+// power of two. 64 shards keep exact-enumeration fan-out from serializing
+// on one mutex at any realistic worker count.
 const cacheShards = 64
 
 // CoalitionCache memoizes deterministic coalition values across *all* of a
 // session's games, keyed by (gameID, packed coalition) and stamped with
-// the table generation the value was computed at. Where the per-game
-// shapley.Cached is built and discarded with its game, this cache survives
-// the game: re-explaining a cell, switching between the constraint and the
-// interaction screen, or re-running an exact group report after an
-// unrelated edit was rolled back all hit values an earlier game already
-// paid a black-box run for.
+// the table generation the value was computed at. It is the system's only
+// coalition-value cache, and it survives the game: re-explaining a cell,
+// switching between the constraint and the interaction screen, or
+// re-running an exact group report after an unrelated edit was rolled back
+// all hit values an earlier game already paid a black-box run for.
 //
 // Invalidation is by generation, lazily per shard: the first lookup
 // carrying a new generation clears the shard, so Session.SetCell costs
@@ -75,8 +74,9 @@ func NewCoalitionCache() *CoalitionCache {
 	return c
 }
 
-// mix64 is the SplitMix64 finalizer (same scrambler as the per-game
-// cache), so shard selection sees every key bit.
+// mix64 is the SplitMix64 finalizer: a cheap bijective scrambler, so shard
+// selection sees every key bit (low bits alone would put the small
+// coalitions of an enumeration in a handful of shards).
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -116,6 +116,43 @@ func packNarrow(coalition []bool) uint64 {
 	return bits
 }
 
+// appendPacked appends the coalition's packed 64-bit membership words to
+// dst and returns the extended slice: player i is bit i%64 of word i/64.
+// It is the allocation-free wide-coalition key.
+//
+//lint:hotpath
+func appendPacked(dst []uint64, coalition []bool) []uint64 {
+	var word uint64
+	shift := uint(0)
+	for _, in := range coalition {
+		if in {
+			word |= 1 << shift
+		}
+		shift++
+		if shift == 64 {
+			dst = append(dst, word)
+			word, shift = 0, 0
+		}
+	}
+	if shift > 0 {
+		dst = append(dst, word)
+	}
+	return dst
+}
+
+// hashPacked hashes packed membership words (FNV-1a over the words,
+// finalized by mix64). Coalitions of one game always have the same
+// length, so the word count needs no separate mixing.
+//
+//lint:hotpath
+func hashPacked(words []uint64) uint64 {
+	h := uint64(14695981039346656037)
+	for _, word := range words {
+		h = (h ^ word) * 1099511628211
+	}
+	return mix64(h)
+}
+
 // wideStackWords sizes the stack buffer the wide-coalition paths pack
 // into: Binding packs a coalition once per operation and probes the
 // staging area and the shared cache with the same words, instead of each
@@ -133,8 +170,8 @@ func (c *CoalitionCache) Lookup(game, gen uint64, coalition []bool) (float64, bo
 		return c.lookupNarrow(game, gen, packNarrow(coalition))
 	}
 	var buf [wideStackWords]uint64
-	words := shapley.AppendPacked(buf[:0], coalition)
-	return c.lookupWide(game, gen, shapley.HashPacked(words)^mix64(game), words)
+	words := appendPacked(buf[:0], coalition)
+	return c.lookupWide(game, gen, hashPacked(words)^mix64(game), words)
 }
 
 // lookupNarrow is Lookup for a pre-packed ≤64-player coalition.
@@ -157,7 +194,7 @@ func (c *CoalitionCache) lookupNarrow(game, gen, bits uint64) (float64, bool) {
 }
 
 // lookupWide is Lookup for a pre-packed >64-player coalition; h must be
-// HashPacked(words)^mix64(game).
+// hashPacked(words)^mix64(game).
 func (c *CoalitionCache) lookupWide(game, gen, h uint64, words []uint64) (float64, bool) {
 	s := &c.shards[h&(cacheShards-1)]
 	s.mu.Lock()
@@ -186,7 +223,7 @@ func (c *CoalitionCache) Store(game, gen uint64, coalition []bool, v float64) {
 		c.storeNarrow(game, gen, packNarrow(coalition), v)
 		return
 	}
-	c.storeWide(game, gen, shapley.AppendPacked(nil, coalition), v)
+	c.storeWide(game, gen, appendPacked(nil, coalition), v)
 }
 
 // storeNarrow stores a pre-packed ≤64-player coalition value (the direct
@@ -203,7 +240,7 @@ func (c *CoalitionCache) storeNarrow(game, gen, bits uint64, v float64) {
 
 // storeWide stores a pre-packed >64-player coalition value.
 func (c *CoalitionCache) storeWide(game, gen uint64, words []uint64, v float64) {
-	c.storeWideH(game, gen, shapley.HashPacked(words)^mix64(game), words, v)
+	c.storeWideH(game, gen, hashPacked(words)^mix64(game), words, v)
 }
 
 // storeWideH is storeWide with the chain key precomputed; h as in
@@ -321,11 +358,8 @@ type Binding struct {
 }
 
 // Bind interns desc (see GameID for the descriptor contract) and returns
-// the game's cache binding; nil on a nil engine.
+// the game's cache binding.
 func (e *Engine) Bind(desc string, gen func() uint64) *Binding {
-	if e == nil {
-		return nil
-	}
 	return &Binding{cache: e.cache, id: e.GameID(desc), gen: gen}
 }
 
@@ -353,8 +387,8 @@ func (b *Binding) lookupAt(gen uint64, coalition []bool) (float64, bool) {
 		return b.cache.lookupNarrow(b.id, gen, bits)
 	}
 	var buf [wideStackWords]uint64
-	words := shapley.AppendPacked(buf[:0], coalition)
-	h := shapley.HashPacked(words) ^ mix64(b.id)
+	words := appendPacked(buf[:0], coalition)
+	h := hashPacked(words) ^ mix64(b.id)
 	if v, ok := b.txn.stagedWide(b.id, gen, h, words); ok {
 		return v, ok
 	}
@@ -399,8 +433,8 @@ func (b *Binding) Store(gen uint64, coalition []bool, v float64) {
 		return
 	}
 	var buf [wideStackWords]uint64
-	words := shapley.AppendPacked(buf[:0], coalition)
-	h := shapley.HashPacked(words) ^ mix64(b.id)
+	words := appendPacked(buf[:0], coalition)
+	h := hashPacked(words) ^ mix64(b.id)
 	if b.txn != nil {
 		b.txn.stageWide(b.id, gen, h, words, v)
 		return

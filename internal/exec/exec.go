@@ -1,19 +1,21 @@
 // Package exec is the session-scoped execution layer of the T-REx engine:
 // one Engine per iterative session owns the compute and cache every hot
-// path of that session draws from.
+// path of that session draws from. Every core.Explainer carries an
+// engine — a session's, or a one-worker engine of its own from
+// core.NewExplainer — so no path runs without one.
 //
 //   - Pool: a bounded worker pool. Repair black boxes use it to fan
 //     disjoint-bucket passes (full violation derivations, FD-chase group
 //     fixes) across cores via repair.PartitionedRepairer; the budget is
 //     global to the session, so nested parallelism — sampler workers each
 //     running a parallel repair — cannot oversubscribe the machine.
-//   - CoalitionCache: one generation-keyed coalition-value cache shared by
-//     all of a session's games. Keys are (gameID, packed coalition), with
-//     packed []uint64 words above 64 players (the TopK racing rounds,
-//     which re-probe prefixes within one run); a bump of the session
-//     table's mutation counter (table.Generation, driven by
-//     core.Session.SetCell) invalidates every entry lazily instead of the
-//     per-game caches being discarded wholesale between explains.
+//   - CoalitionCache: the one coalition-value cache, generation-keyed and
+//     shared by all of a session's games. Keys are (gameID, packed
+//     coalition), with packed []uint64 words above 64 players (the TopK
+//     racing rounds, which re-probe prefixes within one run); a bump of
+//     the session table's mutation counter (table.Generation, driven by
+//     core.Session.SetCell) invalidates every entry lazily, so nothing is
+//     discarded wholesale between explains.
 //   - Engine: glues the two together and interns stable game IDs from game
 //     descriptors, so re-explaining the same cell after an unrelated
 //     screen reuses every coalition value already paid for.
@@ -45,9 +47,8 @@ import (
 )
 
 // Engine is one session's execution context. Safe for concurrent use; the
-// zero value is not usable — construct with NewEngine. A nil *Engine is a
-// valid "no engine" value: Pool returns nil (serial) and CachedGame falls
-// back to a private per-game cache.
+// zero value is not usable — construct with NewEngine. Every
+// core.Explainer carries one, so its methods take a non-nil receiver.
 type Engine struct {
 	pool  *Pool
 	cache *CoalitionCache
@@ -70,44 +71,21 @@ func NewEngine(workers int) *Engine {
 	}
 }
 
-// Pool returns the engine's worker pool; nil (the serial pool) on a nil
-// engine.
-func (e *Engine) Pool() *Pool {
-	if e == nil {
-		return nil
-	}
-	return e.pool
-}
+// Pool returns the engine's worker pool.
+func (e *Engine) Pool() *Pool { return e.pool }
 
-// Workers returns the pool's worker budget; 1 on a nil engine.
-func (e *Engine) Workers() int { return e.Pool().Workers() }
+// Workers returns the pool's worker budget.
+func (e *Engine) Workers() int { return e.pool.Workers() }
 
-// Cache returns the engine's shared coalition cache; nil on a nil engine.
-func (e *Engine) Cache() *CoalitionCache {
-	if e == nil {
-		return nil
-	}
-	return e.cache
-}
+// Cache returns the engine's shared coalition cache.
+func (e *Engine) Cache() *CoalitionCache { return e.cache }
 
 // RepairTargets returns the engine's result memo, which holds the repair
-// targets and the sampled reports' entries; nil on a nil engine (a nil *Memo is a
-// valid always-miss memo).
-func (e *Engine) RepairTargets() *Memo {
-	if e == nil {
-		return nil
-	}
-	return e.memo
-}
+// targets and the sampled reports' entries.
+func (e *Engine) RepairTargets() *Memo { return e.memo }
 
-// Plans returns the engine's compiled-plan cache; nil on a nil engine
-// (a nil *PlanCache is a valid always-miss cache).
-func (e *Engine) Plans() *PlanCache {
-	if e == nil {
-		return nil
-	}
-	return e.plans
-}
+// Plans returns the engine's compiled-plan cache.
+func (e *Engine) Plans() *PlanCache { return e.plans }
 
 // GameID interns a stable identifier for a game descriptor. Descriptors
 // must identify the game's characteristic function up to the table
@@ -145,11 +123,8 @@ func (e *Engine) GameID(desc string) uint64 {
 // constraint edits: AddDC and RemoveDC change every game and repair
 // descriptor without touching the table generation, so the previous
 // descriptors' entries would otherwise accumulate unreachably for the
-// session's lifetime. No-op on a nil engine.
+// session's lifetime.
 func (e *Engine) InvalidateCache() {
-	if e == nil {
-		return
-	}
 	e.mu.Lock()
 	clear(e.ids)
 	e.mu.Unlock()
@@ -160,24 +135,13 @@ func (e *Engine) InvalidateCache() {
 
 // CachedGame wraps g with the engine's shared coalition cache under the
 // descriptor's interned game ID; gen supplies the current table generation
-// (normally table.Generation of the session's dirty table). On a nil
-// engine it degrades to a private shapley.Cached, preserving the memoized
-// semantics without sharing.
+// (normally table.Generation of the session's dirty table).
 func (e *Engine) CachedGame(desc string, gen func() uint64, g shapley.Game) shapley.Game {
-	if e == nil {
-		return shapley.NewCached(g)
-	}
 	return &CachedGame{b: e.Bind(desc, gen), g: g}
 }
 
-// CacheStats reports the shared cache's cumulative hits and misses; zero
-// on a nil engine.
-func (e *Engine) CacheStats() (hits, misses uint64) {
-	if e == nil {
-		return 0, 0
-	}
-	return e.cache.Stats()
-}
+// CacheStats reports the shared cache's cumulative hits and misses.
+func (e *Engine) CacheStats() (hits, misses uint64) { return e.cache.Stats() }
 
 // HitRate returns hits/(hits+misses) of the shared cache, 0 before any
 // lookup.

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -137,8 +139,6 @@ func TestCoalitionCacheClearAndInvalidate(t *testing.T) {
 	if b := e.GameID("d"); b == a {
 		t.Fatal("interning table must reset with the cache")
 	}
-	var nilEngine *Engine
-	nilEngine.InvalidateCache() // must not panic
 }
 
 func TestCoalitionCacheWideKeys(t *testing.T) {
@@ -212,22 +212,14 @@ func TestCachedGameSharesAcrossGames(t *testing.T) {
 	}
 }
 
-func TestNilEngineFallsBack(t *testing.T) {
-	var e *Engine
-	if e.Pool() != nil || e.Workers() != 1 {
-		t.Error("nil engine must expose the serial pool")
-	}
-	g := e.CachedGame("x", func() uint64 { return 0 }, shapley.GameFunc{N: 2, Fn: func(context.Context, []bool) (float64, error) { return 1, nil }})
-	if v, err := g.Value(context.Background(), []bool{true, false}); err != nil || v != 1 {
-		t.Fatalf("fallback cached game broken: %v %v", v, err)
-	}
-	if hits, misses := e.CacheStats(); hits != 0 || misses != 0 {
-		t.Error("nil engine stats must be zero")
-	}
-}
-
+// TestCoalitionCacheConcurrent hammers the shards from eight goroutines
+// over three games. Every stored value is a function of (game,
+// coalition), so a hit that returns anything else is an entry served
+// under the wrong key.
 func TestCoalitionCacheConcurrent(t *testing.T) {
 	cache := NewCoalitionCache()
+	value := func(game uint64, i int) float64 { return float64(game<<12 | uint64(i)) }
+	var wrong atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -240,20 +232,134 @@ func TestCoalitionCacheConcurrent(t *testing.T) {
 				}
 				game := uint64(w % 3)
 				if v, ok := cache.Lookup(game, 1, coalition); ok {
-					if v != float64(i%7) && v != float64((i+int(game))%7) {
-						// Values are per-(game, coalition); just exercise
-						// the path — correctness is checked below.
-						_ = v
+					if v != value(game, i) {
+						wrong.Add(1)
 					}
 					continue
 				}
-				cache.Store(game, 1, coalition, float64(i))
+				cache.Store(game, 1, coalition, value(game, i))
 			}
 		}(w)
 	}
 	wg.Wait()
+	if n := wrong.Load(); n != 0 {
+		t.Fatalf("%d hits returned a value stored under another key", n)
+	}
 	hits, misses := cache.Stats()
 	if hits+misses != 8*4096 {
 		t.Fatalf("lookups = %d, want %d", hits+misses, 8*4096)
+	}
+	if hits == 0 {
+		t.Fatal("eight workers over three games must share entries")
+	}
+}
+
+// TestCachedGameErrorNotCached: a failing evaluation is not memoized, so
+// the next call evaluates again.
+func TestCachedGameErrorNotCached(t *testing.T) {
+	boom := errors.New("boom")
+	fail := true
+	calls := 0
+	g := NewEngine(1).CachedGame("flaky", func() uint64 { return 1 }, shapley.GameFunc{N: 2, Fn: func(context.Context, []bool) (float64, error) {
+		calls++
+		if fail {
+			return 0, boom
+		}
+		return 1, nil
+	}})
+	coalition := []bool{true, false}
+	if _, err := g.Value(context.Background(), coalition); !errors.Is(err, boom) {
+		t.Fatal("error must propagate")
+	}
+	fail = false
+	v, err := g.Value(context.Background(), coalition)
+	if err != nil || v != 1 || calls != 2 {
+		t.Fatalf("after recovery: %v, %v, %d calls — errors must not be cached", v, err, calls)
+	}
+	if _, err := g.Value(context.Background(), coalition); err != nil || calls != 2 {
+		t.Fatalf("a successful value must be cached: %v, %d calls", err, calls)
+	}
+}
+
+// TestPackNarrow checks the ≤64-player key keeps every membership bit.
+func TestPackNarrow(t *testing.T) {
+	a := []bool{true, false, true, false, false, false, false, false, true}
+	if packNarrow(a) != 0b100000101 {
+		t.Errorf("packNarrow = %b", packNarrow(a))
+	}
+	if packNarrow(nil) != 0 {
+		t.Error("empty coalition must pack to 0")
+	}
+	full := make([]bool, 64)
+	full[63] = true
+	if packNarrow(full) != 1<<63 {
+		t.Error("bit 63 must be representable")
+	}
+}
+
+func TestAppendPackedWords(t *testing.T) {
+	a := appendPacked(nil, []bool{true, false, true})
+	if len(a) != 1 || a[0] != 0b101 {
+		t.Errorf("appendPacked = %b", a)
+	}
+	if appendPacked(nil, nil) != nil {
+		t.Error("empty coalition must pack to no words")
+	}
+	// 65 players spill into a second word.
+	long := make([]bool, 65)
+	long[64] = true
+	words := appendPacked(nil, long)
+	if len(words) != 2 || words[0] != 0 || words[1] != 1 {
+		t.Errorf("bit 64 must land in word 1: %b", words)
+	}
+	// Reuse must overwrite, not append blindly.
+	scratch := make([]uint64, 0, 4)
+	w1 := appendPacked(scratch, long)
+	w2 := appendPacked(w1[:0], []bool{true})
+	if len(w2) != 1 || w2[0] != 1 {
+		t.Errorf("scratch reuse broken: %b", w2)
+	}
+	// Distinct coalitions must hash apart (not a guarantee, but these tiny
+	// cases must not collide) and equal ones identically.
+	hash := func(c []bool) uint64 { return hashPacked(appendPacked(nil, c)) }
+	h1 := hash([]bool{true, false, true})
+	h2 := hash([]bool{true, true, true})
+	h3 := hash([]bool{true, false, true})
+	if h1 == h2 {
+		t.Error("distinct coalitions hashed identically")
+	}
+	if h1 != h3 {
+		t.Error("equal coalitions must hash identically")
+	}
+	if hash(long) == hash(make([]bool, 65)) {
+		t.Error("bit 64 must be represented in the hash")
+	}
+}
+
+// BenchmarkCachedGameValue measures a shared-cache hit through a
+// CachedGame, at 16 players (one packed word) and at 96 (the wide key,
+// which must not allocate).
+func BenchmarkCachedGameValue(b *testing.B) {
+	for _, n := range []int{16, 96} {
+		b.Run(fmt.Sprintf("players=%d", n), func(b *testing.B) {
+			g := NewEngine(1).CachedGame("bench", func() uint64 { return 1 }, shapley.GameFunc{N: n, Fn: func(context.Context, []bool) (float64, error) {
+				return 1, nil
+			}})
+			coalition := make([]bool, n)
+			for i := range coalition {
+				coalition[i] = i%3 == 0
+			}
+			ctx := context.Background()
+			if _, err := g.Value(ctx, coalition); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := g.Value(ctx, coalition); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

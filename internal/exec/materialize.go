@@ -84,12 +84,9 @@ func NewMemo() *Memo {
 
 // Lookup returns the memoized repair diff for desc at generation gen. The
 // returned slice is owned by the memo and must be treated as read-only;
-// ok is false on a nil memo, an unknown descriptor, or a generation
-// mismatch (the table was edited since the diff was stored).
+// ok is false on an unknown descriptor or a generation mismatch (the
+// table was edited since the diff was stored).
 func (c *Memo) Lookup(desc string, gen uint64) ([]table.CellDiff, bool) {
-	if c == nil {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.lookup(desc, gen, memoDiffs)
@@ -104,9 +101,6 @@ func (c *Memo) Lookup(desc string, gen uint64) ([]table.CellDiff, bool) {
 // LookupEntries returns the memoized report entries for desc at
 // generation gen, read-only like Lookup's diffs.
 func (c *Memo) LookupEntries(desc string, gen uint64) ([]shapley.Entry, bool) {
-	if c == nil {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.lookup(desc, gen, memoEntries)
@@ -128,13 +122,13 @@ func (c *Memo) lookup(desc string, gen uint64, kind memoKind) (memoEntry, bool) 
 }
 
 // Store memoizes the repair diff for desc at generation gen. The diff is
-// copied; no-op on a nil memo.
+// copied.
 func (c *Memo) Store(desc string, gen uint64, diffs []table.CellDiff) {
 	c.store(desc, diffsEntry(gen, diffs))
 }
 
 // StoreEntries memoizes the report entries for desc at generation gen.
-// The slice is copied; no-op on a nil memo.
+// The slice is copied.
 func (c *Memo) StoreEntries(desc string, gen uint64, entries []shapley.Entry) {
 	c.store(desc, entriesEntry(gen, entries))
 }
@@ -150,9 +144,6 @@ func entriesEntry(gen uint64, entries []shapley.Entry) memoEntry {
 // store publishes one owned entry under the generation rules of the type
 // comment.
 func (c *Memo) store(desc string, e memoEntry) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	switch {
@@ -171,9 +162,6 @@ func (c *Memo) store(desc string, e memoEntry) {
 // Len returns the number of memoized entries (test and diagnostics
 // introspection; zero after an aborted explain that started cold).
 func (c *Memo) Len() int {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
@@ -181,9 +169,6 @@ func (c *Memo) Len() int {
 
 // Clear drops every entry (hit/miss statistics survive).
 func (c *Memo) Clear() {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	clear(c.entries)
 	c.mu.Unlock()
@@ -191,9 +176,6 @@ func (c *Memo) Clear() {
 
 // Stats returns cumulative hits and misses of repair-target lookups.
 func (c *Memo) Stats() (hits, misses uint64) {
-	if c == nil {
-		return 0, 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
@@ -203,9 +185,6 @@ func (c *Memo) Stats() (hits, misses uint64) {
 // (LookupEntries), kept apart from Stats so its repair-target ratio keeps
 // its meaning.
 func (c *Memo) EntryStats() (hits, misses uint64) {
-	if c == nil {
-		return 0, 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.entryHits, c.entryMisses

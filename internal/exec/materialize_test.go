@@ -89,23 +89,21 @@ func TestRepairCacheBounded(t *testing.T) {
 	}
 }
 
+// TestRepairCacheNilSafe: outside an entry point there is no transaction,
+// and the result memo seen through the nil txn misses and drops stores.
 func TestRepairCacheNilSafe(t *testing.T) {
-	var c *Memo
-	if _, ok := c.Lookup("d", 1); ok {
-		t.Fatal("nil cache must miss")
+	var txn *Txn
+	if _, ok := txn.RepairLookup("d", 1); ok {
+		t.Fatal("nil txn repair lookup must miss")
 	}
-	c.Store("d", 1, diffFixture()) // must not panic
-	c.Clear()
-	if h, m := c.Stats(); h != 0 || m != 0 {
-		t.Fatalf("nil cache stats = (%d, %d)", h, m)
+	txn.RepairStore("d", 1, diffFixture()) // must not panic
+	if _, ok := txn.EntriesLookup("d", 1); ok {
+		t.Fatal("nil txn entries lookup must miss")
 	}
+	txn.EntriesStore("d", 1, nil) // must not panic
 }
 
 func TestEngineRepairTargets(t *testing.T) {
-	var nilEngine *Engine
-	if nilEngine.RepairTargets() != nil {
-		t.Fatal("nil engine must report a nil repair cache")
-	}
 	e := NewEngine(1)
 	rc := e.RepairTargets()
 	if rc == nil {
@@ -124,10 +122,6 @@ func TestBindingNilSafe(t *testing.T) {
 		t.Fatal("nil binding must miss")
 	}
 	b.Store(1, []bool{true}, 1) // must not panic
-	var nilEngine *Engine
-	if nilEngine.Bind("d", func() uint64 { return 0 }) != nil {
-		t.Fatal("nil engine must bind to nil")
-	}
 }
 
 func TestBindingSharesCacheWithCachedGame(t *testing.T) {

@@ -20,8 +20,7 @@ import (
 // swap changes the pointer identity, so stale entries can only go
 // unreachable, never serve a wrong plan.
 //
-// Safe for concurrent use; a nil *PlanCache is a valid always-miss
-// cache whose Store is a no-op.
+// Safe for concurrent use.
 type PlanCache struct {
 	mu      sync.Mutex
 	entries map[PlanKey]any
@@ -49,9 +48,6 @@ func NewPlanCache() *PlanCache {
 
 // Lookup returns the cached plan for key, if any.
 func (pc *PlanCache) Lookup(key PlanKey) (any, bool) {
-	if pc == nil {
-		return nil, false
-	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	p, ok := pc.entries[key]
@@ -65,7 +61,7 @@ func (pc *PlanCache) Lookup(key PlanKey) (any, bool) {
 
 // Store caches a compiled plan under key.
 func (pc *PlanCache) Store(key PlanKey, plan any) {
-	if pc == nil || plan == nil {
+	if plan == nil {
 		return
 	}
 	pc.mu.Lock()
@@ -78,9 +74,6 @@ func (pc *PlanCache) Store(key PlanKey, plan any) {
 
 // Len reports the number of cached plans.
 func (pc *PlanCache) Len() int {
-	if pc == nil {
-		return 0
-	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	return len(pc.entries)
@@ -88,9 +81,6 @@ func (pc *PlanCache) Len() int {
 
 // Clear drops every cached plan.
 func (pc *PlanCache) Clear() {
-	if pc == nil {
-		return
-	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	clear(pc.entries)
@@ -98,9 +88,6 @@ func (pc *PlanCache) Clear() {
 
 // Stats reports cumulative lookup hits and misses.
 func (pc *PlanCache) Stats() (hits, misses uint64) {
-	if pc == nil {
-		return 0, 0
-	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	return pc.hits, pc.misses

@@ -27,11 +27,12 @@ import (
 // an uncommitted run compute bit-identical estimates, the only difference
 // is whether the *next* run starts warm.
 //
-// A nil *Txn is a valid "no transaction" value: Bind and the repair
-// helpers fall through to direct cache access. A Txn is safe for the
-// concurrent goroutines one explain fans out (sampler workers all staging
-// into it), but must not be shared by concurrent explains — each run
-// begins its own.
+// A nil *Txn is a valid "no transaction" value outside an entry point:
+// the staged probes miss, so a binding without a transaction reads the
+// shared cache directly, and Commit and Abort are no-ops. A Txn is safe
+// for the concurrent goroutines one explain fans out (sampler workers all
+// staging into it), but must not be shared by concurrent explains — each
+// run begins its own.
 type Txn struct {
 	e *Engine
 
@@ -78,23 +79,13 @@ type txnMemoEntry struct {
 	memoEntry
 }
 
-// Begin opens a cache transaction on the engine; nil on a nil engine
-// (callers then run with direct, unstaged access — there are no shared
-// caches to poison).
-func (e *Engine) Begin() *Txn {
-	if e == nil {
-		return nil
-	}
-	return &Txn{e: e}
-}
+// Begin opens a cache transaction on the engine.
+func (e *Engine) Begin() *Txn { return &Txn{e: e} }
 
 // Bind is Engine.Bind routed through the transaction: the returned
 // binding's stores stage into the txn and its lookups see staged values
-// first. On a nil txn it is exactly Engine.Bind on a nil engine (no cache).
+// first.
 func (t *Txn) Bind(desc string, gen func() uint64) *Binding {
-	if t == nil {
-		return nil
-	}
 	b := t.e.Bind(desc, gen)
 	b.txn = t
 	return b
@@ -103,9 +94,6 @@ func (t *Txn) Bind(desc string, gen func() uint64) *Binding {
 // CachedGame is Engine.CachedGame with the binding routed through the
 // transaction.
 func (t *Txn) CachedGame(desc string, gen func() uint64, g shapley.Game) shapley.Game {
-	if t == nil {
-		return shapley.NewCached(g)
-	}
 	return &CachedGame{b: t.Bind(desc, gen), g: g}
 }
 
@@ -127,7 +115,7 @@ func (t *Txn) stageNarrow(game, gen, bits uint64, v float64) {
 }
 
 // stageWide records one pre-packed >64-player coalition value. h must be
-// HashPacked(words)^mix64(game) — the same chain key the shared cache
+// hashPacked(words)^mix64(game) — the same chain key the shared cache
 // derives, so Commit republishes into the identical shard buckets. words
 // is cloned on insert; callers may reuse the buffer.
 func (t *Txn) stageWide(game, gen, h uint64, words []uint64, v float64) {
@@ -179,7 +167,7 @@ func (t *Txn) stagedWide(game, gen, h uint64, words []uint64) (float64, bool) {
 }
 
 // RepairLookup is Memo.Lookup with the transaction's staged diffs
-// consulted first. Nil-safe on both the txn and the engine's memo.
+// consulted first. Nil-safe on the txn.
 func (t *Txn) RepairLookup(desc string, gen uint64) ([]table.CellDiff, bool) {
 	if t == nil {
 		return nil, false

@@ -173,25 +173,14 @@ func TestTxnCachedGame(t *testing.T) {
 	}
 }
 
-// TestTxnNilSafety: the nil txn (no engine) behaves as "no transaction".
+// TestTxnNilSafety: the nil txn (outside an entry point) behaves as "no
+// transaction".
 func TestTxnNilSafety(t *testing.T) {
-	var e *Engine
-	txn := e.Begin()
-	if txn != nil {
-		t.Fatal("nil engine must begin a nil txn")
-	}
+	var txn *Txn
 	txn.Commit()
 	txn.Abort()
-	if b := txn.Bind("x", func() uint64 { return 0 }); b != nil {
-		t.Fatal("nil txn must bind nil")
-	}
-	if _, ok := txn.RepairLookup("x", 0); ok {
-		t.Fatal("nil txn repair lookup must miss")
-	}
-	txn.RepairStore("x", 0, nil) // must not panic
-	g := txn.CachedGame("x", func() uint64 { return 0 }, shapley.GameFunc{N: 1, Fn: func(context.Context, []bool) (float64, error) { return 0, nil }})
-	if g == nil {
-		t.Fatal("nil txn CachedGame must still wrap")
+	if _, ok := txn.stagedNarrow(1, 0, 1); ok {
+		t.Fatal("nil txn staged probe must miss")
 	}
 }
 

@@ -49,8 +49,10 @@ func axiomFixture(t *testing.T) (*table.Table, []*dc.Constraint, table.CellRef) 
 	return tbl, cs, table.CellRef{Row: 1, Col: 1}
 }
 
-// axiomExplainers builds the uncached and cached (session-engine)
-// explainers over the fixture.
+// axiomExplainers builds two explainers over the fixture: "uncached" from
+// NewExplainer, whose engine is its own and starts empty (its games are
+// never bound to it), and "cached" from a session, whose shared coalition
+// cache its games enroll in.
 func axiomExplainers(t *testing.T) map[string]*core.Explainer {
 	t.Helper()
 	tbl, cs, _ := axiomFixture(t)
@@ -70,7 +72,7 @@ func axiomExplainers(t *testing.T) map[string]*core.Explainer {
 // explainer and policy, both restricted to rosters that include the dummy
 // players. It returns the games keyed by kind plus the dummy player index
 // of each.
-func axiomGames(t *testing.T, e *core.Explainer, policy core.ReplacementPolicy) map[string]struct {
+func axiomGames(t *testing.T, e *core.Explainer, policy core.ReplacementPolicy, bind bool) map[string]struct {
 	game  shapley.StochasticGame
 	dummy int
 } {
@@ -93,16 +95,19 @@ func axiomGames(t *testing.T, e *core.Explainer, policy core.ReplacementPolicy) 
 		cells = append(cells, core.CellGroup{Name: e.Dirty.RefName(ref), Cells: []table.CellRef{ref}})
 	}
 	cellGame := e.NewCellGameOfGroups(cell, target, policy, cells)
-	// Enroll deterministic evaluations in the session's shared coalition
-	// cache when the explainer carries an engine (a no-op for the uncached
-	// explainer and the stochastic policy) — the "cached engine" leg of the
-	// metamorphic matrix.
-	cellGame.BindSharedCache()
+	// Enroll deterministic evaluations in the explainer's shared coalition
+	// cache when bind is set (a no-op under the stochastic policy) — the
+	// "cached engine" leg of the metamorphic matrix.
+	if bind {
+		cellGame.BindSharedCache()
+	}
 	cellDummy := len(cells) - 1
 
 	groups := e.ColumnGroups(cell)
 	groupGame := e.NewCellGameOfGroups(cell, target, policy, groups)
-	groupGame.BindSharedCache()
+	if bind {
+		groupGame.BindSharedCache()
+	}
 	groupDummy := -1
 	for k, g := range groups {
 		if g.Name == "col D" {
@@ -155,7 +160,7 @@ func TestAxiomEfficiencySampled(t *testing.T) {
 		for policyName, policy := range map[string]core.ReplacementPolicy{
 			"null": core.ReplaceWithNull, "column": core.ReplaceFromColumn,
 		} {
-			for gameKind, fx := range axiomGames(t, e, policy) {
+			for gameKind, fx := range axiomGames(t, e, policy, engineKind == "cached") {
 				label := engineKind + "/" + policyName + "/" + gameKind
 				ests, err := shapley.SampleAll(ctx, fx.game, opts)
 				if err != nil {
@@ -199,7 +204,7 @@ func TestAxiomEfficiencySampled(t *testing.T) {
 func TestAxiomEfficiencyExact(t *testing.T) {
 	ctx := context.Background()
 	for engineKind, e := range axiomExplainers(t) {
-		for gameKind, fx := range axiomGames(t, e, core.ReplaceWithNull) {
+		for gameKind, fx := range axiomGames(t, e, core.ReplaceWithNull, engineKind == "cached") {
 			label := engineKind + "/" + gameKind
 			g := fx.game.(shapley.Game)
 			values, err := shapley.ExactSubsets(ctx, g)
@@ -229,7 +234,7 @@ func TestAxiomNullPlayer(t *testing.T) {
 		for policyName, policy := range map[string]core.ReplacementPolicy{
 			"null": core.ReplaceWithNull, "column": core.ReplaceFromColumn,
 		} {
-			for gameKind, fx := range axiomGames(t, e, policy) {
+			for gameKind, fx := range axiomGames(t, e, policy, engineKind == "cached") {
 				label := engineKind + "/" + policyName + "/" + gameKind
 				ests, err := shapley.SampleAll(ctx, fx.game, shapley.Options{Samples: 60, Seed: 13, Workers: 2})
 				if err != nil {
@@ -259,8 +264,8 @@ func TestAxiomCachedUncachedBitIdentical(t *testing.T) {
 	for policyName, policy := range map[string]core.ReplacementPolicy{
 		"null": core.ReplaceWithNull, "column": core.ReplaceFromColumn,
 	} {
-		cached := axiomGames(t, exps["cached"], policy)
-		uncached := axiomGames(t, exps["uncached"], policy)
+		cached := axiomGames(t, exps["cached"], policy, true)
+		uncached := axiomGames(t, exps["uncached"], policy, false)
 		for gameKind := range cached {
 			label := policyName + "/" + gameKind
 			a, err := shapley.SampleAll(ctx, cached[gameKind].game, opts)

@@ -48,54 +48,6 @@ func BenchmarkSampleAllParallel(b *testing.B) {
 	}
 }
 
-func BenchmarkCachedValue(b *testing.B) {
-	cached := NewCached(randomGame(16, 3))
-	coalition := make([]bool, 16)
-	for i := range coalition {
-		coalition[i] = i%3 == 0
-	}
-	// Warm the entry once; the loop measures hit cost.
-	if _, err := cached.Value(context.Background(), coalition); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cached.Value(context.Background(), coalition); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCachedWideValue measures the >64-player hit path — the packed
-// []uint64 key replacing the old string fallback. The hit must not allocate.
-func BenchmarkCachedWideValue(b *testing.B) {
-	n := 96
-	cached := NewCached(GameFunc{N: n, Fn: func(_ context.Context, c []bool) (float64, error) {
-		s := 0.0
-		for i, in := range c {
-			if in {
-				s += float64(i)
-			}
-		}
-		return s, nil
-	}})
-	coalition := make([]bool, n)
-	for i := range coalition {
-		coalition[i] = i%3 == 0
-	}
-	if _, err := cached.Value(context.Background(), coalition); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cached.Value(context.Background(), coalition); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkExactInteraction(b *testing.B) {
 	g := randomGame(10, 4)
 	b.ReportAllocs()

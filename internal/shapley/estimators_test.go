@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/exec"
 	"repro/internal/shapley"
 )
 
@@ -44,7 +45,8 @@ func TestExactOnePlayerRange(t *testing.T) {
 
 func TestCachedDeduplicatesCalls(t *testing.T) {
 	var calls atomic.Int64
-	cached := shapley.NewCached(shapley.CountingGame(4, &calls))
+	e := exec.NewEngine(1)
+	cached := e.CachedGame("counting", func() uint64 { return 0 }, shapley.CountingGame(4, &calls))
 	// ExactOne for every player revisits the same 16 coalitions.
 	for p := 0; p < 4; p++ {
 		if _, err := bench.ExactOne(context.Background(), cached, p); err != nil {
@@ -54,7 +56,7 @@ func TestCachedDeduplicatesCalls(t *testing.T) {
 	if got := calls.Load(); got != 16 {
 		t.Errorf("underlying calls = %d, want 16 (2^4 distinct coalitions)", got)
 	}
-	hits, misses := cached.Stats()
+	hits, misses := e.CacheStats()
 	if misses != 16 {
 		t.Errorf("misses = %d, want 16", misses)
 	}
