@@ -75,7 +75,17 @@
 //     Session edits between evaluations re-snapshot instead of silently
 //     corrupting estimates. Golden tests pin RepairInto to Repair and the
 //     walk to the clone path bit for bit; repair.Dispatch is the one place
-//     that picks among a black box's repair protocols.
+//     that picks among a black box's repair protocols, and repair.Run the
+//     one borrow-run-return path around it: every repair whose clean table
+//     is only read — each coalition evaluation and the full-input repair
+//     behind Target, Repair and RepairDiff — runs in a pooled work table,
+//     so the target repair clones nothing and leaves the black box's
+//     pooled run state warm for the coalitions that follow. Each input is
+//     repaired once per explain: a game's grand coalition is the full
+//     input, so every game (constraint, cell, row, group; exact, sampled,
+//     top-k, why-not) reads v(N) off the repair-target memo at the
+//     evaluation's generation and runs the black box only on a memo miss;
+//     only the CloneEval oracle always repairs it.
 //
 // # The session execution engine
 //

@@ -596,6 +596,27 @@ func perfScenarios(short bool, workers int) ([]perfScenario, error) {
 		}
 	}})
 
+	// The layer row under e2ebench edit-loop's cold explain: one exact
+	// constraint explain over its 192-row table (8 leagues of 24 teams, 2%
+	// of City and Country corrupted) on a one-worker session, starting from
+	// an invalidated engine, so each iteration resolves the target with a
+	// full repair and then repairs every proper coalition.
+	out = append(out, perfScenario{name: "explain-constraints/soccer192/cold", bench: func(b *testing.B) {
+		sess, cell, err := soccer192Session()
+		if err != nil {
+			b.Fatal(err)
+		}
+		exp := sess.Explainer()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sess.Engine().InvalidateCache()
+			if _, err := exp.ExplainConstraints(ctx, cell); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}})
+
 	if !short {
 		// End-to-end cell explanation against a real black box.
 		ll, alg := dataLaLiga()
@@ -689,6 +710,34 @@ func perfScenarios(short bool, workers int) ([]perfScenario, error) {
 		})
 	}
 	return out, nil
+}
+
+// soccer192Session is the edit-loop workload's session: the 8×24 soccer
+// table with 2% of its City and Country cells corrupted, the paper's four
+// constraints, Algorithm 1 and a one-worker engine. The cell of interest is
+// the first injected Country error the full repair fixes.
+func soccer192Session() (*core.Session, table.CellRef, error) {
+	clean := data.GenerateSoccer(data.SoccerConfig{Leagues: 8, TeamsPerLeague: 24, Seed: 1})
+	dirty, inj, err := data.Inject(clean, data.InjectSpec{Rate: 0.02, Columns: []string{"City", "Country"}, Seed: 1})
+	if err != nil {
+		return nil, table.CellRef{}, err
+	}
+	sess, err := core.NewSessionWith(repair.NewAlgorithm1(), data.SoccerDCs(), dirty, core.SessionOptions{Workers: 1})
+	if err != nil {
+		return nil, table.CellRef{}, err
+	}
+	country := dirty.Schema().MustIndex("Country")
+	for _, in := range inj {
+		if in.Ref.Col != country {
+			continue
+		}
+		if _, repaired, err := sess.Explainer().Target(context.Background(), in.Ref); err != nil {
+			return nil, table.CellRef{}, err
+		} else if repaired {
+			return sess, in.Ref, nil
+		}
+	}
+	return nil, table.CellRef{}, fmt.Errorf("no injected Country error is repaired")
 }
 
 // structBatch is the mixed structural edit of the violations/batch rows:

@@ -153,7 +153,9 @@ func runCache(w io.Writer) error {
 		return err
 	}
 
-	// Without cache: ExactOne per constraint re-runs shared coalitions.
+	// Without cache: ExactOne per constraint re-runs shared coalitions. The
+	// grand coalition is the full repair Target memoized, so neither run
+	// hands it to the black box: 15 of the 16 coalitions need a repair.
 	raw := exp.NewConstraintGame(ll.CellOfInterest, target)
 	counter := exp.Alg.(countingAlg)
 	*counter.calls = 0
@@ -178,7 +180,7 @@ func runCache(w io.Writer) error {
 	fmt.Fprintf(w, "black-box calls, ExactOne for all 4 DCs, no cache:   %d\n", uncached)
 	fmt.Fprintf(w, "black-box calls, ExactOne for all 4 DCs, with cache: %d (hits %d, misses %d)\n", withCache, hits, misses)
 	fmt.Fprintf(w, "call reduction: %.1fx %s\n", float64(uncached)/float64(withCache),
-		checkMark(withCache == 16 && uncached == 64))
+		checkMark(withCache == 15 && uncached == 60))
 	return nil
 }
 

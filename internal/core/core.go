@@ -20,6 +20,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -253,10 +254,51 @@ func (e *Explainer) repairDesc() string {
 // diff (table.DiffExact) of the full repair at the dirty table's current
 // generation, when a previous Repair/Target stored one.
 func (e *Explainer) cachedRepairDiffs() ([]table.CellDiff, bool) {
+	return e.repairLookup(e.repairDesc(), e.Dirty.Generation())
+}
+
+// repairLookup returns the full repair's exact diff memoized under desc at
+// generation gen, staged by the open entry point or published. Safe on a
+// game's evaluation workers: they only read e.txn, which the entry point
+// sets before any game runs and clears after.
+func (e *Explainer) repairLookup(desc string, gen uint64) ([]table.CellDiff, bool) {
 	if e.txn != nil {
-		return e.txn.RepairLookup(e.repairDesc(), e.Dirty.Generation())
+		return e.txn.RepairLookup(desc, gen)
 	}
-	return e.Engine.RepairTargets().Lookup(e.repairDesc(), e.Dirty.Generation())
+	return e.Engine.RepairTargets().Lookup(desc, gen)
+}
+
+// grandValue answers a game's grand coalition without running the black
+// box. Every player present means the black box would run on the full
+// input — the constraint game's whole constraint set, the cell game's
+// unmasked table — so v(N) = 1 exactly when the full repair, memoized under
+// desc at the evaluation's generation gen, gives cell a clean value with
+// the same content as target (the comparison CellRepaired makes). tbl is
+// the table the black box would have read, holding cell's dirty value at
+// gen. ok is false on a memo miss, and the caller runs the black box.
+func (e *Explainer) grandValue(desc string, gen uint64, tbl *table.Table, cell table.CellRef, target table.Value) (v float64, ok bool) {
+	exact, ok := e.repairLookup(desc, gen)
+	if !ok {
+		return 0, false
+	}
+	clean := tbl.GetRef(cell)
+	if d, found := diffAt(exact, cell); found {
+		clean = d.Clean
+	}
+	if clean.SameContent(target) {
+		return 1, true
+	}
+	return 0, true
+}
+
+// diffAt finds cell's entry in a repair's exact diff.
+func diffAt(exact []table.CellDiff, cell table.CellRef) (table.CellDiff, bool) {
+	for _, d := range exact {
+		if d.Ref == cell {
+			return d, true
+		}
+	}
+	return table.CellDiff{}, false
 }
 
 // NewExplainer validates the inputs and builds an Explainer with an engine
@@ -321,24 +363,32 @@ func (e *Explainer) Repair(ctx context.Context) (_ *table.Table, _ []table.CellD
 }
 
 // repairExact is the one repair implementation behind RepairDiff, Repair
-// and Target: the memo probe, the black-box dispatch and the memo store,
-// staged in the entry point's transaction when one is open so an abort
-// after this point unpublishes it. Call inside an entry-point bracket.
+// and Target: the memo probe, the black-box run and the memo store, staged
+// in the entry point's transaction when one is open so an abort after this
+// point unpublishes it. The run goes through repair.Run, so a scratch
+// repairer repairs a pooled work table — no clone of the dirty table, and
+// its pooled run state stays warm for the coalition repairs of the explain
+// that follows. The stored diff is also every game's grand-coalition value
+// (grandValue). Call inside an entry-point bracket.
 func (e *Explainer) repairExact(ctx context.Context) ([]table.CellDiff, error) {
 	if exact, ok := e.cachedRepairDiffs(); ok {
 		return exact, nil
 	}
 	desc, gen := e.repairDesc(), e.Dirty.Generation()
-	clean, err := repair.Dispatch(ctx, e.Alg, e.DCs, e.Dirty, nil, e.pool(), e.Plan)
+	var exact []table.CellDiff
+	var diffErr error
+	err := repair.Run(ctx, e.Alg, e.DCs, e.Dirty, e.pool(), e.Plan, func(clean *table.Table) {
+		if clean.NumRows() != e.Dirty.NumRows() || clean.NumCols() != e.Dirty.NumCols() {
+			diffErr = fmt.Errorf("core: black box %s changed table shape", e.Alg.Name())
+			return
+		}
+		exact, diffErr = table.DiffExact(e.Dirty, clean)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: repairing: %w", err)
 	}
-	if clean.NumRows() != e.Dirty.NumRows() || clean.NumCols() != e.Dirty.NumCols() {
-		return nil, fmt.Errorf("core: black box %s changed table shape", e.Alg.Name())
-	}
-	exact, err := table.DiffExact(e.Dirty, clean)
-	if err != nil {
-		return nil, err
+	if diffErr != nil {
+		return nil, diffErr
 	}
 	e.liveTxn().RepairStore(desc, gen, exact)
 	return exact, nil
@@ -373,29 +423,33 @@ func (e *Explainer) Target(ctx context.Context, cell table.CellRef) (_ table.Val
 	if err != nil {
 		return table.Null(), false, err
 	}
-	for _, d := range exact {
-		if d.Ref == cell {
-			// The diff is representation-exact, so a cell may appear with a
-			// kind-only change; "repaired" is the SameContent predicate.
-			return d.Clean, !d.Dirty.SameContent(d.Clean), nil
-		}
+	if d, ok := diffAt(exact, cell); ok {
+		// The diff is representation-exact, so a cell may appear with a
+		// kind-only change; "repaired" is the SameContent predicate.
+		return d.Clean, !d.Dirty.SameContent(d.Clean), nil
 	}
 	return e.Dirty.GetRef(cell), false, nil
 }
 
 // ConstraintGame is the DC game of §2.2: player i is e.DCs[i], and
 // v(S) = 1 iff running the black box with only the constraints in S repairs
-// the cell of interest to the target value.
+// the cell of interest to the target value. The grand coalition is the full
+// repair, so its value is read off the repair-target memo (grandValue) when
+// the explain resolved its target there, and the black box runs only on
+// proper subsets.
 type ConstraintGame struct {
 	exp    *Explainer
 	cell   table.CellRef
 	target table.Value
+	// repairDesc is the explainer's repair-target descriptor, resolved at
+	// construction so evaluations never build it.
+	repairDesc string
 }
 
 // NewConstraintGame builds the constraint game for a cell of interest.
 // target must be the clean value from Target.
 func (e *Explainer) NewConstraintGame(cell table.CellRef, target table.Value) *ConstraintGame {
-	return &ConstraintGame{exp: e, cell: cell, target: target}
+	return &ConstraintGame{exp: e, cell: cell, target: target, repairDesc: e.repairDesc()}
 }
 
 // NumPlayers implements shapley.Game.
@@ -403,13 +457,19 @@ func (g *ConstraintGame) NumPlayers() int { return len(g.exp.DCs) }
 
 // Value implements shapley.Game.
 func (g *ConstraintGame) Value(ctx context.Context, coalition []bool) (float64, error) {
+	dirty := g.exp.Dirty
+	if !slices.Contains(coalition, false) {
+		if v, ok := g.exp.grandValue(g.repairDesc, dirty.Generation(), dirty, g.cell, g.target); ok {
+			return v, nil
+		}
+	}
 	subset := make([]*dc.Constraint, 0, len(g.exp.DCs))
 	for i, in := range coalition {
 		if in {
 			subset = append(subset, g.exp.DCs[i])
 		}
 	}
-	return repair.CellRepairedPlanned(ctx, g.exp.Alg, subset, g.exp.Dirty, g.cell, g.target, g.exp.pool(), g.exp.planner())
+	return repair.CellRepairedPlanned(ctx, g.exp.Alg, subset, dirty, g.cell, g.target, g.exp.pool(), g.exp.planner())
 }
 
 // RelevantCells returns the cells that can plausibly influence the repair

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -40,11 +41,19 @@ const (
 // Example 2.4 (t5[League] on top). Treating the cell of interest as a
 // player instead makes it an almost-veto player that dominates the ranking
 // — an artifact, not an explanation (experiment ex24 checks the ranking).
+//
+// The grand coalition masks nothing, so its evaluation is the full repair:
+// every evaluation path but CloneEval reads it off the repair-target memo
+// at the evaluation's generation (Explainer.grandValue) and runs the black
+// box only on a memo miss.
 type CellGame struct {
 	exp    *Explainer
 	cell   table.CellRef
 	target table.Value
 	policy ReplacementPolicy
+	// repairDesc is the explainer's repair-target descriptor, resolved at
+	// construction so evaluation workers never build it.
+	repairDesc string
 	// stats holds the column distributions ReplaceFromColumn draws from;
 	// nil under the null policy, which never reads them.
 	stats *table.Stats
@@ -161,11 +170,12 @@ func (e *Explainer) NewCellGameOfGroups(cell table.CellRef, target table.Value, 
 // newCellGame builds the cell game over a cell or group roster.
 func (e *Explainer) newCellGame(cell table.CellRef, target table.Value, policy ReplacementPolicy, r *roster) *CellGame {
 	g := &CellGame{
-		exp:     e,
-		cell:    cell,
-		target:  target,
-		policy:  policy,
-		snapGen: e.Dirty.Generation(),
+		exp:        e,
+		cell:       cell,
+		target:     target,
+		policy:     policy,
+		repairDesc: e.repairDesc(),
+		snapGen:    e.Dirty.Generation(),
 	}
 	if policy == ReplaceFromColumn {
 		g.stats = table.NewStats(e.Dirty)
@@ -329,10 +339,17 @@ func (g *CellGame) restoreAbsent(tbl *table.Table, coalition []bool) {
 	}
 }
 
-// cellRepaired runs the black box on a masked table and reads whether it
-// repairs the cell of interest to the target.
-func (g *CellGame) cellRepaired(ctx context.Context, tbl *table.Table) (float64, error) {
-	return repair.CellRepairedPlanned(ctx, g.exp.Alg, g.exp.DCs, tbl, g.cell, g.target, g.exp.pool(), g.exp.planner())
+// cellRepaired reads whether the black box, run on the coalition masked on
+// sc, repairs the cell of interest to the target. With grand set (no player
+// absent, so sc holds the full input) the memoized full repair at sc's
+// generation answers instead when there is one.
+func (g *CellGame) cellRepaired(ctx context.Context, sc *gameScratch, grand bool) (float64, error) {
+	if grand {
+		if v, ok := g.exp.grandValue(g.repairDesc, sc.gen, sc.tbl, g.cell, g.target); ok {
+			return v, nil
+		}
+	}
+	return repair.CellRepairedPlanned(ctx, g.exp.Alg, g.exp.DCs, sc.tbl, g.cell, g.target, g.exp.pool(), g.exp.planner())
 }
 
 // eval is the scratch-table fast path: borrow a pooled working table, mask
@@ -363,7 +380,7 @@ func (g *CellGame) evalUncached(ctx context.Context, coalition []bool, rng *rand
 	err := g.maskAbsent(ctx, sc.tbl, coalition, rng)
 	var v float64
 	if err == nil {
-		v, err = g.cellRepaired(ctx, sc.tbl)
+		v, err = g.cellRepaired(ctx, sc, !slices.Contains(coalition, false))
 	}
 	g.restoreAbsent(sc.tbl, coalition)
 	g.scratch.Put(sc)
@@ -427,6 +444,7 @@ func (g *CellGame) NewWalk() shapley.CoalitionWalk {
 		g:         g,
 		sc:        g.getScratch(),
 		in:        make([]bool, g.NumPlayers()),
+		absent:    g.NumPlayers(),
 		maskCount: make([]int32, len(g.layout.flat)),
 	}
 }
@@ -437,8 +455,10 @@ type gameWalk struct {
 	g  *CellGame
 	sc *gameScratch
 	// in mirrors coalition membership; needed under ReplaceFromColumn,
-	// where every absent player is redrawn per evaluation.
-	in []bool
+	// where every absent player is redrawn per evaluation. absent counts
+	// its false entries: zero is the grand coalition.
+	in     []bool
+	absent int
 	// maskCount[i] counts the absent players containing layout.flat[i];
 	// positive means masked under the null policy.
 	maskCount []int32
@@ -456,6 +476,7 @@ func (w *gameWalk) Reset() {
 	for k := range w.in {
 		w.in[k] = false
 	}
+	w.absent = len(w.in)
 	if w.g.policy == ReplaceWithNull {
 		for _, ref := range lo.flat {
 			w.sc.tbl.SetRef(ref, table.Null())
@@ -471,6 +492,7 @@ func (w *gameWalk) Include(p int) {
 		return
 	}
 	w.in[p] = true
+	w.absent--
 	lo := &w.g.layout
 	dirty, tbl, counts := w.g.exp.Dirty, w.sc.tbl, w.maskCount
 	for _, fi := range lo.flatIdx(p) {
@@ -489,6 +511,7 @@ func (w *gameWalk) Exclude(p int) {
 		return
 	}
 	w.in[p] = false
+	w.absent++
 	lo := &w.g.layout
 	for _, fi := range lo.flatIdx(p) {
 		w.maskCount[fi]++
@@ -529,7 +552,7 @@ func (w *gameWalk) Value(ctx context.Context, rng *rand.Rand) (float64, error) {
 	if v, ok := w.g.shared.LookupAt(w.sc.gen, w.in); ok {
 		return v, nil
 	}
-	v, err := w.g.cellRepaired(ctx, w.sc.tbl)
+	v, err := w.g.cellRepaired(ctx, w.sc, w.absent == 0)
 	if err == nil {
 		w.g.shared.Store(w.sc.gen, w.in, v)
 	}

@@ -201,29 +201,39 @@ func TestRepairTargetCacheInvalidation(t *testing.T) {
 
 // countingRepairer forwards all four repair protocols of a black box and
 // counts every call, so a test can tell whether an explain ran the black
-// box at all.
+// box at all. When full is set, unmasked counts the calls handed a table
+// with full's contents.
 type countingRepairer struct {
 	repair.PlannedRepairer
-	calls atomic.Int64
+	calls    atomic.Int64
+	full     *table.Table
+	unmasked atomic.Int64
+}
+
+func (c *countingRepairer) count(dirty *table.Table) {
+	c.calls.Add(1)
+	if c.full != nil && dirty.Equal(c.full) {
+		c.unmasked.Add(1)
+	}
 }
 
 func (c *countingRepairer) Repair(ctx context.Context, cs []*dc.Constraint, dirty *table.Table) (*table.Table, error) {
-	c.calls.Add(1)
+	c.count(dirty)
 	return c.PlannedRepairer.Repair(ctx, cs, dirty)
 }
 
 func (c *countingRepairer) RepairInto(ctx context.Context, cs []*dc.Constraint, dirty, work *table.Table) (*table.Table, error) {
-	c.calls.Add(1)
+	c.count(dirty)
 	return c.PlannedRepairer.RepairInto(ctx, cs, dirty, work)
 }
 
 func (c *countingRepairer) RepairIntoParallel(ctx context.Context, cs []*dc.Constraint, dirty, work *table.Table, pool *exec.Pool) (*table.Table, error) {
-	c.calls.Add(1)
+	c.count(dirty)
 	return c.PlannedRepairer.RepairIntoParallel(ctx, cs, dirty, work, pool)
 }
 
 func (c *countingRepairer) RepairIntoPlanned(ctx context.Context, cs []*dc.Constraint, dirty, work *table.Table, pool *exec.Pool, plan dc.SetPlanner) (*table.Table, error) {
-	c.calls.Add(1)
+	c.count(dirty)
 	return c.PlannedRepairer.RepairIntoPlanned(ctx, cs, dirty, work, pool, plan)
 }
 

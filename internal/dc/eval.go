@@ -304,8 +304,9 @@ type ScanIndex struct {
 	// colsOf memoizes each constraint's resolved join columns, their
 	// signature, and the compiled predicate kernel: all three depend only
 	// on the constraint and the schema, and the per-row hot loops below
-	// would otherwise re-derive them per call.
-	colsOf  map[*Constraint]colsEntry
+	// would otherwise re-derive them per call. Entries are stored by
+	// pointer so the per-probe lookup copies no entry.
+	colsOf  map[*Constraint]*colsEntry
 	editBuf []table.Edit
 	keyBuf  []byte
 	// rows is the bound table's row count at generation gen — the origin
@@ -353,7 +354,7 @@ type colsEntry struct {
 func NewScanIndex() *ScanIndex {
 	return &ScanIndex{
 		perCols: make(map[string]*bucketSet),
-		colsOf:  make(map[*Constraint]colsEntry),
+		colsOf:  make(map[*Constraint]*colsEntry),
 		pre:     make(map[*Constraint]*prefilter),
 	}
 }
@@ -369,7 +370,7 @@ const maxColsEntries = 256
 // are immutable — but invalidated when the index moves to a different
 // table or the bound table's schema is swapped by a shape-changing
 // CopyFrom.
-func (ix *ScanIndex) entryFor(c *Constraint, t *table.Table) colsEntry {
+func (ix *ScanIndex) entryFor(c *Constraint, t *table.Table) *colsEntry {
 	ix.sync(t)
 	if e, ok := ix.colsOf[c]; ok {
 		return e
@@ -378,7 +379,7 @@ func (ix *ScanIndex) entryFor(c *Constraint, t *table.Table) colsEntry {
 		clear(ix.colsOf)
 	}
 	cols := c.joinCols(t)
-	e := colsEntry{cols: cols, sig: colsSignature(cols)}
+	e := &colsEntry{cols: cols, sig: colsSignature(cols)}
 	e.kern, e.kernErr = compileKernel(c, t.Schema())
 	e.scanCols, e.scanSig = e.cols, e.sig
 	if e.kernErr == nil {
@@ -386,7 +387,7 @@ func (ix *ScanIndex) entryFor(c *Constraint, t *table.Table) colsEntry {
 		var pushed []bool
 		if ix.plan != nil && ix.plan.PlanSchema() == t.Schema() {
 			if ch, ok := ix.plan.ConstraintPlan(c); ok {
-				order, pushed = ix.applyChoice(c, t, &e, ch)
+				order, pushed = ix.applyChoice(c, t, e, ch)
 			}
 		}
 		// The residual selects from the predicates the kernel already
@@ -478,7 +479,7 @@ func (ix *ScanIndex) bucketSetFor(c *Constraint, t *table.Table) *bucketSet {
 // the plan-shared partition when one is assigned, the exact partition
 // otherwise. Sound for pair scans and point probes only — every
 // candidate pair is re-checked by the kernel.
-func (ix *ScanIndex) scanBucketSetFor(e colsEntry, t *table.Table) *bucketSet {
+func (ix *ScanIndex) scanBucketSetFor(e *colsEntry, t *table.Table) *bucketSet {
 	return ix.bucketSetBySig(e.scanCols, e.scanSig, t)
 }
 
@@ -583,7 +584,7 @@ func (ix *ScanIndex) probeRow(c *Constraint, t *table.Table, i int, first bool) 
 // the live set derives a pair of two of its rows from the lower one. With
 // first set, the second orientation is skipped once the first found a
 // pair. e must be c's entry, synced to t.
-func (ix *ScanIndex) appendRowViolations(c *Constraint, e colsEntry, t *table.Table, rows []int, skip []bool, first bool, out []Violation) []Violation {
+func (ix *ScanIndex) appendRowViolations(c *Constraint, e *colsEntry, t *table.Table, rows []int, skip []bool, first bool, out []Violation) []Violation {
 	if c.SingleTuple() {
 		for _, r := range rows {
 			if e.kern.Pair(t, r, r) {

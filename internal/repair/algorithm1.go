@@ -3,6 +3,7 @@ package repair
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -75,11 +76,48 @@ type RuleRepair struct {
 type ruleRun struct {
 	live *dc.LiveViolationSet
 	pooledStats
-	// rules holds the run's active rules with their attributes resolved.
-	rules   []activeRule
-	vsBuf   []dc.Violation
-	badRows []int
-	seen    []bool
+	// rules holds the run's active rules with their attributes resolved
+	// for the inputs in resolvedFor.
+	rules       []activeRule
+	resolvedFor ruleInputs
+	vsBuf       []dc.Violation
+	badRows     []int
+	seen        []bool
+}
+
+// ruleInputs is everything resolve's answer depends on: the rule list, the
+// constraint set (pointers and IDs, as an ID names a rule's trigger) and
+// the schema. The rules of one explain's thousands of coalition repairs are
+// resolved once per pooled run state and input, not once per repair.
+type ruleInputs struct {
+	rules  []Rule
+	cs     []*dc.Constraint
+	ids    []string
+	schema *table.Schema
+}
+
+// matches reports whether the inputs are exactly (rules, cs, schema).
+func (in *ruleInputs) matches(rules []Rule, cs []*dc.Constraint, schema *table.Schema) bool {
+	if in.schema != schema || !slices.Equal(in.rules, rules) || !slices.Equal(in.cs, cs) {
+		return false
+	}
+	for i, c := range cs {
+		if c.ID != in.ids[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// set records (rules, cs, schema), reusing the buffers.
+func (in *ruleInputs) set(rules []Rule, cs []*dc.Constraint, schema *table.Schema) {
+	in.rules = append(in.rules[:0], rules...)
+	in.cs = append(in.cs[:0], cs...)
+	in.ids = in.ids[:0]
+	for _, c := range cs {
+		in.ids = append(in.ids, c.ID)
+	}
+	in.schema = schema
 }
 
 // activeRule is a rule whose trigger constraint is present in the run,
@@ -248,8 +286,13 @@ func (a *RuleRepair) repairInto(ctx context.Context, cs []*dc.Constraint, dirty,
 
 // resolve lists the rules whose trigger constraint is in cs (the last
 // one with the rule's ID), with their attributes resolved against the
-// run's schema once instead of on every pass.
+// run's schema once instead of on every pass, and keeps the list while the
+// next run's inputs are the same.
 func (a *RuleRepair) resolve(st *ruleRun, cs []*dc.Constraint, schema *table.Schema) error {
+	if st.resolvedFor.matches(a.Rules, cs, schema) {
+		return nil
+	}
+	st.resolvedFor.schema = nil // no list is kept for a failed resolve
 	st.rules = st.rules[:0]
 	for _, rule := range a.Rules {
 		r := activeRule{Rule: rule, given: -1}
@@ -272,6 +315,7 @@ func (a *RuleRepair) resolve(st *ruleRun, cs []*dc.Constraint, schema *table.Sch
 		}
 		st.rules = append(st.rules, r)
 	}
+	st.resolvedFor.set(a.Rules, cs, schema)
 	return nil
 }
 

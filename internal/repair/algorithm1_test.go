@@ -3,6 +3,7 @@ package repair
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/data"
@@ -173,6 +174,43 @@ func TestAlgorithm1TerminatesOnOscillation(t *testing.T) {
 	if _, err := alg.Repair(context.Background(), cs, tbl); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRuleRepairResolvesPerInput: a RuleRepair's pooled run state keeps
+// its resolved rules only while the rule list, the constraint pointers and
+// IDs and the schema stay the same; every run matches a fresh black box's.
+func TestRuleRepairResolvesPerInput(t *testing.T) {
+	ctx := context.Background()
+	ll := data.NewLaLiga()
+	alg := NewAlgorithm1()
+	check := func(step string, cs []*dc.Constraint) {
+		t.Helper()
+		got, err := alg.Repair(ctx, cs, ll.Dirty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := (&RuleRepair{Rules: slices.Clone(alg.Rules)}).Repair(ctx, cs, ll.Dirty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%s: repair differs from a fresh black box's", step)
+		}
+	}
+	check("all", ll.DCs)
+	check("without C1", dc.Without(ll.DCs, "C1"))
+	check("all again", ll.DCs)
+	alg.Rules = alg.Rules[1:]
+	check("without the C1 rule", ll.DCs)
+	alg.Rules = NewAlgorithm1().Rules
+	check("all rules", ll.DCs)
+	// Renaming C1 in place keeps its pointer but disarms its rule.
+	for _, c := range ll.DCs {
+		if c.ID == "C1" {
+			c.ID = "C9"
+		}
+	}
+	check("C1 renamed", ll.DCs)
 }
 
 func TestRuleRepairUnknownAttr(t *testing.T) {

@@ -72,9 +72,9 @@ type Algorithm interface {
 // ScratchRepairer is the in-place extension of Algorithm: RepairInto
 // copies dirty into work (allocating only when work is nil or its shape
 // cannot be reused), repairs work in place, and returns it. See the package
-// comment for the full contract. CellRepaired detects this interface and
-// recycles one pooled work table across evaluations, which removes the
-// per-evaluation Clone() from the repair hot path.
+// comment for the full contract. Run detects this interface and recycles
+// one pooled work table across repairs, which removes the per-repair
+// Clone() from the hot path.
 type ScratchRepairer interface {
 	Algorithm
 	// RepairInto is Repair writing into caller-owned scratch storage. The
@@ -186,10 +186,10 @@ func (Passthrough) Repair(_ context.Context, _ []*dc.Constraint, dirty *table.Ta
 	return dirty, nil
 }
 
-// workPool recycles the work tables CellRepaired hands to ScratchRepairer
-// black boxes. Tables of any shape share the pool: RepairInto's refresh
-// resizes a mismatched table in place, so a mixed workload merely warms the
-// pool toward the shapes it actually evaluates.
+// workPool recycles the work tables Run hands to ScratchRepairer black
+// boxes. Tables of any shape share the pool: RepairInto's refresh resizes a
+// mismatched table in place, so a mixed workload merely warms the pool
+// toward the shapes it actually evaluates.
 var workPool sync.Pool
 
 // CellRepaired is the binary view Alg|t[A] of the paper (§2.1): it runs the
@@ -198,22 +198,40 @@ var workPool sync.Pool
 // full repair assigned, so "repaired" means "repaired to the same value as
 // under the complete input".
 //
-// When the black box implements ScratchRepairer the repair runs in a
-// pooled work table instead of a fresh clone, making the whole
-// evaluation→repair round trip allocation-free in steady state — the hot
-// path of every Shapley sampling loop.
+// The repair runs through Run, so a ScratchRepairer repairs a pooled work
+// table instead of a fresh clone, making the whole evaluation→repair round
+// trip allocation-free in steady state — the hot path of every Shapley
+// sampling loop.
 func CellRepaired(ctx context.Context, alg Algorithm, cs []*dc.Constraint, dirty *table.Table, cell table.CellRef, target table.Value) (float64, error) {
 	return CellRepairedPlanned(ctx, alg, cs, dirty, cell, target, nil, nil)
 }
 
 // CellRepairedPlanned is CellRepaired with a session worker pool and a
-// compiled constraint-set plan. Black boxes implementing
-// PartitionedRepairer run their disjoint-bucket passes on the pool, and
-// black boxes implementing PlannedRepairer run their violation scans
-// behind the plan; both are bit-identical to the serial, unplanned path by
-// contract. A nil or one-worker pool and a nil plan are exactly
-// CellRepaired.
+// compiled constraint-set plan, handed to Run. A nil or one-worker pool and
+// a nil plan are exactly CellRepaired.
 func CellRepairedPlanned(ctx context.Context, alg Algorithm, cs []*dc.Constraint, dirty *table.Table, cell table.CellRef, target table.Value, pool *exec.Pool, plan dc.SetPlanner) (float64, error) {
+	var out float64
+	var resErr error
+	err := Run(ctx, alg, cs, dirty, pool, plan, func(clean *table.Table) {
+		out, resErr = cellRepairedResult(alg, dirty, clean, cell, target)
+	})
+	if err != nil {
+		return 0, fmt.Errorf("repair: black box %s: %w", alg.Name(), err)
+	}
+	return out, resErr
+}
+
+// Run repairs (cs, dirty) once through Dispatch and hands the clean table
+// to read; it is the one borrow-run-return path of every repair a caller
+// only reads, the coalition evaluations and the full-input repair alike. A
+// ScratchRepairer repairs a work table borrowed from a process-wide pool,
+// never a throwaway clone, so its pooled run state stays bound to pooled
+// tables and the next run catches up incrementally instead of rebuilding
+// statistics and violation lists. The work table goes back to the pool when
+// read returns, so read must not retain clean. A plain Algorithm runs
+// through Repair. read is not called on error; the error is the black
+// box's, unwrapped.
+func Run(ctx context.Context, alg Algorithm, cs []*dc.Constraint, dirty *table.Table, pool *exec.Pool, plan dc.SetPlanner, read func(clean *table.Table)) error {
 	// A scratch repairer always runs in place, so a cold pool hands it a
 	// fresh clone rather than sending it down plain Repair.
 	var work *table.Table
@@ -227,22 +245,22 @@ func CellRepairedPlanned(ctx context.Context, alg Algorithm, cs []*dc.Constraint
 		if work != nil {
 			workPool.Put(work)
 		}
-		return 0, fmt.Errorf("repair: black box %s: %w", alg.Name(), err)
+		return err
 	}
-	out, err := cellRepairedResult(alg, dirty, clean, cell, target)
+	read(clean)
 	if work != nil {
 		workPool.Put(clean)
 	}
-	return out, err
+	return nil
 }
 
 // Dispatch runs one repair of (cs, dirty) through the most specific
 // protocol alg implements: RepairIntoPlanned behind a non-nil plan,
 // RepairIntoParallel on a pool of more than one worker, RepairInto into a
 // caller's work table, and plain Repair otherwise. The protocols are
-// bit-identical by contract, so the choice only schedules the run. work may
-// be nil; a non-nil work table is refreshed from dirty, repaired in place
-// and returned.
+// bit-identical by contract, so the choice only schedules the run. A
+// non-nil work table is refreshed from dirty, repaired in place and
+// returned; Run passes a nil one only for a plain Algorithm.
 func Dispatch(ctx context.Context, alg Algorithm, cs []*dc.Constraint, dirty, work *table.Table, pool *exec.Pool, plan dc.SetPlanner) (*table.Table, error) {
 	if plan != nil {
 		if pl, ok := alg.(PlannedRepairer); ok {
