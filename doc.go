@@ -246,6 +246,8 @@
 //	                   dependent), still without a wholesale Reset
 //	conditional stats  per-(column-pair) dirty bits; untouched pairs
 //	                   keep their tables across structural edits
+//	server answers     re-encode every row (a cell-edit window
+//	                   re-encodes only the rows it names)
 //	exec caches        generation-keyed (coalition values, repair
 //	                   diffs, plans): nothing replays — the bumped
 //	                   generation makes stale entries unreachable
@@ -340,6 +342,21 @@
 // scenario family in BENCH_<n>.json tracks the planner against the
 // reference on shared-join-key DC sets; CI gates the scan pairs at
 // >=1.5x (`trex-bench -ratios`).
+//
+// # The HTTP server
+//
+// internal/server serves the API and the GUI with one core.Session per
+// session id, behind a per-session mutex. Its answers are appended into
+// pooled buffers by hand-written writers (internal/server/wire.go),
+// byte-identical to encoding/json on the wire structs. Every session also
+// keeps an answer encoder: the encoded rows of its dirty table, its
+// constraint texts and its history. The encoder catches up from the edit
+// log like the layers above, so an edit answer after a one-cell edit
+// re-encodes one row and copies the rest (a 192-row answer in about 4 µs
+// and one allocation, against about 70 µs and 87 allocations for a full
+// encode), and a repair answer re-encodes only the rows the repair
+// patches. The history is still echoed whole in every session answer.
+// Eviction to the spool drops the encoder with the session.
 //
 // # Fault model and degradation ladder
 //

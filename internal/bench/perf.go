@@ -617,6 +617,8 @@ func perfScenarios(short bool, workers int) ([]perfScenario, error) {
 		}
 	}})
 
+	out = append(out, answerScenarios()...)
+
 	if !short {
 		// End-to-end cell explanation against a real black box.
 		ll, alg := dataLaLiga()
@@ -637,7 +639,8 @@ func perfScenarios(short bool, workers int) ([]perfScenario, error) {
 		}})
 
 		// The multi-core headline: the same large explain-cells workload
-		// serial and fanned across the engine's workers. The chunked
+		// serial and fanned across the engine's workers, repaired by
+		// Algorithm 1, the HTTP server's default black box. The chunked
 		// fan-out makes both rows produce bit-identical estimates, so the
 		// ns/op ratio is pure scheduling win. Fixtures built lazily inside
 		// the scenario (see the large-scan comment above).
@@ -647,7 +650,7 @@ func perfScenarios(short bool, workers int) ([]perfScenario, error) {
 			cell := table.CellRef{Row: 5, Col: country}
 			big.Set(cell.Row, cell.Col, table.String("Wrongland"))
 			cs := data.SoccerDCs()
-			exp, err := core.NewExplainer(repair.NewRuleRepair(cs), cs, big)
+			exp, err := core.NewExplainer(repair.NewAlgorithm1(), cs, big)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -671,8 +674,8 @@ func perfScenarios(short bool, workers int) ([]perfScenario, error) {
 		}
 		// The layer row under the end-to-end re-explain: a repeat of one
 		// sampled explain over all 287 other cells (what the HTTP kind
-		// cells asks for), served from the memo of finished entries. Its
-		// allocs/op does not grow with the table.
+		// cells asks for, Algorithm 1 repairing), served from the memo of
+		// finished entries. Its allocs/op does not grow with the table.
 		repeatExplain := func(b *testing.B) {
 			exp, cell := soccer48(b, workers)
 			q := core.Query{Cell: cell, Players: core.CellPlayers, Estimator: core.SampledShapley,
@@ -693,7 +696,8 @@ func perfScenarios(short bool, workers int) ([]perfScenario, error) {
 			perfScenario{name: "explain-cells/soccer48/m=32/workers=auto", bench: largeExplain(core.RelevantCellPlayers, 32, workers)},
 			// The layer row under the end-to-end explain: what the HTTP kind
 			// cells asks for (all 287 other cells, 16 samples, a fresh seed
-			// per call), serial and across the engine's workers.
+			// per call, Algorithm 1 repairing), serial and across the
+			// engine's workers.
 			perfScenario{name: "explain-cells/soccer48/m=16/cells/workers=1", bench: largeExplain(core.CellPlayers, 16, 1)},
 			perfScenario{name: "explain-cells/soccer48/m=16/cells/workers=auto", bench: largeExplain(core.CellPlayers, 16, workers)},
 			perfScenario{name: "explain-cells/soccer48/m=32/repeat", bench: repeatExplain},
@@ -717,8 +721,7 @@ func perfScenarios(short bool, workers int) ([]perfScenario, error) {
 // constraints, Algorithm 1 and a one-worker engine. The cell of interest is
 // the first injected Country error the full repair fixes.
 func soccer192Session() (*core.Session, table.CellRef, error) {
-	clean := data.GenerateSoccer(data.SoccerConfig{Leagues: 8, TeamsPerLeague: 24, Seed: 1})
-	dirty, inj, err := data.Inject(clean, data.InjectSpec{Rate: 0.02, Columns: []string{"City", "Country"}, Seed: 1})
+	dirty, inj, err := soccer192Table()
 	if err != nil {
 		return nil, table.CellRef{}, err
 	}
@@ -738,6 +741,175 @@ func soccer192Session() (*core.Session, table.CellRef, error) {
 		}
 	}
 	return nil, table.CellRef{}, fmt.Errorf("no injected Country error is repaired")
+}
+
+// soccer192Table is the edit-loop workload's table and its injected
+// errors: the 8×24 soccer table with 2% of its City and Country cells
+// corrupted.
+func soccer192Table() (*table.Table, []data.Injection, error) {
+	clean := data.GenerateSoccer(data.SoccerConfig{Leagues: 8, TeamsPerLeague: 24, Seed: 1})
+	return data.Inject(clean, data.InjectSpec{Rate: 0.02, Columns: []string{"City", "Country"}, Seed: 1})
+}
+
+// answerFixture drives the HTTP handler of a default server on the
+// edit-loop workload's table with an httptest.ResponseRecorder. Its
+// toggle is the cell edit-loop flips: the Country of the first row of a
+// league with no injected error, set to another league's country.
+type answerFixture struct {
+	h      http.Handler
+	create []byte
+	// toggle holds the two edit request bodies, dirty value first.
+	toggle [2][]byte
+	id     string
+}
+
+func newAnswerFixture() (*answerFixture, error) {
+	dirty, inj, err := soccer192Table()
+	if err != nil {
+		return nil, err
+	}
+	create, err := createSessionBody(dirty, data.SoccerDCs())
+	if err != nil {
+		return nil, err
+	}
+	league, country := dirty.Schema().MustIndex("League"), dirty.Schema().MustIndex("Country")
+	errLeagues := make(map[string]bool)
+	for _, in := range inj {
+		errLeagues[dirty.Get(in.Ref.Row, league).String()] = true
+	}
+	row := -1
+	for r := 0; r < dirty.NumRows() && row < 0; r++ {
+		if !errLeagues[dirty.Get(r, league).String()] {
+			row = r
+		}
+	}
+	if row < 0 {
+		return nil, fmt.Errorf("no league without errors to toggle a cell in")
+	}
+	clean := dirty.Get(row, country).String()
+	wrong := ""
+	for r := 0; r < dirty.NumRows() && wrong == ""; r++ {
+		if v := dirty.Get(r, country).String(); !dirty.Get(r, league).SameContent(dirty.Get(row, league)) && v != clean {
+			wrong = v
+		}
+	}
+	f := &answerFixture{h: server.New().Handler(), create: create}
+	ref := dirty.RefName(table.CellRef{Row: row, Col: country})
+	for k, v := range []string{wrong, clean} {
+		if f.toggle[k], err = json.Marshal(map[string]string{"setCell": ref, "value": v}); err != nil {
+			return nil, err
+		}
+	}
+	return f, f.newSession()
+}
+
+// newSession opens a new session on the fixture's server.
+func (f *answerFixture) newSession() error {
+	rec := f.do("/api/session", f.create)
+	if rec.Code != http.StatusOK {
+		return fmt.Errorf("creating session: %d %s", rec.Code, rec.Body.Bytes())
+	}
+	var sess struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &sess); err != nil {
+		return err
+	}
+	f.id = sess.ID
+	return nil
+}
+
+// do POSTs body to path and returns the recorded answer.
+func (f *answerFixture) do(path string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	f.h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	return rec
+}
+
+// edit applies toggle k (0 sets the dirty value, 1 restores it).
+func (f *answerFixture) edit(b *testing.B, k int) {
+	if rec := f.do("/api/session/"+f.id+"/edit", f.toggle[k]); rec.Code != http.StatusOK {
+		b.Fatalf("edit: %d %s", rec.Code, rec.Body.Bytes())
+	}
+}
+
+// repair asks for the session's repair.
+func (f *answerFixture) repair(b *testing.B) {
+	if rec := f.do("/api/session/"+f.id+"/repair", []byte("{}")); rec.Code != http.StatusOK {
+		b.Fatalf("repair: %d %s", rec.Code, rec.Body.Bytes())
+	}
+}
+
+// answerSessionEdits is how many edits an answer row's session takes
+// before a new one starts. Every edit answer echoes the history, so
+// without a bound an iteration's cost would grow with b.N; edit-loop's
+// analyst opens a new session every 128 rounds, about 350 edits.
+const answerSessionEdits = 256
+
+// answerRepairsPerEdit is how many timed repairs answer/repair/soccer192
+// runs per untimed toggle and memo-miss repair.
+const answerRepairsPerEdit = 64
+
+// answerScenarios are the layer rows of edit-loop's edit and repair
+// answers, through the HTTP handler on the edit-loop table.
+// answer/session/soccer192/edit times one toggle edit, answer included.
+// answer/repair/soccer192 times a repair answered from the memo, as
+// edit-loop's repair follows the explain that resolved its target. Every
+// answerRepairsPerEdit repairs it toggles the cell (to the dirty value
+// and back in turn) and repairs once untimed, the memo miss, so the
+// black box does not dominate the row.
+func answerScenarios() []perfScenario {
+	return []perfScenario{
+		{name: "answer/session/soccer192/edit", bench: func(b *testing.B) {
+			f, err := newAnswerFixture()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i > 0 && i%answerSessionEdits == 0 {
+					b.StopTimer()
+					if err := f.newSession(); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				f.edit(b, i%2)
+			}
+		}},
+		{name: "answer/repair/soccer192", bench: func(b *testing.B) {
+			f, err := newAnswerFixture()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%answerRepairsPerEdit == 0 {
+					b.StopTimer()
+					f.edit(b, (i/answerRepairsPerEdit)%2)
+					f.repair(b)
+					b.StartTimer()
+				}
+				f.repair(b)
+			}
+		}},
+	}
+}
+
+// createSessionBody is the POST /api/session body that opens an
+// Algorithm 1 session on t under cs.
+func createSessionBody(t *table.Table, cs []*dc.Constraint) ([]byte, error) {
+	var csv bytes.Buffer
+	if err := t.WriteCSV(&csv); err != nil {
+		return nil, err
+	}
+	var dcLines []string
+	for _, c := range cs {
+		dcLines = append(dcLines, c.String())
+	}
+	return json.Marshal(map[string]string{"csv": csv.String(), "dcs": strings.Join(dcLines, "\n"), "algorithm": "algorithm1"})
 }
 
 // structBatch is the mixed structural edit of the violations/batch rows:
@@ -774,17 +946,10 @@ func saturationScenario(maxInFlight, clients, perClient int) (PerfResult, error)
 	defer ts.Close()
 
 	ll, _ := dataLaLiga()
-	var csv bytes.Buffer
-	if err := ll.Dirty.WriteCSV(&csv); err != nil {
+	body, err := createSessionBody(ll.Dirty, ll.DCs)
+	if err != nil {
 		return PerfResult{}, err
 	}
-	var dcLines []string
-	for _, c := range ll.DCs {
-		dcLines = append(dcLines, c.String())
-	}
-	body, _ := json.Marshal(map[string]string{
-		"csv": csv.String(), "dcs": strings.Join(dcLines, "\n"), "algorithm": "algorithm1",
-	})
 	resp, err := ts.Client().Post(ts.URL+"/api/session", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return PerfResult{}, err

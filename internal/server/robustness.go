@@ -232,8 +232,9 @@ func (s *Server) enforceBudget() {
 	}
 }
 
-// evictLocked snapshots entry to the spool and drops its in-memory state.
-// Caller holds entry.mu. Reports whether the eviction happened.
+// evictLocked snapshots entry to the spool and drops its in-memory state,
+// the session and its answer encoder. Caller holds entry.mu. Reports
+// whether the eviction happened.
 func (s *Server) evictLocked(id string, entry *session) bool {
 	if entry.spooled || entry.sess == nil || entry.quarantined != nil {
 		return false
@@ -243,6 +244,7 @@ func (s *Server) evictLocked(id string, entry *session) bool {
 		return false
 	}
 	entry.sess = nil
+	entry.enc = answerEncoder{}
 	s.mu.Lock()
 	entry.spooled = true
 	s.mu.Unlock()

@@ -9,6 +9,15 @@
 // of the wire structs declared here, except that a non-finite float is
 // written as null. The one non-finite value an answer carries is the CI95
 // of an explain entry estimated from a single sample.
+//
+// Each session keeps one answer encoder next to its core.Session. It
+// holds the encoded rows of the dirty table, constraint texts and history
+// and catches up from the table's edit log, as the statistics and scan
+// indexes do: after a cell edit, the session answer (create, get, edit,
+// ingest) and the repair answer re-encode only the rows the edits name,
+// and copy the rest. A structural edit, a log overrun or a restored
+// session re-encodes everything. FuzzSessionAnswer pins the encoder to a
+// fresh encode and to encoding/json after every kind of edit.
 package server
 
 import (
@@ -37,6 +46,9 @@ import (
 type session struct {
 	mu   sync.Mutex
 	sess *core.Session
+	// enc keeps sess's answer bytes current across edits. Guarded by mu;
+	// dropped with sess on eviction.
+	enc answerEncoder
 	// quarantined is set when a request against this session panicked;
 	// every later request answers 409 with the diagnostics until restart
 	// (the panic may have left black-box scratch state torn, so the
@@ -205,7 +217,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	s.touch(entry)
 	entry.mu.Lock()
-	wb := sessionAnswer(id, sess)
+	wb := entry.enc.session(id, sess)
 	entry.mu.Unlock()
 	send(w, http.StatusOK, wb)
 }
@@ -245,7 +257,7 @@ func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	wb := sessionAnswer(id, entry.sess)
+	wb := entry.enc.session(id, entry.sess)
 	entry.mu.Unlock()
 	send(w, http.StatusOK, wb)
 }
@@ -289,7 +301,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	send(w, http.StatusOK, repairAnswer(sess.Dirty(), exact, repaired))
+	send(w, http.StatusOK, entry.enc.repair(sess, exact, repaired))
 }
 
 // violationJSON is the wire form of one violating pair.
@@ -579,7 +591,7 @@ func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("empty edit"))
 		return
 	}
-	send(w, http.StatusOK, sessionAnswer(id, sess))
+	send(w, http.StatusOK, entry.enc.session(id, sess))
 }
 
 type ingestResponse struct {
@@ -618,7 +630,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("after %d rows: %w", n, err))
 		return
 	}
-	send(w, http.StatusOK, ingestAnswer(n, id, sess))
+	send(w, http.StatusOK, entry.enc.ingest(n, id, sess))
 }
 
 // ListenAndServe runs the server until the context is cancelled, then

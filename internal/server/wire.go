@@ -14,8 +14,10 @@ import (
 
 // The wire encoder. Every answer is appended into a pooled buffer by one
 // append-style writer per answer type and sent with a single Write, so an
-// answer costs no reflection and no per-cell strings: table cells are
-// appended straight from the *table.Table. The bytes are exactly what
+// answer costs no reflection and no per-cell strings. Table cells are
+// appended straight from the *table.Table, and a session's table,
+// constraint and history bytes are kept current across edits by its
+// answerEncoder, so an answer re-encodes only what changed. The bytes are exactly what
 // json.NewEncoder(w).Encode would write for the wire structs in server.go
 // (key order, HTML-safe escaping, U+2028/U+2029, invalid UTF-8 as \ufffd,
 // float format, null for nil slices, trailing newline) — those structs
@@ -75,55 +77,6 @@ func algorithmsAnswer(names []string) *wireBuf {
 	wb := getWire()
 	wb.b = append(wb.b, `{"algorithms":`...)
 	wb.b = appendStrings(wb.b, names)
-	wb.b = append(wb.b, "}\n"...)
-	return wb
-}
-
-// sessionAnswer encodes a session (sessionJSON): the answer of create, get
-// and edit.
-//
-//lint:hotpath
-func sessionAnswer(id string, sess *core.Session) *wireBuf {
-	wb := getWire()
-	wb.b = appendSession(wb.b, id, sess)
-	wb.b = append(wb.b, '\n')
-	return wb
-}
-
-// ingestAnswer encodes an ingest (ingestResponse).
-func ingestAnswer(appended int, id string, sess *core.Session) *wireBuf {
-	wb := getWire()
-	wb.b = append(wb.b, `{"appended":`...)
-	wb.b = strconv.AppendInt(wb.b, int64(appended), 10)
-	wb.b = append(wb.b, `,"session":`...)
-	wb.b = appendSession(wb.b, id, sess)
-	wb.b = append(wb.b, "}\n"...)
-	return wb
-}
-
-// repairAnswer encodes a repair (repairResponse) from the repair's exact
-// diff against dirty: the clean table is dirty with exact patched in, and
-// the repaired cells are named in paper notation (null when there are
-// none).
-//
-//lint:hotpath
-func repairAnswer(dirty *table.Table, exact, repaired []table.CellDiff) *wireBuf {
-	wb := getWire()
-	wb.b = append(wb.b, `{"clean":`...)
-	wb.b = appendTable(wb.b, dirty, exact)
-	wb.b = append(wb.b, `,"repaired":`...)
-	if len(repaired) == 0 {
-		wb.b = append(wb.b, "null"...)
-	} else {
-		wb.b = append(wb.b, '[')
-		for i, d := range repaired {
-			if i > 0 {
-				wb.b = append(wb.b, ',')
-			}
-			wb.b = appendRefName(wb.b, dirty, d.Ref)
-		}
-		wb.b = append(wb.b, ']')
-	}
 	wb.b = append(wb.b, "}\n"...)
 	return wb
 }
@@ -193,72 +146,286 @@ func explainAnswer(r *core.Report) *wireBuf {
 	return wb
 }
 
+// answerEncoder keeps one session's answer bytes current under edits: the
+// encoded rows of the dirty table, each constraint's encoded text keyed
+// by constraint pointer, and the encoded history prefix. Like
+// table.Stats.Sync it catches up from the table's edit log: a window of
+// cell edits re-encodes only the rows it names, and a structural window,
+// a log overrun, a different table or schema, or a different
+// *core.Session (a restore) re-encodes everything. So an answer after a
+// one-cell edit costs one row's encoding plus copying the rest.
+//
+// The zero value is ready to use. A session entry's encoder is guarded by
+// session.mu and dropped with the session on eviction.
+type answerEncoder struct {
+	sess   *core.Session
+	tbl    *table.Table
+	schema *table.Schema
+	// gen is the table generation rows encode.
+	gen uint64
+	// columns is the head of a table object: {"columns":[...],"rows":
+	columns []byte
+	// rows holds each row of tbl at gen as a JSON array of cell texts,
+	// most of them windows of slab (see encodeRows).
+	rows [][]byte
+	slab []byte
+	// dcs holds each constraint of the session as a JSON string.
+	dcs map[*dc.Constraint][]byte
+	// history holds the first histLen history lines as JSON strings
+	// joined by commas; histLast is the last of them. Session history
+	// only grows, so a shorter history or a different last line means
+	// another history and is re-encoded.
+	history  []byte
+	histLen  int
+	histLast string
+	// edits is the pooled buffer of the edit-log catch-up.
+	edits []table.Edit
+}
+
+// session encodes a session (sessionJSON): the answer of create, get and
+// edit.
+//
+//lint:hotpath
+func (e *answerEncoder) session(id string, sess *core.Session) *wireBuf {
+	wb := getWire()
+	wb.b = e.appendSession(wb.b, id, sess)
+	wb.b = append(wb.b, '\n')
+	return wb
+}
+
+// ingest encodes an ingest (ingestResponse).
+func (e *answerEncoder) ingest(appended int, id string, sess *core.Session) *wireBuf {
+	wb := getWire()
+	wb.b = append(wb.b, `{"appended":`...)
+	wb.b = strconv.AppendInt(wb.b, int64(appended), 10)
+	wb.b = append(wb.b, `,"session":`...)
+	wb.b = e.appendSession(wb.b, id, sess)
+	wb.b = append(wb.b, "}\n"...)
+	return wb
+}
+
+// repair encodes a repair (repairResponse) from the repair's exact diff
+// against the session's dirty table: the clean table is the dirty rows
+// with exact patched in, so only the rows holding a patched cell are
+// encoded and the rest are copied. The repaired cells are named in paper
+// notation (null when there are none).
+//
+//lint:hotpath
+func (e *answerEncoder) repair(sess *core.Session, exact, repaired []table.CellDiff) *wireBuf {
+	e.sync(sess)
+	dirty := sess.Dirty()
+	wb := getWire()
+	wb.b = append(wb.b, `{"clean":`...)
+	wb.b = e.appendTable(wb.b, dirty, exact)
+	wb.b = append(wb.b, `,"repaired":`...)
+	if len(repaired) == 0 {
+		wb.b = append(wb.b, "null"...)
+	} else {
+		wb.b = append(wb.b, '[')
+		for i, d := range repaired {
+			if i > 0 {
+				wb.b = append(wb.b, ',')
+			}
+			wb.b = appendRefName(wb.b, dirty, d.Ref)
+		}
+		wb.b = append(wb.b, ']')
+	}
+	wb.b = append(wb.b, "}\n"...)
+	return wb
+}
+
 // appendSession appends a sessionJSON object: the dirty table, the
 // constraints in their text form and the edit history.
-func appendSession(b []byte, id string, sess *core.Session) []byte {
+func (e *answerEncoder) appendSession(b []byte, id string, sess *core.Session) []byte {
+	e.sync(sess)
 	b = append(b, `{"id":`...)
 	b = appendString(b, id)
 	b = append(b, `,"table":`...)
-	b = appendTable(b, sess.Dirty(), nil)
+	b = e.appendTable(b, sess.Dirty(), nil)
 	b = append(b, `,"dcs":`...)
-	dcs := sess.DCs()
-	if len(dcs) == 0 {
-		b = append(b, "null"...)
-	} else {
-		b = append(b, '[')
-		for i, c := range dcs {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendString(b, c.String())
-		}
-		b = append(b, ']')
-	}
+	b = e.appendDCs(b, sess.DCs())
 	b = append(b, `,"history":`...)
-	b = appendStrings(b, sess.History)
+	b = e.appendHistory(b, sess.History)
 	return append(b, '}')
 }
 
-// appendTable appends a tableJSON object for t with patch applied: patch
-// is a row-major diff against t (table.DiffExact's order) whose Clean
-// values replace t's cells, so a repair answer is written from the dirty
-// table and the repair's diff without a clean table. Null cells are
-// written as "" and every other cell as its Value.String text.
-//
-//lint:hotpath
-func appendTable(b []byte, t *table.Table, patch []table.CellDiff) []byte {
-	schema := t.Schema()
-	b = append(b, `{"columns":[`...)
-	for j := 0; j < schema.Len(); j++ {
-		if j > 0 {
-			b = append(b, ',')
-		}
-		b = appendString(b, schema.Col(j).Name)
+// sync brings the encoded rows up to sess's dirty table.
+func (e *answerEncoder) sync(sess *core.Session) {
+	t := sess.Dirty()
+	if e.sess != sess || e.tbl != t || e.schema != t.Schema() {
+		e.reset(sess)
+		return
 	}
-	b = append(b, `],"rows":`...)
-	if t.NumRows() == 0 {
+	gen := t.Generation()
+	if gen == e.gen {
+		return
+	}
+	edits, ok := t.EditsSince(e.gen, e.edits[:0])
+	e.edits = edits[:0]
+	e.gen = gen
+	if !ok || table.Structural(edits) || len(edits) > len(e.rows) || len(e.rows) != t.NumRows() {
+		e.encodeRows(t)
+		return
+	}
+	for _, ed := range edits {
+		e.rows[ed.Row] = appendRow(e.rows[ed.Row][:0], t.RowView(ed.Row), ed.Row, nil)
+	}
+}
+
+// reset re-encodes everything for sess: the column head, every row, and
+// (on their next answer) the constraints and the history.
+func (e *answerEncoder) reset(sess *core.Session) {
+	t := sess.Dirty()
+	e.sess, e.tbl, e.schema, e.gen = sess, t, t.Schema(), t.Generation()
+	e.columns = append(e.columns[:0], `{"columns":[`...)
+	for j := 0; j < e.schema.Len(); j++ {
+		if j > 0 {
+			e.columns = append(e.columns, ',')
+		}
+		e.columns = appendString(e.columns, e.schema.Col(j).Name)
+	}
+	e.columns = append(e.columns, `],"rows":`...)
+	e.encodeRows(t)
+	clear(e.dcs)
+	e.history, e.histLen, e.histLast = e.history[:0], 0, ""
+}
+
+// encodeRows re-encodes every row of t into one shared buffer. Row i is
+// a window of it capped at its own length, so a later re-encode of the
+// row writes in place when it fits and moves the row out when it does
+// not, never into its neighbour.
+func (e *answerEncoder) encodeRows(t *table.Table) {
+	n := t.NumRows()
+	if n > cap(e.rows) {
+		e.rows = make([][]byte, n)
+	}
+	e.rows = e.rows[:n]
+	// Encode first and cut the windows after: the buffer may move while
+	// it grows, so the loop records only each row's length.
+	slab := e.slab[:0]
+	for i := range e.rows {
+		start := len(slab)
+		slab = appendRow(slab, t.RowView(i), i, nil)
+		e.rows[i] = slab[start:]
+	}
+	off := 0
+	for i, row := range e.rows {
+		end := off + len(row)
+		e.rows[i] = slab[off:end:end]
+		off = end
+	}
+	e.slab = slab
+}
+
+// appendTable appends a tableJSON object of the encoded rows with patch
+// applied: patch is a row-major diff against t (table.DiffExact's order)
+// whose Clean values replace t's cells, so a repair answer is written from
+// the dirty table and the repair's diff without a clean table. Null cells
+// are written as "" and every other cell as its Value.String text.
+func (e *answerEncoder) appendTable(b []byte, t *table.Table, patch []table.CellDiff) []byte {
+	b = append(b, e.columns...)
+	if len(e.rows) == 0 {
 		return append(b, "null}"...)
 	}
 	b = append(b, '[')
-	k := 0
-	for i := 0; i < t.NumRows(); i++ {
+	for i, row := range e.rows {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, '[')
-		for j, v := range t.RowView(i) {
-			if j > 0 {
-				b = append(b, ',')
+		if len(patch) > 0 && patch[0].Ref.Row == i {
+			b = appendRow(b, t.RowView(i), i, patch)
+			for len(patch) > 0 && patch[0].Ref.Row == i {
+				patch = patch[1:]
 			}
-			if k < len(patch) && patch[k].Ref.Row == i && patch[k].Ref.Col == j {
-				v = patch[k].Clean
-				k++
-			}
-			b = appendCell(b, v)
+			continue
 		}
-		b = append(b, ']')
+		b = append(b, row...)
 	}
 	return append(b, "]}"...)
+}
+
+// appendRow appends row i of a table as a JSON array of cell texts, with
+// the leading entries of patch that name row i replacing its cells.
+func appendRow(b []byte, vals []table.Value, i int, patch []table.CellDiff) []byte {
+	b = append(b, '[')
+	for j, v := range vals {
+		if j > 0 {
+			b = append(b, ',')
+		}
+		if len(patch) > 0 && patch[0].Ref.Row == i && patch[0].Ref.Col == j {
+			v = patch[0].Clean
+			patch = patch[1:]
+		}
+		b = appendCell(b, v)
+	}
+	return append(b, ']')
+}
+
+// appendDCs appends the constraints' texts; no constraints is null.
+func (e *answerEncoder) appendDCs(b []byte, dcs []*dc.Constraint) []byte {
+	if len(dcs) == 0 {
+		return append(b, "null"...)
+	}
+	e.syncDCs(dcs)
+	b = append(b, '[')
+	for i, c := range dcs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, e.dcs[c]...)
+	}
+	return append(b, ']')
+}
+
+// syncDCs makes dcs the encoded constraint set: a constraint seen before
+// keeps its encoding, a new one is rendered once, and a removed one is
+// dropped.
+func (e *answerEncoder) syncDCs(dcs []*dc.Constraint) {
+	current := len(e.dcs) == len(dcs)
+	for _, c := range dcs {
+		if _, ok := e.dcs[c]; !ok {
+			current = false
+			break
+		}
+	}
+	if current {
+		return
+	}
+	//lint:allow allocfree once per constraint-set change, not per answer
+	m := make(map[*dc.Constraint][]byte, len(dcs))
+	for _, c := range dcs {
+		text, ok := e.dcs[c]
+		if !ok {
+			text = appendString(nil, c.String())
+		}
+		m[c] = text
+	}
+	e.dcs = m
+}
+
+// appendHistory appends the history lines, encoding only the lines added
+// since the last answer; a nil history is null, as encoding/json writes a
+// nil slice.
+func (e *answerEncoder) appendHistory(b []byte, history []string) []byte {
+	if history == nil {
+		return append(b, "null"...)
+	}
+	if len(history) < e.histLen || (e.histLen > 0 && history[e.histLen-1] != e.histLast) {
+		e.history, e.histLen = e.history[:0], 0
+	}
+	for _, line := range history[e.histLen:] {
+		if e.histLen > 0 {
+			e.history = append(e.history, ',')
+		}
+		e.history = appendString(e.history, line)
+		e.histLen++
+	}
+	if e.histLen > 0 {
+		e.histLast = history[e.histLen-1]
+	}
+	b = append(b, '[')
+	b = append(b, e.history...)
+	return append(b, ']')
 }
 
 // appendCell appends one cell as a JSON string of its display text. Only

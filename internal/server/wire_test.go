@@ -225,7 +225,10 @@ func TestWireByteIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			id := "s<1>&\u2028"
-			checkBytes(t, "session", sessionAnswer(id, sess), encodeOracle(t, oracleSession(id, sess)))
+			// enc answers every request of the case, as a session entry's
+			// encoder does; the edits below reach it through the edit log.
+			var enc answerEncoder
+			checkBytes(t, "session", enc.session(id, sess), encodeOracle(t, oracleSession(id, sess)))
 
 			// The black box's own output is the oracle of both the memo miss
 			// and the memo hit.
@@ -242,7 +245,7 @@ func TestWireByteIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkBytes(t, "repair "+pass, repairAnswer(sess.Dirty(), exact, repaired), encodeOracle(t, want))
+				checkBytes(t, "repair "+pass, enc.repair(sess, exact, repaired), encodeOracle(t, want))
 			}
 
 			vs, err := sess.Violations()
@@ -251,17 +254,21 @@ func TestWireByteIdentity(t *testing.T) {
 			}
 			checkBytes(t, "violations", violationsAnswer(vs), encodeOracle(t, oracleViolations(vs)))
 
-			// Edits put hostile text into the history and the table.
+			// Edits put hostile text into the history and the table: cell
+			// edits re-encode their row, the insert everything.
 			for _, s := range hostileStrings[:4] {
 				if err := sess.SetCell(table.CellRef{Row: 1, Col: 0}, table.ParseValue(s)); err != nil {
 					t.Fatal(err)
 				}
 			}
+			checkBytes(t, "session after cell edits", enc.session(id, sess), encodeOracle(t, oracleSession(id, sess)))
 			if err := sess.InsertRow(sess.Dirty().Row(0)); err != nil {
 				t.Fatal(err)
 			}
-			checkBytes(t, "session after edits", sessionAnswer(id, sess), encodeOracle(t, oracleSession(id, sess)))
-			checkBytes(t, "ingest", ingestAnswer(3, id, sess), encodeOracle(t, ingestResponse{Appended: 3, Session: oracleSession(id, sess)}))
+			checkBytes(t, "session after edits", enc.session(id, sess), encodeOracle(t, oracleSession(id, sess)))
+			checkBytes(t, "ingest", enc.ingest(3, id, sess), encodeOracle(t, ingestResponse{Appended: 3, Session: oracleSession(id, sess)}))
+			var fresh answerEncoder
+			checkBytes(t, "fresh encoder", fresh.session(id, sess), encodeOracle(t, oracleSession(id, sess)))
 		})
 	}
 
@@ -351,10 +358,10 @@ func FuzzWireString(f *testing.F) {
 	})
 }
 
-// TestWireAllocs guards the writers' allocation count on a 192-row
-// session: it must not grow with the table. The session answer pays for
-// the constraint strings and the repair answer for the repaired subset's
-// names only; neither allocates per row or per cell.
+// TestWireAllocs guards the encoder's allocations on a 192-row session.
+// After a one-cell edit the session answer re-encodes one row and copies
+// the rest: it allocates at most once (Session.DCs copies the constraint
+// list), however large the table. A repair answer allocates nothing.
 func TestWireAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -371,19 +378,56 @@ func TestWireAllocs(t *testing.T) {
 	if len(repaired) == 0 {
 		t.Fatal("fixture repairs nothing")
 	}
-	// Rendering the constraints (Session.DCs and Constraint.String) is the
-	// session answer's whole allocation budget; everything else is appended
-	// into the pooled buffer.
-	budget := testing.AllocsPerRun(50, func() {
-		for _, c := range sess.DCs() {
-			_ = c.String()
+	var enc answerEncoder
+	wirePool.Put(enc.session("s1", sess))
+	ref := table.CellRef{Row: 0, Col: dirty.Schema().MustIndex("Country")}
+	toggle := [2]table.Value{table.String("Wrongland"), sess.Dirty().GetRef(ref)}
+	n := 0
+	edit := func() {
+		n++
+		if err := sess.SetCell(ref, toggle[n%2]); err != nil {
+			t.Fatal(err)
 		}
-	})
-	if got := testing.AllocsPerRun(50, func() { wirePool.Put(sessionAnswer("s1", sess)) }); got > budget {
-		t.Errorf("session answer: %v allocs/op, want <= %v (%d rows)", got, budget, dirty.NumRows())
 	}
-	if got := testing.AllocsPerRun(50, func() { wirePool.Put(repairAnswer(sess.Dirty(), exact, repaired)) }); got != 0 {
+	editOnly := testing.AllocsPerRun(50, edit)
+	withAnswer := testing.AllocsPerRun(50, func() {
+		edit()
+		wirePool.Put(enc.session("s1", sess))
+	})
+	if got := withAnswer - editOnly; got > 1 {
+		t.Errorf("session answer after a one-cell edit: %v allocs/op, want <= 1 (%d rows)", got, dirty.NumRows())
+	}
+	if got := testing.AllocsPerRun(50, func() { wirePool.Put(enc.repair(sess, exact, repaired)) }); got != 0 {
 		t.Errorf("repair answer: %v allocs/op, want 0", got)
+	}
+}
+
+// BenchmarkSessionAnswerAfterEdit is the session answer of a 192-row
+// session after a one-cell edit; the edit itself is not timed. Every 256
+// edits a new session starts, as a long edit loop's analyst does, so the
+// history the answer echoes stays short.
+func BenchmarkSessionAnswerAfterEdit(b *testing.B) {
+	dirty, dcs := soccerFixture(b)
+	ref := table.CellRef{Row: 0, Col: dirty.Schema().MustIndex("Country")}
+	toggle := [2]table.Value{table.String("Wrongland"), dirty.GetRef(ref)}
+	var sess *core.Session
+	var enc answerEncoder
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if i%256 == 0 {
+			var err error
+			if sess, err = core.NewSessionWith(algorithm1(b), dcs, dirty, core.SessionOptions{Workers: 1}); err != nil {
+				b.Fatal(err)
+			}
+			wirePool.Put(enc.session("s1", sess))
+		}
+		if err := sess.SetCell(ref, toggle[i%2]); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		wirePool.Put(enc.session("s1", sess))
 	}
 }
 
