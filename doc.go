@@ -191,7 +191,7 @@
 //     Stochastic (ReplaceFromColumn) games never bind: a realization must
 //     not be memoized as a value. A SampleAll explain over more than 64
 //     players does not bind either: on a cold explain almost none of its
-//     coalitions recur, and packing, staging and republishing each one
+//     coalitions recur, and packing, storing and logging each one
 //     cost more than the hits saved, so the result memo serves its repeats
 //     whole instead.
 //
@@ -370,15 +370,24 @@
 //     boundaries in the shapley fan-out, bucket boundaries in the parallel
 //     repair passes, coalition boundaries in exact enumeration). The hard
 //     invariant is no partial-work poisoning: each core.Explainer entry
-//     point runs inside a cache transaction (exec.Txn) that stages every
-//     coalition value and repair diff it computes; the transaction commits
-//     on success and is dropped on error or panic, so an aborted run
-//     leaves the shared coalition cache, the repair-target cache, pooled
-//     statistics and the live violation index bit-identical to never
-//     having started (abort-then-rerun golden tests enforce this at every
-//     cancellation site, fingerprinting cache state before and after).
-//     Commits carry their original generation stamps, so a transaction
-//     that outlived an edit publishes nothing.
+//     point runs inside a cache transaction (exec.Txn). Coalition values
+//     go straight into the shared coalition cache, and the transaction
+//     keeps an undo log of the entries it inserted; repair diffs and
+//     report entries are staged for the result memo. The transaction
+//     commits on success, truncating the log and publishing the staged
+//     memo entries. On error or panic it deletes the logged entries
+//     (each only while its shard still holds it at the logged generation)
+//     and drops the staging, so an aborted run leaves the shared
+//     coalition cache, the repair-target cache, pooled statistics and the
+//     live violation index bit-identical to never having started
+//     (abort-then-rerun golden tests enforce this at every cancellation
+//     site, fingerprinting cache state before and after). Memo entries
+//     carry their original generation stamps, so a transaction that
+//     outlived an edit publishes none. A concurrent explain on the same
+//     engine may read another run's uncommitted coalition values, which
+//     is sound because a value is stored only after its own evaluation
+//     returned without error; an aborted run that overlapped another
+//     keeps its values, which that run may have read.
 //   - Admission control (internal/server): heavy endpoints pass a bounded
 //     in-flight semaphore; a saturated server answers 429 with Retry-After
 //     instead of queueing unboundedly. Per-request deadlines turn

@@ -66,17 +66,19 @@ type Explainer struct {
 	repairDescMemo string
 
 	// txn is the cache transaction of the public entry point currently
-	// running on this explainer (nil between calls).
-	// Every store into the session's shared caches — coalition values,
-	// repair-target diffs — is staged here and only published when the
-	// entry point returns without error; cancellation, deadline expiry and
-	// panics abort the staging, leaving the shared caches bit-identical to
-	// the call never having started (the no-partial-work-poisoning
-	// invariant; see exec.Txn and doc.go). An Explainer is not safe for
-	// concurrent use — concurrent explains each take their own Explainer
-	// from Session.Explainer(), so each run owns its transaction.
+	// running on this explainer (nil between calls). Coalition values go
+	// straight into the session's shared cache and the txn logs the
+	// entries they insert; repair-target diffs and report entries are
+	// staged and published to the Memo only when the entry point returns
+	// without error. Cancellation, deadline expiry and panics abort the
+	// txn, which deletes the logged entries and drops the staging, leaving
+	// the shared caches bit-identical to the call never having started
+	// (the no-partial-work-poisoning invariant; see exec.Txn and doc.go).
+	// An Explainer is not safe for concurrent use — concurrent explains
+	// each take their own Explainer from Session.Explainer(), so each run
+	// owns its transaction.
 	//
-	// The txn is created lazily by liveTxn at the first staged store:
+	// The txn is created lazily by liveTxn at the first cache store:
 	// entryOpen alone marks a running entry point, so pure cache-hit reads
 	// (Target on a warm repair cache, the edit loop's screen refreshes)
 	// never allocate a transaction at all.
@@ -105,7 +107,7 @@ func (e *Explainer) begin() bool {
 // commit otherwise. When owned is false this frame joined an outer entry
 // point and must do nothing — in particular it must not recover, a panic
 // belongs to the outermost frame. Commit and Abort are nil-safe, so an
-// entry point that never staged anything (liveTxn never called) finishes
+// entry point that never stored anything (liveTxn never called) finishes
 // without touching the engine.
 func (e *Explainer) finishEntry(owned bool, errp *error) {
 	if !owned {
@@ -127,8 +129,9 @@ func (e *Explainer) finishEntry(owned bool, errp *error) {
 // liveTxn returns the open entry point's cache transaction, creating it on
 // first use. Store paths (bind, cachedGame, Repair's diff store) call
 // this; read-only paths consult e.txn directly — a nil txn falls through
-// to the shared caches, so lookups before the first store are served
-// exactly as they would be inside the transaction.
+// to the Memo, and coalition lookups always read the shared cache, so
+// lookups before the first store are served exactly as they would be
+// inside the transaction.
 func (e *Explainer) liveTxn() *exec.Txn {
 	if e.entryOpen && e.txn == nil {
 		e.txn = e.Engine.Begin()
@@ -136,10 +139,11 @@ func (e *Explainer) liveTxn() *exec.Txn {
 	return e.txn
 }
 
-// bind routes a game's shared-cache enrollment through the open
-// transaction when there is one, falling back to direct engine bindings
-// (games constructed and sampled outside any entry point keep the old
-// immediate-store behavior).
+// bind enrolls a game in the shared coalition cache. Inside an entry
+// point the binding belongs to the open transaction, which logs the
+// entries its stores insert so an abort can delete them; games built and
+// sampled outside any entry point get a plain engine binding, whose
+// stores are final.
 func (e *Explainer) bind(desc string) *exec.Binding {
 	if t := e.liveTxn(); t != nil {
 		return t.Bind(desc, e.Dirty.Generation)
@@ -258,7 +262,7 @@ func (e *Explainer) cachedRepairDiffs() ([]table.CellDiff, bool) {
 }
 
 // repairLookup returns the full repair's exact diff memoized under desc at
-// generation gen, staged by the open entry point or published. Safe on a
+// generation gen, staged by the open entry point or in the Memo. Safe on a
 // game's evaluation workers: they only read e.txn, which the entry point
 // sets before any game runs and clears after.
 func (e *Explainer) repairLookup(desc string, gen uint64) ([]table.CellDiff, bool) {
@@ -365,7 +369,7 @@ func (e *Explainer) Repair(ctx context.Context) (_ *table.Table, _ []table.CellD
 // repairExact is the one repair implementation behind RepairDiff, Repair
 // and Target: the memo probe, the black-box run and the memo store, staged
 // in the entry point's transaction when one is open so an abort after this
-// point unpublishes it. The run goes through repair.Run, so a scratch
+// point drops it. The run goes through repair.Run, so a scratch
 // repairer repairs a pooled work table — no clone of the dirty table, and
 // its pooled run state stays warm for the coalition repairs of the explain
 // that follows. The stored diff is also every game's grand-coalition value

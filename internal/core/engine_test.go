@@ -365,3 +365,41 @@ func TestGroupWalkExcludeRestores(t *testing.T) {
 		t.Fatalf("scratch not restored after Exclude walk:\n%s\nvs dirty:\n%s", sc.tbl, game.exp.Dirty)
 	}
 }
+
+// TestColdExplainCellsAllocBudget is the allocation guard of trex-bench's
+// explain-cells/laliga/m=64 row: a sampled cell explain over La Liga's 35
+// cells with an engine invalidated before every iteration, on one worker.
+// Its coalition values go straight into the shared cache, and the cache
+// transaction logs only the keys it inserted, so a cold explain costs
+// about 60 KB. The budget is twice the 66 KB the explain read before
+// every explainer carried an engine.
+func TestColdExplainCellsAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	ll := data.NewLaLiga()
+	exp, err := NewExplainer(repair.NewAlgorithm1(), ll.DCs, ll.Dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var runErr error
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			exp.Engine.InvalidateCache()
+			if _, err := exp.ExplainCells(ctx, ll.CellOfInterest, CellExplainOptions{Samples: 64, Seed: int64(i), Workers: 1}); err != nil {
+				runErr = err
+				b.FailNow()
+			}
+		}
+	})
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	const budget = 128 << 10
+	t.Logf("cold explain: %d B/op, %d allocs/op over %d runs", res.AllocedBytesPerOp(), res.AllocsPerOp(), res.N)
+	if got := res.AllocedBytesPerOp(); got > budget {
+		t.Fatalf("cold explain allocates %d B/op, budget %d", got, budget)
+	}
+}

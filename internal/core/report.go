@@ -142,8 +142,8 @@ func (o CellExplainOptions) withDefaults() CellExplainOptions {
 // maxBoundRoster is the widest player roster whose sampled SampleAll
 // explain binds to the shared coalition cache. Up to it, exact and sampled
 // paths over one roster share coalition values. Beyond it the coalitions
-// of a sampled explain are almost never asked for again, and packing and
-// staging each one cost more than the repeats save, so the explain is
+// of a sampled explain are almost never asked for again, and packing,
+// storing and logging each one cost more than the repeats save, so the explain is
 // memoized whole instead (sampledDesc).
 const maxBoundRoster = 64
 

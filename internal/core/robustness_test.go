@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/data"
@@ -65,7 +66,7 @@ func newWideRobustnessSession(t *testing.T) (*Session, table.CellRef) {
 // must leave every shared structure bit-identical to the run never having
 // started, and a clean rerun on the same session must answer bit-identically
 // to a never-faulted reference session. It runs over a narrow roster
-// (coalition values staged per coalition) and, under "wide/", over a wide
+// (coalition values stored and undo-logged per coalition) and, under "wide/", over a wide
 // one (estimates staged in the Memo).
 func TestAbortThenRerunGolden(t *testing.T) {
 	ctx := context.Background()
@@ -388,5 +389,78 @@ func TestBeginIsReentrant(t *testing.T) {
 	}
 	if e.txn != nil || e.entryOpen {
 		t.Fatal("entry point must leave no dangling txn")
+	}
+}
+
+// TestConcurrentExplainAbortKeepsSoloCache: two explainers of one session
+// explain the same cell at once, and a cancel scheduled at a cache store
+// aborts one of them. Coalition values go straight into the shared cache,
+// so the other run may read values the aborted run stored and never
+// committed. That is sound because a value is stored only after its
+// evaluation returned without error: the surviving run must answer
+// exactly as a solo run, and the cache must end exactly as a solo run
+// leaves it.
+func TestConcurrentExplainAbortKeepsSoloCache(t *testing.T) {
+	ctx := context.Background()
+	opts := CellExplainOptions{Samples: 64, Workers: 2, Seed: 42}
+	open := func() (*Session, table.CellRef) {
+		ll := data.NewLaLiga()
+		sess, err := NewSessionWith(repair.NewAlgorithm1(), ll.DCs, ll.Dirty, SessionOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess, ll.CellOfInterest
+	}
+	solo, cell := open()
+	want, err := solo.Explainer().ExplainCells(ctx, cell, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantReport, wantFp := fmt.Sprintf("%+v", *want), solo.Engine().Cache().Fingerprint()
+
+	for _, ordinal := range []int{1, 2, 5, 20, 80} {
+		t.Run(fmt.Sprintf("ordinal-%d", ordinal), func(t *testing.T) {
+			sess, cell := open()
+			doomed, survivor := sess.Explainer(), sess.Explainer()
+			cctx, cancel := context.WithCancel(ctx)
+			defer cancel()
+			inj := faults.NewInjector(faults.Rule{Site: faults.SiteCacheStore, Ordinal: ordinal, Kind: faults.KindCancel}).
+				OnCancel(cancel)
+			deactivate := faults.Activate(inj)
+			var (
+				wg       sync.WaitGroup
+				abortErr error
+				got      *Report
+				gotErr   error
+			)
+			start := make(chan struct{})
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				<-start
+				_, abortErr = doomed.ExplainCells(cctx, cell, opts)
+			}()
+			go func() {
+				defer wg.Done()
+				<-start
+				got, gotErr = survivor.ExplainCells(ctx, cell, opts)
+			}()
+			close(start)
+			wg.Wait()
+			deactivate()
+
+			if abortErr != nil && !errors.Is(abortErr, context.Canceled) {
+				t.Fatalf("aborted explain error = %v, want context.Canceled", abortErr)
+			}
+			if gotErr != nil {
+				t.Fatalf("surviving explain: %v", gotErr)
+			}
+			if s := fmt.Sprintf("%+v", *got); s != wantReport {
+				t.Fatalf("surviving report differs from a solo run:\n got %s\nwant %s", s, wantReport)
+			}
+			if fp := sess.Engine().Cache().Fingerprint(); fp != wantFp {
+				t.Fatalf("cache fingerprint %x after the pair, want the solo run's %x (aborted: %v)", fp, wantFp, abortErr != nil)
+			}
+		})
 	}
 }

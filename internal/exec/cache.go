@@ -154,12 +154,26 @@ func hashPacked(words []uint64) uint64 {
 }
 
 // wideStackWords sizes the stack buffer the wide-coalition paths pack
-// into: Binding packs a coalition once per operation and probes the
-// staging area and the shared cache with the same words, instead of each
-// probe packing into its own lock-guarded scratch. Coalitions up to
-// 64*wideStackWords players stay allocation-free; larger ones fall back
-// to one append-grown heap buffer per operation.
+// into, so each lookup and store packs and hashes a coalition once.
+// Coalitions up to 64*wideStackWords players stay allocation-free; larger
+// ones fall back to one append-grown heap buffer per operation.
 const wideStackWords = 8
+
+// narrowShard returns the shard of a ≤64-player key.
+func (c *CoalitionCache) narrowShard(key narrowKey) *ccShard {
+	return &c.shards[mix64(key.bits^mix64(key.game))&(cacheShards-1)]
+}
+
+// count records a lookup's outcome in the shard's statistics (callers hold
+// mu) and returns it.
+func (s *ccShard) count(hit bool) bool {
+	if hit {
+		s.hits++
+	} else {
+		s.misses++
+	}
+	return hit
+}
 
 // Lookup returns the memoized value of (game, coalition) at generation
 // gen, if present.
@@ -167,98 +181,127 @@ const wideStackWords = 8
 //lint:hotpath
 func (c *CoalitionCache) Lookup(game, gen uint64, coalition []bool) (float64, bool) {
 	if len(coalition) <= 64 {
-		return c.lookupNarrow(game, gen, packNarrow(coalition))
+		key := narrowKey{game: game, bits: packNarrow(coalition)}
+		s := c.narrowShard(key)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if !s.syncGen(gen) {
+			return 0, s.count(false)
+		}
+		v, ok := s.narrow[key]
+		return v, s.count(ok)
 	}
 	var buf [wideStackWords]uint64
 	words := appendPacked(buf[:0], coalition)
-	return c.lookupWide(game, gen, hashPacked(words)^mix64(game), words)
-}
-
-// lookupNarrow is Lookup for a pre-packed ≤64-player coalition.
-func (c *CoalitionCache) lookupNarrow(game, gen, bits uint64) (float64, bool) {
-	key := narrowKey{game: game, bits: bits}
-	s := &c.shards[mix64(key.bits^mix64(key.game))&(cacheShards-1)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.syncGen(gen) {
-		s.misses++
-		return 0, false
-	}
-	v, ok := s.narrow[key]
-	if ok {
-		s.hits++
-	} else {
-		s.misses++
-	}
-	return v, ok
-}
-
-// lookupWide is Lookup for a pre-packed >64-player coalition; h must be
-// hashPacked(words)^mix64(game).
-func (c *CoalitionCache) lookupWide(game, gen, h uint64, words []uint64) (float64, bool) {
+	h := hashPacked(words) ^ mix64(game)
 	s := &c.shards[h&(cacheShards-1)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.syncGen(gen) {
-		s.misses++
-		return 0, false
-	}
-	for _, e := range s.wide[h] {
-		if e.game == game && slices.Equal(e.words, words) {
-			s.hits++
-			return e.v, true
+	if s.syncGen(gen) {
+		for _, e := range s.wide[h] {
+			if e.game == game && slices.Equal(e.words, words) {
+				return e.v, s.count(true)
+			}
 		}
 	}
-	s.misses++
-	return 0, false
+	return 0, s.count(false)
 }
 
 // Store memoizes the value of (game, coalition) computed at generation
 // gen. A store carrying a generation older than the shard's is dropped —
-// the table moved on while the value was being computed.
+// the table moved on while the value was being computed — and a key that
+// is already present keeps its value.
 //
 //lint:hotpath
 func (c *CoalitionCache) Store(game, gen uint64, coalition []bool, v float64) {
+	c.store(game, gen, coalition, v, nil)
+}
+
+// store is Store that appends each entry it newly inserts to t's undo log
+// when t is non-nil.
+//
+//lint:hotpath
+func (c *CoalitionCache) store(game, gen uint64, coalition []bool, v float64, t *Txn) {
 	if len(coalition) <= 64 {
-		c.storeNarrow(game, gen, packNarrow(coalition), v)
+		bits := packNarrow(coalition)
+		if c.storeNarrow(game, gen, bits, v) && t != nil {
+			t.logNarrow(game, gen, bits)
+		}
 		return
 	}
-	c.storeWide(game, gen, appendPacked(nil, coalition), v)
-}
-
-// storeNarrow stores a pre-packed ≤64-player coalition value (the direct
-// Store path and Txn.Commit both land here).
-func (c *CoalitionCache) storeNarrow(game, gen, bits uint64, v float64) {
-	key := narrowKey{game: game, bits: bits}
-	s := &c.shards[mix64(key.bits^mix64(key.game))&(cacheShards-1)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.syncGen(gen) {
-		s.narrow[key] = v
+	var buf [wideStackWords]uint64
+	words := appendPacked(buf[:0], coalition)
+	h := hashPacked(words) ^ mix64(game)
+	if owned := c.storeWide(game, gen, h, words, v); owned != nil && t != nil {
+		t.logWide(gen, h, owned)
 	}
 }
 
-// storeWide stores a pre-packed >64-player coalition value.
-func (c *CoalitionCache) storeWide(game, gen uint64, words []uint64, v float64) {
-	c.storeWideH(game, gen, hashPacked(words)^mix64(game), words, v)
+// storeNarrow stores a pre-packed ≤64-player coalition value and reports
+// whether it inserted a new entry.
+func (c *CoalitionCache) storeNarrow(game, gen, bits uint64, v float64) bool {
+	key := narrowKey{game: game, bits: bits}
+	s := c.narrowShard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.syncGen(gen) {
+		return false
+	}
+	if _, ok := s.narrow[key]; ok {
+		return false
+	}
+	s.narrow[key] = v
+	return true
 }
 
-// storeWideH is storeWide with the chain key precomputed; h as in
-// lookupWide.
-func (c *CoalitionCache) storeWideH(game, gen, h uint64, words []uint64, v float64) {
+// storeWide stores a pre-packed >64-player coalition value; h must be
+// hashPacked(words)^mix64(game), and words may be a reused buffer. It
+// returns the new entry's own key slice when it inserted one, else nil.
+func (c *CoalitionCache) storeWide(game, gen, h uint64, words []uint64, v float64) []uint64 {
 	s := &c.shards[h&(cacheShards-1)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.syncGen(gen) {
-		return
+		return nil
 	}
 	for _, e := range s.wide[h] {
 		if e.game == game && slices.Equal(e.words, words) {
-			return
+			return nil
 		}
 	}
 	//lint:allow allocfree a first-time insert must own its packed key; hits (the steady state) return above without cloning
-	s.wide[h] = append(s.wide[h], wideGameEntry{game: game, words: slices.Clone(words), v: v})
+	owned := slices.Clone(words)
+	s.wide[h] = append(s.wide[h], wideGameEntry{game: game, words: owned, v: v})
+	return owned
+}
+
+// unstoreNarrow deletes a ≤64-player entry a transaction inserted,
+// provided its shard is still at gen.
+func (c *CoalitionCache) unstoreNarrow(game, gen, bits uint64) {
+	key := narrowKey{game: game, bits: bits}
+	s := c.narrowShard(key)
+	s.mu.Lock()
+	if s.gen == gen {
+		delete(s.narrow, key)
+	}
+	s.mu.Unlock()
+}
+
+// unstoreWide deletes the >64-player entry whose own key slice is words,
+// provided its shard is still at gen and holds that entry.
+func (c *CoalitionCache) unstoreWide(gen, h uint64, words []uint64) {
+	s := &c.shards[h&(cacheShards-1)]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.gen != gen {
+		return
+	}
+	chain := slices.DeleteFunc(s.wide[h], func(e wideGameEntry) bool { return &e.words[0] == &words[0] })
+	if len(chain) == 0 {
+		delete(s.wide, h)
+	} else {
+		s.wide[h] = chain
+	}
 }
 
 // Len returns the number of memoized entries across shards (test and
@@ -350,10 +393,9 @@ type Binding struct {
 	cache *CoalitionCache
 	id    uint64
 	gen   func() uint64
-	// txn, when set, stages this binding's stores in the owning explain's
-	// cache transaction instead of publishing them directly, and serves
-	// the run's own staged values on lookup — the no-partial-work-poisoning
-	// discipline (see Txn).
+	// txn, when set, is the owning explain's cache transaction: stores
+	// still write straight into the shared cache, and the txn logs the
+	// entries they insert so an aborted run can delete them (see Txn).
 	txn *Txn
 }
 
@@ -372,27 +414,8 @@ func (b *Binding) Lookup(coalition []bool) (v float64, gen uint64, ok bool) {
 		return 0, 0, false
 	}
 	gen = b.gen()
-	v, ok = b.lookupAt(gen, coalition)
+	v, ok = b.cache.Lookup(b.id, gen, coalition)
 	return v, gen, ok
-}
-
-// lookupAt packs and hashes the coalition once and probes the staging area
-// and the shared cache with the same key.
-func (b *Binding) lookupAt(gen uint64, coalition []bool) (float64, bool) {
-	if len(coalition) <= 64 {
-		bits := packNarrow(coalition)
-		if v, ok := b.txn.stagedNarrow(b.id, gen, bits); ok {
-			return v, true
-		}
-		return b.cache.lookupNarrow(b.id, gen, bits)
-	}
-	var buf [wideStackWords]uint64
-	words := appendPacked(buf[:0], coalition)
-	h := hashPacked(words) ^ mix64(b.id)
-	if v, ok := b.txn.stagedWide(b.id, gen, h, words); ok {
-		return v, ok
-	}
-	return b.cache.lookupWide(b.id, gen, h, words)
 }
 
 // LookupAt is Lookup pinned to an explicit generation stamp — the walks'
@@ -408,13 +431,13 @@ func (b *Binding) LookupAt(gen uint64, coalition []bool) (float64, bool) {
 	if b == nil {
 		return 0, false
 	}
-	return b.lookupAt(gen, coalition)
+	return b.cache.Lookup(b.id, gen, coalition)
 }
 
 // Store memoizes a value computed at the generation a prior Lookup
 // reported. No-op on a nil binding. SiteCacheStore is the fault-injection
 // checkpoint here: a scheduled cancellation lands exactly between
-// computing a value and publishing it, the moment the
+// computing a value and storing it, the moment the
 // no-partial-work-poisoning invariant guards.
 //
 //lint:hotpath
@@ -423,23 +446,7 @@ func (b *Binding) Store(gen uint64, coalition []bool, v float64) {
 		return
 	}
 	faults.Hit(faults.SiteCacheStore)
-	if len(coalition) <= 64 {
-		bits := packNarrow(coalition)
-		if b.txn != nil {
-			b.txn.stageNarrow(b.id, gen, bits, v)
-			return
-		}
-		b.cache.storeNarrow(b.id, gen, bits, v)
-		return
-	}
-	var buf [wideStackWords]uint64
-	words := appendPacked(buf[:0], coalition)
-	h := hashPacked(words) ^ mix64(b.id)
-	if b.txn != nil {
-		b.txn.stageWide(b.id, gen, h, words, v)
-		return
-	}
-	b.cache.storeWideH(b.id, gen, h, words, v)
+	b.cache.store(b.id, gen, coalition, v, b.txn)
 }
 
 // CachedGame is a shapley.Game view over one game's slice of the shared

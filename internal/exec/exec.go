@@ -33,6 +33,11 @@
 //     A sampled SampleAll explain over more players stays unbound: its
 //     coalitions are almost never asked for again, and the Memo serves a
 //     repeat of the whole explain instead.
+//   - Txn: one explain's cache transaction. Its bindings store coalition
+//     values straight into the shared cache and log the entries they
+//     insert; Commit truncates the log, Abort deletes the logged entries.
+//     The explain's Memo entries are staged in the Txn and reach the Memo
+//     only at Commit.
 //
 // The package sits below repair and core (it knows games and tables, never
 // constraints or algorithms), which is what lets every layer share it
@@ -58,6 +63,10 @@ type Engine struct {
 	mu     sync.Mutex
 	ids    map[string]uint64
 	nextID uint64
+	// txns is the free list Begin draws cache transactions from; openTxns
+	// and begunTxns count the ones in flight and ever begun (see Txn).
+	txns                []*Txn
+	openTxns, begunTxns uint64
 }
 
 // NewEngine builds an engine with a worker budget; 0 means GOMAXPROCS.
@@ -104,7 +113,6 @@ func (e *Engine) GameID(desc string) uint64 {
 	if id, ok := e.ids[desc]; ok {
 		return id
 	}
-	const maxGameIDs = 4096
 	if len(e.ids) >= maxGameIDs {
 		clear(e.ids)
 		// Every stored coalition value now belongs to an ID no descriptor
@@ -132,6 +140,9 @@ func (e *Engine) InvalidateCache() {
 	e.memo.Clear()
 	e.plans.Clear()
 }
+
+// maxGameIDs bounds the game-ID interning map (see GameID).
+const maxGameIDs = 4096
 
 // CachedGame wraps g with the engine's shared coalition cache under the
 // descriptor's interned game ID; gen supplies the current table generation

@@ -1,76 +1,70 @@
 package exec
 
 import (
-	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/faults"
 	"repro/internal/shapley"
 	"repro/internal/table"
 )
 
-// Txn is one explain's transactional view of the session's shared caches:
-// every coalition value, repair diff and sampled report the run computes
-// is staged privately and only published to the shared CoalitionCache /
-// Memo by Commit. An aborted run (cancellation, deadline, injected fault,
-// panic) calls Abort, which drops the staging wholesale — so the shared
-// caches are left bit-identical to the run never having started, the
-// no-partial-work-poisoning invariant of the fault model (doc.go,
-// "Fault model and degradation ladder").
+// Txn is one explain's cache transaction, rolled back through an undo log
+// like core's scratch tables. Coalition values go straight into the
+// shared CoalitionCache, and the txn logs each entry a store newly
+// inserted. Commit truncates the log and publishes the staged Memo
+// entries; Abort (cancellation, deadline, injected fault, panic) deletes
+// each logged entry while its shard is still at the logged generation and
+// holds it, and drops the staging. Entries that existed before the run,
+// or came back after their shard moved on, survive, so the shared caches
+// are bit-identical to the run never having started: the
+// no-partial-work-poisoning invariant of the fault model (doc.go, "Fault
+// model and degradation ladder"). Entries of an older generation that the
+// run's lookups or stores cleared stay gone; generations only grow, so
+// nothing can reach them again. Memo entries keep their staging, because
+// Memo.store may start a generation over or evict, and undoing it would
+// mean restoring evicted entries.
 //
-// Reads still see the run's own writes: Binding lookups consult the
-// staging area first, then the shared cache, so repeat coalitions within
-// one explain are served exactly as they were when stores were direct.
-// Values are deterministic per (game, coalition, generation), which is
-// what makes deferred publication invisible to results: a committed and
-// an uncommitted run compute bit-identical estimates, the only difference
-// is whether the *next* run starts warm.
+// A concurrent explain on the same engine may read another run's
+// uncommitted coalition values. That is sound because a value is stored
+// only after its own evaluation returned without error, and values are
+// deterministic per (game, coalition, generation). Since the reader may
+// have relied on them, a txn whose lifetime overlapped another txn keeps
+// its inserts on Abort; a server session runs one request at a time, so
+// there every abort rolls back. TestConcurrentExplainAbortKeepsSoloCache
+// (internal/core) checks that a run beside an aborted one answers, and
+// leaves the cache, exactly as a solo run.
 //
-// A nil *Txn is a valid "no transaction" value outside an entry point:
-// the staged probes miss, so a binding without a transaction reads the
-// shared cache directly, and Commit and Abort are no-ops. A Txn is safe
-// for the concurrent goroutines one explain fans out (sampler workers all
-// staging into it), but must not be shared by concurrent explains — each
-// run begins its own.
+// A nil *Txn means "no transaction": bindings without one log nothing,
+// and Commit and Abort are no-ops. A Txn is safe for the goroutines one
+// explain fans out, but each explain begins its own, and neither the txn
+// nor its bindings may be used after Commit or Abort returns it to the
+// engine.
 type Txn struct {
 	e *Engine
+	// began is the engine's begin count after this txn's Begin, and
+	// overlapped records that another txn was open at that moment; Abort
+	// reads both to tell whether any other txn overlapped this one.
+	began      uint64
+	overlapped bool
 
-	// staged counts every store into the transaction. Lookups load it
-	// before taking the mutex: a shared-cache-warm explain never stages
-	// anything, and its (hot, per-sample) staged-first lookups must cost
-	// one atomic load, not a lock acquisition plus an empty map probe.
-	// A lookup racing a concurrent store of a *different* key may read 0
-	// and skip the maps — harmless, the shared cache answers exactly as it
-	// would have inside the transaction; same-key compute-then-lookup
-	// happens on one goroutine, which always sees its own increment.
-	staged atomic.Uint64
-
-	mu   sync.Mutex
-	coal map[txnCoalKey]float64
-	// wide holds >64-player staged stores, hash-chained exactly like the
-	// shared cache's wide shards (hash → entries compared by game, gen and
-	// packed words), so staged probes and Commit's republication cost what
-	// the shared cache's own probes and stores do.
-	wide map[uint64][]txnWideEntry
+	mu     sync.Mutex
+	narrow []narrowUndo
+	wide   []wideUndo
 	// memo holds staged Memo entries in store order, so Commit publishes
-	// them in a fixed order. An explain stages one or two.
+	// them in a fixed order.
 	memo []txnMemoEntry
 }
 
-// txnCoalKey identifies one staged ≤64-player coalition value.
-type txnCoalKey struct {
-	game uint64
-	gen  uint64
-	bits uint64
+// narrowUndo is one ≤64-player entry the txn inserted.
+type narrowUndo struct {
+	game, gen, bits uint64
 }
 
-// txnWideEntry is one staged >64-player coalition value.
-type txnWideEntry struct {
-	game  uint64
-	gen   uint64
-	words []uint64
-	v     float64
+// wideUndo is one >64-player entry the txn inserted; words is the cache
+// entry's own key slice, so Abort deletes that very entry.
+type wideUndo struct {
+	gen, h uint64
+	words  []uint64
 }
 
 // txnMemoEntry is one staged Memo entry.
@@ -79,12 +73,24 @@ type txnMemoEntry struct {
 	memoEntry
 }
 
-// Begin opens a cache transaction on the engine.
-func (e *Engine) Begin() *Txn { return &Txn{e: e} }
+// Begin opens a cache transaction on the engine, reusing a released one.
+func (e *Engine) Begin() *Txn {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var t *Txn
+	if n := len(e.txns); n > 0 {
+		t, e.txns = e.txns[n-1], e.txns[:n-1]
+	} else {
+		t = &Txn{e: e}
+	}
+	e.openTxns++
+	e.begunTxns++
+	t.began, t.overlapped = e.begunTxns, e.openTxns > 1
+	return t
+}
 
 // Bind is Engine.Bind routed through the transaction: the returned
-// binding's stores stage into the txn and its lookups see staged values
-// first.
+// binding logs the entries its stores insert.
 func (t *Txn) Bind(desc string, gen func() uint64) *Binding {
 	b := t.e.Bind(desc, gen)
 	b.txn = t
@@ -97,73 +103,23 @@ func (t *Txn) CachedGame(desc string, gen func() uint64, g shapley.Game) shapley
 	return &CachedGame{b: t.Bind(desc, gen), g: g}
 }
 
-// stageNarrow records one pre-packed ≤64-player coalition value in the
-// staging area. The packed-key API (here and the three siblings below)
-// exists so Binding can pack and hash one coalition exactly once per
-// operation and probe staging and the shared cache with the same key —
-// wide games evaluate tens of thousands of coalitions per explain, and a
-// second packing pass per probe was a measured regression (soccer48 rows).
-func (t *Txn) stageNarrow(game, gen, bits uint64, v float64) {
-	key := txnCoalKey{game: game, gen: gen, bits: bits}
-	t.staged.Add(1)
+// logNarrow records a ≤64-player entry a store of this txn inserted.
+//
+//lint:hotpath
+func (t *Txn) logNarrow(game, gen, bits uint64) {
 	t.mu.Lock()
-	if t.coal == nil {
-		t.coal = make(map[txnCoalKey]float64)
-	}
-	t.coal[key] = v
+	t.narrow = append(t.narrow, narrowUndo{game: game, gen: gen, bits: bits})
 	t.mu.Unlock()
 }
 
-// stageWide records one pre-packed >64-player coalition value. h must be
-// hashPacked(words)^mix64(game) — the same chain key the shared cache
-// derives, so Commit republishes into the identical shard buckets. words
-// is cloned on insert; callers may reuse the buffer.
-func (t *Txn) stageWide(game, gen, h uint64, words []uint64, v float64) {
-	t.staged.Add(1)
+// logWide records a >64-player entry a store of this txn inserted; words
+// is the entry's own key slice.
+//
+//lint:hotpath
+func (t *Txn) logWide(gen, h uint64, words []uint64) {
 	t.mu.Lock()
-	if t.wide == nil {
-		t.wide = make(map[uint64][]txnWideEntry)
-	}
-	for i, e := range t.wide[h] {
-		if e.game == game && e.gen == gen && slices.Equal(e.words, words) {
-			t.wide[h][i].v = v
-			t.mu.Unlock()
-			return
-		}
-	}
-	//lint:allow allocfree staging a new wide entry must own its packed key; restaging an existing key updates in place above
-	t.wide[h] = append(t.wide[h], txnWideEntry{game: game, gen: gen, words: slices.Clone(words), v: v})
+	t.wide = append(t.wide, wideUndo{gen: gen, h: h, words: words})
 	t.mu.Unlock()
-}
-
-// stagedNarrow looks a pre-packed ≤64-player coalition value up in the
-// staging area.
-func (t *Txn) stagedNarrow(game, gen, bits uint64) (float64, bool) {
-	if t == nil || t.staged.Load() == 0 {
-		return 0, false
-	}
-	key := txnCoalKey{game: game, gen: gen, bits: bits}
-	t.mu.Lock()
-	v, ok := t.coal[key]
-	t.mu.Unlock()
-	return v, ok
-}
-
-// stagedWide looks a pre-packed >64-player coalition value up in the
-// staging area; h as in stageWide.
-func (t *Txn) stagedWide(game, gen, h uint64, words []uint64) (float64, bool) {
-	if t == nil || t.staged.Load() == 0 {
-		return 0, false
-	}
-	t.mu.Lock()
-	for _, e := range t.wide[h] {
-		if e.game == game && e.gen == gen && slices.Equal(e.words, words) {
-			t.mu.Unlock()
-			return e.v, true
-		}
-	}
-	t.mu.Unlock()
-	return 0, false
 }
 
 // RepairLookup is Memo.Lookup with the transaction's staged diffs
@@ -203,9 +159,6 @@ func (t *Txn) EntriesStore(desc string, gen uint64, entries []shapley.Entry) {
 
 // stagedMemo finds a staged Memo entry of the given kind at gen.
 func (t *Txn) stagedMemo(desc string, gen uint64, kind memoKind) (memoEntry, bool) {
-	if t.staged.Load() == 0 {
-		return memoEntry{}, false
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, e := range t.memo {
@@ -223,7 +176,6 @@ func (t *Txn) stageMemo(desc string, e memoEntry) {
 		return
 	}
 	faults.Hit(faults.SiteCacheStore)
-	t.staged.Add(1)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for i := range t.memo {
@@ -235,42 +187,57 @@ func (t *Txn) stageMemo(desc string, e memoEntry) {
 	t.memo = append(t.memo, txnMemoEntry{desc: desc, memoEntry: e})
 }
 
-// Commit publishes every staged value to the shared caches. Stores carry
-// their original generation stamps, so values computed before a concurrent
-// table edit are dropped by the caches' generation guards exactly as
-// direct stores would have been. Commit leaves the txn empty; committing
-// a nil txn is a no-op.
+// Commit keeps every coalition value the run stored and publishes the
+// staged Memo entries. They carry their original generation stamps, so
+// entries computed before a concurrent table edit are dropped by the
+// Memo's generation guard. Committing a nil txn is a no-op.
 func (t *Txn) Commit() {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	coal, wide, memo := t.coal, t.wide, t.memo
-	t.coal, t.wide, t.memo = nil, nil, nil
-	t.mu.Unlock()
-	//lint:allow detmap republication into a keyed cache: keys are unique, last-write-wins per key, order cannot affect contents
-	for key, v := range coal {
-		t.e.cache.storeNarrow(key.game, key.gen, key.bits, v)
-	}
-	//lint:allow detmap republication into a keyed cache: keys are unique, last-write-wins per key, order cannot affect contents
-	for h, es := range wide {
-		for _, e := range es {
-			t.e.cache.storeWideH(e.game, e.gen, h, e.words, e.v)
-		}
-	}
-	for _, e := range memo {
+	for _, e := range t.memo {
 		t.e.memo.store(e.desc, e.memoEntry)
 	}
+	t.mu.Unlock()
+	t.e.mu.Lock()
+	t.e.endTxn(t)
+	t.e.mu.Unlock()
 }
 
-// Abort drops every staged value. The shared caches never saw them, so
-// post-abort they are bit-identical to the run never having started.
+// Abort deletes the coalition entries the run inserted, unless another
+// txn overlapped it (see Txn), and drops the staged Memo entries.
 // Nil-safe.
 func (t *Txn) Abort() {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	t.coal, t.wide, t.memo = nil, nil, nil
-	t.mu.Unlock()
+	e := t.e
+	// Holding e.mu keeps a new txn from beginning, and reading entries
+	// about to be deleted, while the log is undone.
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !t.overlapped && e.begunTxns == t.began {
+		t.mu.Lock()
+		for _, u := range t.narrow {
+			e.cache.unstoreNarrow(u.game, u.gen, u.bits)
+		}
+		for _, u := range t.wide {
+			e.cache.unstoreWide(u.gen, u.h, u.words)
+		}
+		t.mu.Unlock()
+	}
+	e.endTxn(t)
+}
+
+// endTxn empties a finished txn and returns it to the engine's free list;
+// callers hold e.mu.
+func (e *Engine) endTxn(t *Txn) {
+	t.narrow = t.narrow[:0]
+	clear(t.wide)
+	t.wide = t.wide[:0]
+	clear(t.memo)
+	t.memo = t.memo[:0]
+	e.openTxns--
+	e.txns = append(e.txns, t)
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // TestTxnAbortLeavesCachesPristine is the package-level statement of the
-// no-partial-work-poisoning invariant: every store staged in a transaction
+// no-partial-work-poisoning invariant: every store made in a transaction
 // that aborts must leave the shared caches bit-identical to the run never
 // having started.
 func TestTxnAbortLeavesCachesPristine(t *testing.T) {
@@ -34,12 +35,12 @@ func TestTxnAbortLeavesCachesPristine(t *testing.T) {
 	// A sampled explain stages its finished report entries the same way.
 	txn.EntriesStore("doomed-report", 7, []shapley.Entry{{Name: "t1[A]", Shapley: 0.5}})
 
-	// The run sees its own staged writes...
+	// The run sees its own writes...
 	if v, ok := b.LookupAt(7, []bool{true, true}); !ok || v != 1.25 {
-		t.Fatalf("staged narrow lookup = %v, %v", v, ok)
+		t.Fatalf("narrow lookup inside the txn = %v, %v", v, ok)
 	}
 	if v, ok := b.LookupAt(7, wide); !ok || v != 2.5 {
-		t.Fatalf("staged wide lookup = %v, %v", v, ok)
+		t.Fatalf("wide lookup inside the txn = %v, %v", v, ok)
 	}
 	if _, ok := txn.RepairLookup("doomed-repair", 7); !ok {
 		t.Fatal("staged repair diff must be visible inside the txn")
@@ -50,9 +51,9 @@ func TestTxnAbortLeavesCachesPristine(t *testing.T) {
 	if _, ok := e.RepairTargets().LookupEntries("doomed-report", 7); ok {
 		t.Fatal("staged entries must not reach the memo before commit")
 	}
-	// ...but the shared caches have not.
-	if got := e.Cache().Len(); got != baseLen {
-		t.Fatalf("shared cache grew to %d before commit", got)
+	// Coalition values are in the shared cache before commit.
+	if got := e.Cache().Len(); got != baseLen+2 {
+		t.Fatalf("shared cache len = %d before commit, want %d", got, baseLen+2)
 	}
 
 	txn.Abort()
@@ -105,16 +106,196 @@ func TestTxnCommitPublishes(t *testing.T) {
 	}
 }
 
-// TestTxnCommitKeepsGenerationGuards: values staged at an old generation
-// are dropped by the caches' stale-store guards at commit, exactly as
-// direct stores would have been.
+// coalitionOf unpacks the low n bits of bits into a coalition.
+func coalitionOf(bits uint64, n int) []bool {
+	c := make([]bool, n)
+	for i := range c {
+		c[i] = bits&(1<<uint(i)) != 0
+	}
+	return c
+}
+
+// TestTxnAbortUndoesOnlyOwnInserts: Abort deletes exactly the entries its
+// txn inserted that are still in place, and nothing else.
+func TestTxnAbortUndoesOnlyOwnInserts(t *testing.T) {
+	wide := func(first int) []bool {
+		c := make([]bool, 100)
+		c[first], c[99] = true, true
+		return c
+	}
+
+	t.Run("same-shard-neighbour", func(t *testing.T) {
+		e := NewEngine(1)
+		c := e.Cache()
+		doomedID, warmID := e.GameID("doomed"), e.GameID("warm")
+		doomed := coalitionOf(0b11, 8)
+		// A warm entry of another game in the shard the doomed key lands in.
+		shard := c.narrowShard(narrowKey{game: doomedID, bits: 0b11})
+		var warm []bool
+		for bits := uint64(0); bits < 256 && warm == nil; bits++ {
+			if c.narrowShard(narrowKey{game: warmID, bits: bits}) == shard {
+				warm = coalitionOf(bits, 8)
+			}
+		}
+		if warm == nil {
+			t.Fatal("no warm key shares the doomed key's shard")
+		}
+		c.Store(warmID, 5, warm, 0.5)
+		// And a warm wide entry of another game in the doomed wide key's shard.
+		var words []uint64
+		doomedH := hashPacked(appendPacked(nil, wide(0))) ^ mix64(doomedID)
+		var warmWide []bool
+		for i := 0; i < 99 && warmWide == nil; i++ {
+			words = appendPacked(words[:0], wide(i))
+			if (hashPacked(words)^mix64(warmID))&(cacheShards-1) == doomedH&(cacheShards-1) {
+				warmWide = wide(i)
+			}
+		}
+		if warmWide == nil {
+			t.Fatal("no warm wide key shares the doomed wide key's shard")
+		}
+		c.Store(warmID, 5, warmWide, 1.5)
+		baseLen, baseFp := c.Len(), c.Fingerprint()
+
+		txn := e.Begin()
+		b := txn.Bind("doomed", func() uint64 { return 5 })
+		b.Store(5, doomed, 1.25)
+		b.Store(5, wide(0), 2.5)
+		txn.Abort()
+		if c.Len() != baseLen || c.Fingerprint() != baseFp {
+			t.Fatalf("abort changed the cache: len %d (want %d)", c.Len(), baseLen)
+		}
+		if v, ok := c.Lookup(warmID, 5, warm); !ok || v != 0.5 {
+			t.Fatal("abort deleted a same-shard entry it did not insert")
+		}
+		if v, ok := c.Lookup(warmID, 5, warmWide); !ok || v != 1.5 {
+			t.Fatal("abort deleted a same-shard wide entry it did not insert")
+		}
+	})
+
+	t.Run("found-present", func(t *testing.T) {
+		e := NewEngine(1)
+		c := e.Cache()
+		id := e.GameID("shared")
+		narrow := []bool{true, false, true}
+		c.Store(id, 5, narrow, 0.5)
+		c.Store(id, 5, wide(3), 1.5)
+		baseFp := c.Fingerprint()
+
+		txn := e.Begin()
+		b := txn.Bind("shared", func() uint64 { return 5 })
+		b.Store(5, narrow, 0.5)
+		b.Store(5, wide(3), 1.5)
+		txn.Abort()
+		if c.Len() != 2 || c.Fingerprint() != baseFp {
+			t.Fatal("abort deleted keys its txn found already present")
+		}
+	})
+
+	t.Run("reinserted-at-newer-generation", func(t *testing.T) {
+		e := NewEngine(1)
+		c := e.Cache()
+		id := e.GameID("moved")
+		narrow := []bool{true, true, false}
+
+		txn := e.Begin()
+		b := txn.Bind("moved", func() uint64 { return 5 })
+		b.Store(5, narrow, 1.0)
+		b.Store(5, wide(4), 2.0)
+		// The shards move to generation 6 and the keys come back there.
+		c.Store(id, 6, narrow, 1.0)
+		c.Store(id, 6, wide(4), 2.0)
+		baseFp := c.Fingerprint()
+		txn.Abort()
+		if c.Len() != 2 || c.Fingerprint() != baseFp {
+			t.Fatal("an older txn's abort deleted keys re-inserted at a newer generation")
+		}
+	})
+
+	t.Run("after-clear", func(t *testing.T) {
+		e := NewEngine(1)
+		txn := e.Begin()
+		b := txn.Bind("cleared", func() uint64 { return 5 })
+		b.Store(5, []bool{true}, 1.0)
+		b.Store(5, wide(5), 2.0)
+		e.Cache().Clear()
+		txn.Abort()
+		if e.Cache().Len() != 0 {
+			t.Fatalf("abort after Clear left %d entries", e.Cache().Len())
+		}
+	})
+
+	t.Run("after-game-id-overflow", func(t *testing.T) {
+		e := NewEngine(1)
+		txn := e.Begin()
+		b := txn.Bind("overflowed", func() uint64 { return 5 })
+		b.Store(5, []bool{true}, 1.0)
+		b.Store(5, wide(6), 2.0)
+		// Interning maxGameIDs more descriptors starts the table over and
+		// clears the cache; the last one interned stores a value after it.
+		for i := 0; i < maxGameIDs; i++ {
+			e.GameID("filler-" + strconv.Itoa(i))
+		}
+		fresh := e.Bind("fresh", func() uint64 { return 5 })
+		fresh.Store(5, []bool{true}, 3.0)
+		baseFp := e.Cache().Fingerprint()
+		txn.Abort()
+		if e.Cache().Len() != 1 || e.Cache().Fingerprint() != baseFp {
+			t.Fatal("abort after a GameID overflow touched entries it did not insert")
+		}
+	})
+}
+
+// TestTxnOverlappedAbortKeepsInserts: a txn whose lifetime overlapped
+// another txn on the engine keeps its inserts on Abort, since the other
+// run may have read them; a txn that ran alone rolls back.
+func TestTxnOverlappedAbortKeepsInserts(t *testing.T) {
+	gen := func() uint64 { return 1 }
+	for _, tc := range []struct {
+		name string
+		run  func(e *Engine) // begins the doomed txn, stores one value, aborts
+		keep bool
+	}{
+		{"other-open-at-begin", func(e *Engine) {
+			other := e.Begin()
+			txn := e.Begin()
+			txn.Bind("g", gen).Store(1, []bool{true}, 1)
+			txn.Abort()
+			other.Commit()
+		}, true},
+		{"other-began-and-ended-meanwhile", func(e *Engine) {
+			txn := e.Begin()
+			txn.Bind("g", gen).Store(1, []bool{true}, 1)
+			e.Begin().Commit()
+			txn.Abort()
+		}, true},
+		{"alone-after-others", func(e *Engine) {
+			e.Begin().Commit()
+			txn := e.Begin()
+			txn.Bind("g", gen).Store(1, []bool{true}, 1)
+			txn.Abort()
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(1)
+			tc.run(e)
+			if got := e.Cache().Len() == 1; got != tc.keep {
+				t.Fatalf("entry kept = %v, want %v", got, tc.keep)
+			}
+		})
+	}
+}
+
+// TestTxnCommitKeepsGenerationGuards: a value a txn stores at an old
+// generation is dropped by the cache's stale-store guard, and Commit does
+// not bring it back.
 func TestTxnCommitKeepsGenerationGuards(t *testing.T) {
 	e := NewEngine(1)
 	coalition := []bool{true, true, false}
 	id := e.GameID("stale")
 	// The world has moved to generation 9...
 	e.Cache().Store(id, 9, coalition, 1.0)
-	// ...while the txn staged a value computed back at generation 8.
+	// ...while the txn stores a value computed back at generation 8.
 	txn := e.Begin()
 	b := txn.Bind("stale", func() uint64 { return 8 })
 	b.Store(8, coalition, 99.0)
@@ -141,8 +322,8 @@ func TestTxnReadsFallThroughToSharedCache(t *testing.T) {
 	txn.Abort()
 }
 
-// TestTxnCachedGame: games wrapped through a txn stage rather than
-// publish, and reads serve the run's own writes.
+// TestTxnCachedGame: games wrapped through a txn store straight into the
+// shared cache, and reads serve the run's own writes.
 func TestTxnCachedGame(t *testing.T) {
 	e := NewEngine(1)
 	calls := 0
@@ -162,14 +343,14 @@ func TestTxnCachedGame(t *testing.T) {
 		t.Fatal(err)
 	}
 	if calls != 1 {
-		t.Fatalf("repeat coalition inside one txn must hit staging: %d calls", calls)
+		t.Fatalf("repeat coalition inside one txn must hit the shared cache: %d calls", calls)
 	}
-	if e.Cache().Len() != 0 {
-		t.Fatal("uncommitted game values must not reach the shared cache")
+	if e.Cache().Len() != 1 {
+		t.Fatal("uncommitted game values must be in the shared cache")
 	}
 	txn.Commit()
 	if e.Cache().Len() != 1 {
-		t.Fatalf("commit must publish the staged value: len=%d", e.Cache().Len())
+		t.Fatalf("commit must keep the stored value: len=%d", e.Cache().Len())
 	}
 }
 
@@ -179,13 +360,13 @@ func TestTxnNilSafety(t *testing.T) {
 	var txn *Txn
 	txn.Commit()
 	txn.Abort()
-	if _, ok := txn.stagedNarrow(1, 0, 1); ok {
-		t.Fatal("nil txn staged probe must miss")
+	if _, ok := txn.RepairLookup("none", 0); ok {
+		t.Fatal("nil txn lookup must miss")
 	}
 }
 
-// TestTxnConcurrentStaging: one explain's fan-out workers all stage into
-// the same txn concurrently (run with -race in CI).
+// TestTxnConcurrentStaging: one explain's fan-out workers all store
+// through the same txn concurrently (run with -race in CI).
 func TestTxnConcurrentStaging(t *testing.T) {
 	e := NewEngine(4)
 	txn := e.Begin()
@@ -209,9 +390,9 @@ func TestTxnConcurrentStaging(t *testing.T) {
 	}
 }
 
-// TestBindingStoreHitsFaultSite: SiteCacheStore fires on every staged
+// TestBindingStoreHitsFaultSite: SiteCacheStore fires on every binding
 // store, so a scheduled cancellation lands between computing a value and
-// publishing it.
+// storing it.
 func TestBindingStoreHitsFaultSite(t *testing.T) {
 	canceled := false
 	inj := faults.NewInjector(faults.Rule{Site: faults.SiteCacheStore, Ordinal: 2, Kind: faults.KindCancel}).
