@@ -121,21 +121,19 @@
 //     remains the golden cross-validation reference — parallel output is
 //     bit-identical by contract and by test.
 //   - Deterministic parallel sampling (internal/shapley): the samplers'
-//     fan-out schedules a chunk grid whose size and RNG streams depend
-//     only on (Samples, Seed); chunk accumulators merge in chunk order, so
-//     Workers=1 and Workers=N produce bit-identical estimates (CI asserts
-//     this). When the game declares it draws no randomness
-//     (shapley.RandomnessFree: the cell game, over cells or groups, under
-//     the null policy), SampleAll schedules single permutations instead of whole
-//     chunks: a worker re-draws permutation j of chunk c from c's stream,
-//     records its marginal vector, and the chunk's vectors fold into its
-//     accumulators in permutation order, so the estimates stay those of
-//     the chunk schedule while m=16 (four chunks) keeps every worker busy.
-//     Stochastic games keep chunk units. The one-marginal sampler (TopK)
-//     additionally morphs walks coalition-to-coalition through
-//     shapley.DeltaWalk (Exclude), and the group walk restores its mask
-//     baseline from a precomputed layout copy instead of re-walking every
-//     group per sample.
+//     fan-out has one unit of work, one SampleAll permutation or one draw
+//     of a TopK round. Unit j draws its permutation and any column
+//     replacements from its own RNG stream, seeded from (Seed, j) alone,
+//     and workers claim units one at a time. Units fold into the
+//     accumulators strictly in j order; a unit that finishes early waits,
+//     parked, for its turn. So Workers=1 and Workers=N produce
+//     bit-identical estimates (CI asserts this), a budget of n+m units runs
+//     the n units of budget n first, unchanged, and at m=16 every worker
+//     stays busy under either replacement policy. The one-marginal
+//     sampler (TopK) additionally morphs walks coalition-to-coalition
+//     through shapley.DeltaWalk (Exclude), and the group walk restores its
+//     mask baseline from a precomputed layout copy instead of re-walking
+//     every group per sample.
 //
 // Parallelism and caching are scheduling choices, never semantic ones:
 // every layer's parallel/cached path is pinned bit-for-bit to its serial,

@@ -114,9 +114,10 @@ func main() {
 	}
 
 	// 5. Multi-core scaling through the session engine: the identical
-	// explanation, serial then fanned across the pool. The chunked fan-out
-	// guarantees bit-identical estimates for any worker count, so the
-	// speedup is pure scheduling.
+	// explanation, serial then fanned across the pool. Each sampled
+	// permutation draws from its own (seed, index) stream and folds in
+	// index order, so the estimates are bit-identical for any worker
+	// count and the speedup is pure scheduling.
 	w := *workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)

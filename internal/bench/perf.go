@@ -640,9 +640,9 @@ func perfScenarios(short bool, workers int) ([]perfScenario, error) {
 
 		// The multi-core headline: the same large explain-cells workload
 		// serial and fanned across the engine's workers, repaired by
-		// Algorithm 1, the HTTP server's default black box. The chunked
-		// fan-out makes both rows produce bit-identical estimates, so the
-		// ns/op ratio is pure scheduling win. Fixtures built lazily inside
+		// Algorithm 1, the HTTP server's default black box. The sampler's
+		// per-permutation streams make both rows produce bit-identical
+		// estimates, so the ns/op ratio is pure scheduling win. Fixtures built lazily inside
 		// the scenario (see the large-scan comment above).
 		soccer48 := func(b *testing.B, workers int) (*core.Explainer, table.CellRef) {
 			big := data.GenerateSoccer(data.SoccerConfig{Leagues: 4, TeamsPerLeague: 12, Seed: 17})

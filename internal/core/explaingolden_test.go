@@ -13,72 +13,39 @@ import (
 	"repro/internal/data"
 	"repro/internal/dc"
 	"repro/internal/repair"
-	"repro/internal/shapley"
 	"repro/internal/table"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata")
 
-// chunkUnits hides a game's shapley.RandomnessFree declaration while
-// keeping its walk, so SampleAll schedules it by whole chunks: the
-// reference the permutation schedule must reproduce.
-type chunkUnits struct{ shapley.IncrementalGame }
-
-// TestPermutationUnitsMatchChunkUnits: SampleAll over a null-policy cell,
-// relevant-cell or group game schedules single permutations across
-// workers, and must return bit for bit what the chunk schedule returns,
-// for every budget (one chunk, a short last chunk, many chunks) and every
-// worker count. Explains the schedule does not cover (column sampling
-// keeps chunk units) and game paths no server golden reaches are pinned by
-// one golden file each (explainGoldens).
-func TestPermutationUnitsMatchChunkUnits(t *testing.T) {
-	ctx := context.Background()
-	ll := data.NewLaLiga()
-	// C1-C3 leave Year and Place unmentioned, so the relevant cells are a
-	// strict subset of the cells.
-	exp, err := NewExplainer(repair.NewAlgorithm1(), ll.DCs[:3], ll.Dirty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cell := ll.CellOfInterest
-	target, repaired, err := exp.Target(ctx, cell)
-	if err != nil || !repaired {
-		t.Fatalf("target: repaired %v, err %v", repaired, err)
-	}
-	for _, players := range []Players{CellPlayers, RelevantCellPlayers, RowPlayers} {
-		r, err := exp.roster(Query{Cell: cell, Players: players})
-		if err != nil {
-			t.Fatal(err)
-		}
-		game := exp.game(cell, target, &r, ReplaceWithNull, false).(shapley.IncrementalGame)
-		if rf, ok := game.(shapley.RandomnessFree); !ok || !rf.DrawsNoRandomness() {
-			t.Fatalf("players %d: the null-policy game does not declare itself randomness-free", players)
-		}
-		for _, samples := range []int{1, 3, 4, 5, 16, 17, 400} {
-			want, err := shapley.SampleAll(ctx, chunkUnits{game}, shapley.Options{Samples: samples, Seed: 11, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 2, 3, 8} {
-				got, err := shapley.SampleAll(ctx, game, shapley.Options{Samples: samples, Seed: 11, Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameEstimates(t, fmt.Sprintf("players %d, samples %d, workers %d", players, samples, workers), got, want)
-			}
-		}
-	}
-
-	if exp.NewCellGame(cell, target, ReplaceFromColumn).DrawsNoRandomness() {
-		t.Fatal("the column-sampling game declares itself randomness-free")
-	}
+// TestExplainGoldens pins, one golden file each, the explains the
+// server's golden answers do not reach (explainGoldens).
+func TestExplainGoldens(t *testing.T) {
+	exp, cell, _ := laLigaFirstThree(t)
 	for _, tc := range explainGoldens(t, exp, cell) {
-		rep, err := tc.exp.Explain(ctx, tc.q)
+		rep, err := tc.exp.Explain(context.Background(), tc.q)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		checkGolden(t, tc.name, rep)
 	}
+}
+
+// laLigaFirstThree returns an explainer over La Liga under C1-C3, the cell
+// of interest and its repaired target. C1-C3 leave Year and Place
+// unmentioned, so the relevant cells are a strict subset of the cells.
+func laLigaFirstThree(t *testing.T) (*Explainer, table.CellRef, table.Value) {
+	t.Helper()
+	ll := data.NewLaLiga()
+	exp, err := NewExplainer(repair.NewAlgorithm1(), ll.DCs[:3], ll.Dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, repaired, err := exp.Target(context.Background(), ll.CellOfInterest)
+	if err != nil || !repaired {
+		t.Fatalf("target: repaired %v, err %v", repaired, err)
+	}
+	return exp, ll.CellOfInterest, target
 }
 
 // explainGolden is one explain whose answer a golden file pins.

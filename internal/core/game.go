@@ -266,11 +266,6 @@ func (g *CellGame) Value(ctx context.Context, coalition []bool) (float64, error)
 	return g.eval(ctx, coalition, nil)
 }
 
-// DrawsNoRandomness implements shapley.RandomnessFree: under the null
-// policy no evaluation reads the sampler's rng, so SampleAll schedules the
-// game one permutation at a time.
-func (g *CellGame) DrawsNoRandomness() bool { return g.policy == ReplaceWithNull }
-
 // SampleValue implements shapley.StochasticGame: absent cells are replaced
 // per the policy, with randomness (if any) drawn from rng.
 func (g *CellGame) SampleValue(ctx context.Context, coalition []bool, rng *rand.Rand) (float64, error) {

@@ -41,8 +41,8 @@ type Site string
 // degradation ladder").
 const (
 	// SiteWorkerStart fires when a pool helper goroutine begins claiming
-	// tasks (exec.Pool.Map) and when a sampling fan-out worker starts a
-	// chunk (shapley.fanOut).
+	// tasks (exec.Pool.Map) and once per sampling fan-out worker, before
+	// it claims its first unit (shapley.fanOut).
 	SiteWorkerStart Site = "worker-start"
 	// SiteBucketPartition fires per disjoint-bucket pass of a partitioned
 	// repair (live-set derivations, FD-chase group fixes).

@@ -12,8 +12,8 @@ import (
 // results must be bit-identical between Workers=1 and Workers=N (the PR 4
 // determinism contract, enforced at runtime by the CI determinism job and
 // here at compile time). Map iteration order is randomized per run, so any
-// map range on these paths that feeds ordering-sensitive work — worker
-// chunk grids, bucket partitions, sampler accumulation — is a latent
+// map range on these paths that feeds ordering-sensitive work — sampling
+// unit folds, bucket partitions, sampler accumulation — is a latent
 // nondeterminism bug even when today's tests happen to pass.
 var detMapScope = []string{"internal/shapley", "internal/exec", "internal/repair", "internal/dc", "internal/core", "internal/server", "internal/faults"}
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -281,6 +282,21 @@ func TestExplainValidation(t *testing.T) {
 	status, _ := post(t, ts.URL+"/api/session/"+sess.ID+"/explain", explainRequest{Cell: "t1[Team]"}, nil)
 	if status != http.StatusUnprocessableEntity {
 		t.Errorf("unrepaired cell: status = %d, want 422", status)
+	}
+}
+
+// TestExplainTopKOverflowIs422: kind cells-topk runs rounds of Samples/8
+// draws for each of the 35 other cells of the paper table. A budget whose
+// draw count overflows int (here it would wrap to a negative count) is
+// rejected with 422, not answered with zero-sample entries.
+func TestExplainTopKOverflowIs422(t *testing.T) {
+	ts := newTestServer(t)
+	sess := createSession(t, ts)
+	samples := 8 * (math.MaxInt/35 + 1)
+	status, raw := post(t, ts.URL+"/api/session/"+sess.ID+"/explain",
+		explainRequest{Cell: "t5[Country]", Kind: "cells-topk", K: 3, Samples: samples, Seed: 42}, nil)
+	if status != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d, want 422: %s", status, raw)
 	}
 }
 

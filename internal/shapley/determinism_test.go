@@ -5,7 +5,8 @@ import (
 	"testing"
 )
 
-// The determinism contract of the chunked fan-out: Workers changes
+// The determinism contract of fanOut: each sampling unit draws from its
+// own (Seed, unit) stream and units fold in unit order, so Workers changes
 // scheduling only, never estimates. CI's determinism smoke job runs these
 // tests by name; they must compare bit-for-bit, not within tolerance.
 
@@ -39,8 +40,9 @@ func TestSampleAllWorkerCountDeterminism(t *testing.T) {
 }
 
 func TestSampleAllWorkerCountDeterminismStochastic(t *testing.T) {
-	// The stochastic path consumes the RNG inside SampleValue too; chunked
-	// streams must keep that consumption identical across worker counts.
+	// The stochastic path consumes the RNG inside SampleValue too; each
+	// permutation's own stream must keep that consumption identical across
+	// worker counts.
 	g := stochasticAdditive{w: []float64{0.2, 0.5, 0.3}}
 	base, err := SampleAll(context.Background(), g, Options{Samples: 300, Seed: 11, Workers: 1})
 	if err != nil {
@@ -86,14 +88,49 @@ func TestTopKWorkerCountDeterminism(t *testing.T) {
 	}
 }
 
-func TestFanChunkDependsOnlyOnBudget(t *testing.T) {
-	if fanChunk(1) != minChunkIters || fanChunk(100) != minChunkIters {
-		t.Error("small budgets must use the minimum chunk size")
+// TestUnitStreamsIndependent: no two units share a draw among their first
+// 64, across the units of seeds s, s+1 and s+stride, where stride is the golden-ratio step an arithmetic
+// seed + unit·stride derivation would use. Under such a derivation, unit
+// j+1 of seed s would replay unit j of seed s+stride draw for draw.
+func TestUnitStreamsIndependent(t *testing.T) {
+	const (
+		s      = 11
+		stride = -0x61C8864680B583EB
+		units  = 256
+		draws  = 64
+	)
+	type unit struct {
+		seed int64
+		j    int
 	}
-	// Huge budgets scale the chunk so the grid stays bounded.
-	huge := 10_000_000
-	size := fanChunk(huge)
-	if chunks := (huge + size - 1) / size; chunks > maxFanChunks {
-		t.Errorf("chunk grid too large: %d chunks", chunks)
+	seen := make(map[uint64]unit)
+	for _, seed := range []int64{s, s + 1, s + stride} {
+		for j := 0; j < units; j++ {
+			var src splitmix
+			src.Seed(unitSeed(seed, j))
+			for d := 0; d < draws; d++ {
+				x := src.Uint64()
+				if prev, ok := seen[x]; ok && prev != (unit{seed, j}) {
+					t.Fatalf("unit %d of seed %d repeats a draw of unit %d of seed %d", j, seed, prev.j, prev.seed)
+				}
+				seen[x] = unit{seed, j}
+			}
+		}
+	}
+}
+
+// TestSampleAllMemoryIndependentOfBudget: a serial run folds every
+// permutation as it finishes, so its allocations do not grow with Samples.
+func TestSampleAllMemoryIndependentOfBudget(t *testing.T) {
+	g := Deterministic{G: randomGame(6, 5)}
+	allocs := func(samples int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := SampleAll(context.Background(), g, Options{Samples: samples, Seed: 3, Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(64), allocs(4096); small != large {
+		t.Fatalf("SampleAll allocates %v times at Samples 64 but %v at Samples 4096", small, large)
 	}
 }

@@ -78,13 +78,10 @@ type Options struct {
 	// permutation yields one marginal per player. Must be positive.
 	Samples int
 	// Workers is the parallel fan-out; 0 means GOMAXPROCS. Workers only
-	// changes scheduling, never results: iterations are partitioned into
-	// chunks whose size and RNG streams depend only on (Samples, Seed), so
-	// estimates are bit-identical for every Workers value. SampleAll over a
-	// game that draws no randomness (RandomnessFree) schedules single
-	// permutations instead of whole chunks, so a few slow chunks cannot
-	// leave a worker idle; each permutation is still drawn from its chunk's
-	// stream and folded in chunk order, so the estimates are the same.
+	// changes scheduling, never results: each sampled permutation draws
+	// from its own RNG stream, seeded from (Seed, its index) alone, and
+	// permutations fold into the estimates in index order, so estimates
+	// are bit-identical for every Workers value.
 	Workers int
 	// Seed drives all randomness; runs with equal options are reproducible.
 	Seed int64
@@ -95,16 +92,6 @@ func (o Options) withDefaults() Options {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
-}
-
-// RandomnessFree is implemented by a game that can declare that neither
-// SampleValue nor its walks' Value ever reads the sampler's rng (the cell
-// game, over cells or groups, under the null policy). The only randomness of a
-// SampleAll run over such a game is then the permutation draws, which is
-// what lets fanOut schedule single permutations across workers.
-type RandomnessFree interface {
-	// DrawsNoRandomness reports whether evaluation never reads rng.
-	DrawsNoRandomness() bool
 }
 
 // welford accumulates mean and variance in one pass (numerically stable).
@@ -121,21 +108,6 @@ func (w *welford) add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-func (w *welford) merge(o welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += d * float64(o.n) / float64(n)
-	w.n = n
-}
-
 func (w *welford) estimate(player int) Estimate {
 	e := Estimate{Player: player, Mean: w.mean, N: w.n}
 	if w.n > 1 {
@@ -145,14 +117,13 @@ func (w *welford) estimate(player int) Estimate {
 }
 
 // marginalState is the per-worker scratch of the samplers: a permutation
-// buffer, a coalition/prefix buffer, one permutation's marginal vector,
-// and — for incremental games — one borrowed walk reused across every
-// chunk the worker runs, with the membership mirror that lets a DeltaWalk
-// morph coalition to coalition instead of rebuilding from ∅ (TopK).
+// buffer, a coalition/prefix buffer and — for incremental games — one
+// borrowed walk reused across every unit the worker runs, with the
+// membership mirror that lets a DeltaWalk morph coalition to coalition
+// instead of rebuilding from ∅ (TopK).
 type marginalState struct {
 	perm      []int
 	coalition []bool
-	marg      []float64
 	walk      CoalitionWalk
 	morph     *walkMorph
 }
@@ -160,7 +131,7 @@ type marginalState struct {
 // newMarginalState builds one worker's scratch for game g.
 func newMarginalState(g StochasticGame) *marginalState {
 	n := g.NumPlayers()
-	st := &marginalState{perm: make([]int, n), coalition: make([]bool, n), marg: make([]float64, n)}
+	st := &marginalState{perm: make([]int, n), coalition: make([]bool, n)}
 	if st.walk = walkOrNil(g); st.walk != nil {
 		if d, ok := st.walk.(DeltaWalk); ok {
 			st.morph = newWalkMorph(d, n)
@@ -259,8 +230,9 @@ func (st *marginalState) permMarginals(ctx context.Context, g StochasticGame, pe
 // (Castro, Gómez & Tejada 2009): each sampled permutation is traversed
 // once, evaluating the game on each prefix, which yields one marginal
 // contribution for every player at n+1 evaluations per permutation —
-// a factor-2n saving over sampling each player on its own. A
-// RandomnessFree game is scheduled one permutation at a time.
+// a factor-2n saving over sampling each player on its own. Permutation j
+// is one fanOut unit: its order and any replacement draws come from its
+// own stream, so Samples n+m extends Samples n by m permutations.
 func SampleAll(ctx context.Context, g StochasticGame, opts Options) ([]Estimate, error) {
 	opts = opts.withDefaults()
 	n := g.NumPlayers()
@@ -270,27 +242,22 @@ func SampleAll(ctx context.Context, g StochasticGame, opts Options) ([]Estimate,
 	if opts.Samples <= 0 {
 		return nil, fmt.Errorf("shapley: Samples must be positive, got %d", opts.Samples)
 	}
-	var unit func(ctx context.Context, st *marginalState, perm []int, marg []float64) error
-	if rf, ok := g.(RandomnessFree); ok && rf.DrawsNoRandomness() {
-		unit = func(ctx context.Context, st *marginalState, perm []int, marg []float64) error {
-			return st.permMarginals(ctx, g, perm, nil, marg)
-		}
-	}
-	accs, err := fanOut(ctx, opts, opts.Samples, n,
+	accs := make([]welford, n)
+	err := fanOut(ctx, opts, opts.Samples,
 		func() *marginalState { return newMarginalState(g) },
 		(*marginalState).close,
-		func(ctx context.Context, st *marginalState, rng *rand.Rand, iters int, acc []welford) error {
-			for it := 0; it < iters; it++ {
-				randPerm(rng, st.perm)
-				if err := st.permMarginals(ctx, g, st.perm, rng, st.marg); err != nil {
-					return err
-				}
-				for p, m := range st.marg {
-					acc[p].add(m)
-				}
+		func(ctx context.Context, st *marginalState, rng *rand.Rand, marg *[]float64) error {
+			if *marg == nil {
+				*marg = make([]float64, n)
 			}
-			return nil
-		}, unit)
+			randPerm(rng, st.perm)
+			return st.permMarginals(ctx, g, st.perm, rng, *marg)
+		},
+		func(marg *[]float64) {
+			for p, m := range *marg {
+				accs[p].add(m)
+			}
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -301,104 +268,59 @@ func SampleAll(ctx context.Context, g StochasticGame, opts Options) ([]Estimate,
 	return out, nil
 }
 
-// Chunking constants for fanOut's deterministic schedule.
-const (
-	// minChunkIters keeps tiny budgets from collapsing into one stream,
-	// which would serialize small interactive runs (m=8 still splits in
-	// two), while bounding the per-chunk reseed overhead on mid budgets.
-	minChunkIters = 4
-	// maxFanChunks bounds the chunk-grid accumulator memory (chunks ×
-	// players welfords) on huge budgets while leaving far more chunks than
-	// any realistic worker count.
-	maxFanChunks = 128
-)
-
-// fanChunk returns the chunk size for an iteration budget. It is a pure
-// function of the budget — never of Workers — which is what makes the
-// estimates independent of the fan-out.
-func fanChunk(iters int) int {
-	size := minChunkIters
-	if c := (iters + maxFanChunks - 1) / maxFanChunks; c > size {
-		size = c
-	}
-	return size
-}
-
-// fanOut splits iters into a deterministic chunk grid and schedules it
-// onto workers. Each chunk owns an RNG stream seeded by its chunk index
-// and its own accumulators, and chunk accumulators are merged in chunk
-// order — so the result is a pure function of (iters, Seed), bit-identical
-// for every Workers value (the determinism contract CI's determinism job
-// asserts). setup builds one reusable per-worker state (scratch buffers, a
-// borrowed coalition walk) that amortizes across every unit the worker
-// runs; teardown releases it.
+// fanOut runs units 0..units-1 on opts.Workers goroutines and folds their
+// rows in unit order. Unit j draws from its own RNG stream, seeded from
+// (Seed, j) alone (unitSeed), and fold sees the rows strictly in j order,
+// so what the folds compute is a pure function of (units, Seed): it is
+// bit-identical for every Workers value (the determinism contract CI's
+// determinism job asserts), and a run of n units is the first n folds of
+// any larger run. A row that finishes ahead of its turn is parked until
+// every unit before it has folded, so retained rows follow the
+// out-of-order window (about Workers), never the unit count.
 //
-// With a nil unit, the unit of scheduling is a chunk: work runs the
-// chunk's iterations against its stream. A non-nil unit — SampleAll over a
-// RandomnessFree game, whose chunk streams hold nothing but permutation
-// draws — makes the unit one permutation: the worker re-draws permutation
-// j of chunk c from c's stream, unit writes its marginal vector into the
-// chunk's row of a permGrid, and the worker that records a chunk's last
-// permutation folds the chunk's vectors into its accumulators in
-// permutation order. The accumulators see the same additions in the same
-// order as under chunk units, so the estimates do not change; a budget of
-// a few long chunks (m=16 is four) just no longer leaves a worker idle
-// behind the slowest one.
-func fanOut[S any](ctx context.Context, opts Options, iters, players int, setup func() S, teardown func(S),
-	work func(ctx context.Context, st S, rng *rand.Rand, iters int, acc []welford) error,
-	unit func(ctx context.Context, st S, perm []int, marg []float64) error) ([]welford, error) {
-	if iters <= 0 {
-		return make([]welford, players), nil
+// setup builds one reusable per-worker state (scratch buffers, a borrowed
+// coalition walk) that amortizes across every unit the worker runs;
+// teardown releases it. work fills *row for one unit; the row may hold an
+// earlier unit's contents, so work can reuse its buffers.
+func fanOut[S, R any](ctx context.Context, opts Options, units int, setup func() S, teardown func(S),
+	work func(ctx context.Context, st S, rng *rand.Rand, row *R) error, fold func(row *R)) error {
+	if units <= 0 {
+		return nil
 	}
-	size := fanChunk(iters)
-	chunks := (iters + size - 1) / size
-	units := chunks
-	var grid *permGrid
-	if unit != nil {
-		units = iters
-		grid = newPermGrid(iters, size, players)
-	}
-	workers := opts.Workers
-	if workers > units {
-		workers = units
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(1, min(opts.Workers, units))
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// Streaming chunk-ordered merge: chunk c folds into the result as soon
-	// as every chunk before it has — still strictly in chunk order (the
-	// determinism invariant) — so retained accumulator memory is bounded by
-	// the out-of-order completion window (≈ workers), not the whole grid,
-	// and a worker whose chunk merges inline keeps reusing one buffer.
-	merged := make([]welford, players)
-	pending := make([][]welford, chunks)
-	var mergeMu sync.Mutex
-	nextMerge := 0
-	// finish hands chunk c's accumulators to the merger; it reports whether
-	// acc was consumed inline (the caller may then reuse the buffer).
-	finish := func(c int, acc []welford) bool {
-		mergeMu.Lock()
-		defer mergeMu.Unlock()
-		if c != nextMerge {
-			pending[c] = acc
-			return false
-		}
-		for p := range merged {
-			merged[p].merge(acc[p])
-		}
-		nextMerge++
-		//lint:allow ctxflow the drain of already-completed chunks under the merge lock is bounded by the chunk count, not sample-scaled
-		for nextMerge < chunks && pending[nextMerge] != nil {
-			for p := range merged {
-				merged[p].merge(pending[nextMerge][p])
+	var (
+		mu     sync.Mutex
+		turn   int                // the next unit to fold
+		parked = make(map[int]*R) // finished units waiting for their turn
+		spare  []*R               // folded rows, for reuse
+	)
+	// done folds unit j's row, then every parked row whose turn follows, or
+	// parks it when an earlier unit is still running. It returns the row
+	// the worker fills next.
+	done := func(j int, row *R) *R {
+		mu.Lock()
+		defer mu.Unlock()
+		if j != turn {
+			parked[j] = row
+			if k := len(spare); k > 0 {
+				row, spare = spare[k-1], spare[:k-1]
+				return row
 			}
-			pending[nextMerge] = nil
-			nextMerge++
+			return new(R)
 		}
-		return true
+		fold(row)
+		for turn++; ; turn++ {
+			r, ok := parked[turn]
+			if !ok {
+				return row
+			}
+			delete(parked, turn)
+			fold(r)
+			spare = append(spare, r)
+		}
 	}
 
 	errs := make([]error, workers)
@@ -423,40 +345,19 @@ func fanOut[S any](ctx context.Context, opts Options, iters, players int, setup 
 			defer teardown(st)
 			faults.Hit(faults.SiteWorkerStart)
 			rng := rand.New(&splitmix{})
-			var cur permCursor
-			if grid != nil {
-				cur = permCursor{rng: rng, perm: make([]int, players), chunk: -1}
-			}
-			var acc []welford
+			row := new(R)
 			for {
-				u := int(next.Add(1)) - 1
-				if u >= units {
+				j := int(next.Add(1)) - 1
+				if j >= units {
 					return
 				}
-				c, err := u, error(nil)
-				if grid == nil {
-					acc = cleared(acc, players)
-					rng.Seed(chunkSeed(opts.Seed, c))
-					err = work(ctx, st, rng, chunkShare(c, size, iters), acc)
-				} else {
-					c = u / size
-					j := u % size
-					if err = unit(ctx, st, cur.draw(opts.Seed, c, j), grid.row(c, j)); err == nil {
-						if !grid.record(c) {
-							continue // other permutations of chunk c are still running
-						}
-						acc = cleared(acc, players)
-						grid.fold(c, acc)
-					}
-				}
-				if err != nil {
+				rng.Seed(unitSeed(opts.Seed, j))
+				if err := work(ctx, st, rng, row); err != nil {
 					errs[w] = err
 					cancel()
 					return
 				}
-				if !finish(c, acc) {
-					acc = nil // handed off to the merger
-				}
+				row = done(j, row)
 			}
 		}(w)
 	}
@@ -475,142 +376,36 @@ func fanOut[S any](ctx context.Context, opts Options, iters, players int, setup 
 			firstErr = err
 		}
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return merged, nil
+	return firstErr
 }
 
-// cleared returns acc zeroed, or a new accumulator row when acc is nil
-// (its last buffer went to the merger).
-func cleared(acc []welford, players int) []welford {
-	if acc == nil {
-		return make([]welford, players)
-	}
-	clear(acc)
-	return acc
-}
-
-// chunkShare is the number of iterations of chunk c: size, except for a
-// shorter last chunk.
-func chunkShare(c, size, iters int) int {
-	return min(size, iters-c*size)
-}
-
-// chunkSeed seeds chunk c's RNG stream. The golden-ratio stride
-// (0x9E3779B97F4A7C15 as a signed 64-bit value) decorrelates the
-// per-chunk streams; SplitMix64 reseeds in constant time, so the per-chunk
-// reseed costs nothing even for minimum-size chunks.
-func chunkSeed(seed int64, c int) int64 {
-	const streamStride = -0x61C8864680B583EB
-	return seed + int64(c)*streamStride
-}
-
-// permCursor is one worker's position in the chunk streams under
-// permutation units: rng holds chunk's stream with pos permutations drawn.
-type permCursor struct {
-	rng        *rand.Rand
-	perm       []int
-	chunk, pos int
-}
-
-// draw leaves permutation j of chunk c in perm and returns it. A worker
-// whose previous unit was an earlier permutation of the same chunk
-// continues the stream; otherwise it reseeds and skips the draws before
-// j. Every worker thus draws each chunk's permutations at most once, and
-// a draw is O(players) against the players+1 evaluations of a walk.
-func (pc *permCursor) draw(seed int64, c, j int) []int {
-	if c != pc.chunk || j < pc.pos {
-		pc.rng.Seed(chunkSeed(seed, c))
-		pc.chunk, pc.pos = c, 0
-	}
-	for ; pc.pos <= j; pc.pos++ {
-		randPerm(pc.rng, pc.perm)
-	}
-	return pc.perm
-}
-
-// permGrid holds the marginal vectors of permutation units until their
-// chunk is complete. Safe for concurrent use; units write disjoint rows.
-type permGrid struct {
-	mu                   sync.Mutex
-	iters, size, players int
-	// rows[c] holds chunk c's vectors, permutation j at [j*players,
-	// (j+1)*players); nil until the chunk's first unit starts and after it
-	// is folded.
-	rows [][]float64
-	// left[c] counts chunk c's permutations not yet recorded.
-	left []int
-	// free holds folded chunks' buffers for reuse, so live rows stay
-	// bounded by the chunks in flight.
-	free [][]float64
-}
-
-func newPermGrid(iters, size, players int) *permGrid {
-	chunks := (iters + size - 1) / size
-	g := &permGrid{iters: iters, size: size, players: players, rows: make([][]float64, chunks), left: make([]int, chunks)}
-	for c := range g.left {
-		g.left[c] = chunkShare(c, size, iters)
-	}
-	return g
-}
-
-// row returns the marginal vector of permutation j of chunk c.
-func (g *permGrid) row(c, j int) []float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.rows[c] == nil {
-		if n := len(g.free); n > 0 {
-			g.rows[c], g.free = g.free[n-1], g.free[:n-1]
-		} else {
-			g.rows[c] = make([]float64, g.size*g.players)
-		}
-	}
-	return g.rows[c][j*g.players : (j+1)*g.players]
-}
-
-// record notes that one permutation of chunk c wrote its row and reports
-// whether it was the chunk's last.
-func (g *permGrid) record(c int) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.left[c]--
-	return g.left[c] == 0
-}
-
-// fold adds chunk c's vectors into acc in permutation order — the order
-// chunk units add them in — and recycles the chunk's buffer.
-func (g *permGrid) fold(c int, acc []welford) {
-	g.mu.Lock()
-	rows := g.rows[c]
-	g.rows[c] = nil
-	g.mu.Unlock()
-	for off := 0; off < chunkShare(c, g.size, g.iters)*g.players; off += g.players {
-		for p := range acc {
-			acc[p].add(rows[off+p])
-		}
-	}
-	g.mu.Lock()
-	g.free = append(g.free, rows)
-	g.mu.Unlock()
+// unitSeed derives unit j's seed: the scrambled seed, offset by j, through
+// one SplitMix64 output step. Both mixers are bijections, so distinct units
+// of one seed get distinct seeds, and seed and j both pass through a
+// mixer, so the streams of different (seed, j) pairs are unrelated. An
+// arithmetic seed + j·stride would not do: seeds s and s+stride would
+// replay each other's streams one unit apart.
+func unitSeed(seed int64, j int) int64 {
+	var s splitmix
+	s.Seed(seed)
+	s.s += uint64(j)
+	return int64(s.Uint64())
 }
 
 // panicValue carries a recovered worker panic to the caller goroutine.
 type panicValue struct{ v any }
 
-// splitmix is Vigna's SplitMix64 as a math/rand source: the chunk grid
-// reseeds its stream once per chunk, and math/rand's default lagged
-// Fibonacci source pays a ~607-word reinitialization per Seed — more than
-// a minimum-size chunk's entire sampling work on fast games. SplitMix64
-// seeds in O(1), draws faster, and passes BigCrush; the stride-decorrelated
-// chunk seeds give it well-separated streams.
+// splitmix is Vigna's SplitMix64 as a math/rand source: fanOut reseeds its
+// stream once per unit, and math/rand's default lagged Fibonacci source
+// pays a ~607-word reinitialization per Seed — more than one permutation's
+// entire sampling work on fast games. SplitMix64 seeds in O(1), draws
+// faster, and passes BigCrush.
 type splitmix struct{ s uint64 }
 
 // Seed implements rand.Source. The raw seed is scrambled through a
-// 64-bit finalizer (MurmurHash3) before becoming the state: chunk grids
-// hand in arithmetic seed progressions, and SplitMix64's state walk is
-// itself arithmetic — unscrambled, two chunks' streams could be (and with
-// a gamma-multiple stride, provably were) the same sequence at a small
+// 64-bit finalizer (MurmurHash3) before becoming the state: SplitMix64's
+// state walk is arithmetic, so unscrambled, nearby seeds (or seeds a
+// multiple of its gamma apart) would start the same sequence at a small
 // offset, collapsing the effective sample count.
 func (s *splitmix) Seed(seed int64) {
 	z := uint64(seed)

@@ -242,37 +242,6 @@ func TestEstimateStatistics(t *testing.T) {
 	}
 }
 
-func TestWelfordMerge(t *testing.T) {
-	xs := []float64{0.5, 1.5, -2, 3, 7, 0.25, -1, 4}
-	var whole welford
-	for _, x := range xs {
-		whole.add(x)
-	}
-	var a, b welford
-	for i, x := range xs {
-		if i < 3 {
-			a.add(x)
-		} else {
-			b.add(x)
-		}
-	}
-	a.merge(b)
-	if a.n != whole.n || !approxEq(a.mean, whole.mean, 1e-12) || !approxEq(a.m2, whole.m2, 1e-9) {
-		t.Fatalf("merge mismatch: %+v vs %+v", a, whole)
-	}
-	var empty welford
-	empty.merge(whole)
-	if empty.n != whole.n || !approxEq(empty.mean, whole.mean, 1e-12) {
-		t.Error("merge into empty")
-	}
-	cp := whole
-	var zero welford
-	cp.merge(zero)
-	if cp != whole {
-		t.Error("merging empty must be a no-op")
-	}
-}
-
 func TestRandPermIsUniformish(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	counts := make([][]int, 4)
@@ -383,27 +352,24 @@ func samplePlayerUntil(ctx context.Context, g StochasticGame, player int, opts O
 			budget = h
 		}
 	}
-	accs, err := fanOut(ctx, opts, budget, 1,
+	var acc welford
+	err := fanOut(ctx, opts, budget,
 		func() *marginalState { return newMarginalState(g) },
 		(*marginalState).close,
-		func(ctx context.Context, st *marginalState, rng *rand.Rand, iters int, acc []welford) error {
-			for it := 0; it < iters; it++ {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				randPerm(rng, st.perm)
-				m, err := st.marginal(ctx, g, st.perm, player, rng)
-				if err != nil {
-					return err
-				}
-				acc[0].add(m)
+		func(ctx context.Context, st *marginalState, rng *rand.Rand, m *float64) error {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
-			return nil
-		}, nil)
+			randPerm(rng, st.perm)
+			var err error
+			*m, err = st.marginal(ctx, g, st.perm, player, rng)
+			return err
+		},
+		func(m *float64) { acc.add(*m) })
 	if err != nil {
 		return Estimate{}, err
 	}
-	return accs[0].estimate(player), nil
+	return acc.estimate(player), nil
 }
 
 // hoeffdingSamples returns the m sufficient for P(|mean−μ| ≥ ε) ≤ δ with

@@ -3,6 +3,7 @@ package shapley
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 )
@@ -153,34 +154,28 @@ func topKRound(ctx context.Context, g StochasticGame, active []bool, accs []welf
 	if len(players) == 0 {
 		return nil
 	}
-	// One fan-out covers all active players: iteration i samples one
-	// marginal for a random active player. Accumulators are indexed by
-	// position in players.
-	iters := opts.Samples * len(players)
-	merged, err := fanOut(ctx, opts, iters, len(players),
+	if opts.Samples > math.MaxInt/len(players) {
+		return fmt.Errorf("shapley: %d samples for each of %d players overflow a round's draw count", opts.Samples, len(players))
+	}
+	// One fan-out covers all active players: unit j samples one marginal
+	// for a random active player, and folds it into that player's
+	// accumulator.
+	type draw struct {
+		player   int
+		marginal float64
+	}
+	return fanOut(ctx, opts, opts.Samples*len(players),
 		func() *marginalState { return newMarginalState(g) },
 		(*marginalState).close,
-		func(ctx context.Context, st *marginalState, rng *rand.Rand, iters int, acc []welford) error {
-			for it := 0; it < iters; it++ {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				slot := rng.Intn(len(players))
-				player := players[slot]
-				randPerm(rng, st.perm)
-				m, err := st.marginal(ctx, g, st.perm, player, rng)
-				if err != nil {
-					return err
-				}
-				acc[slot].add(m)
+		func(ctx context.Context, st *marginalState, rng *rand.Rand, d *draw) error {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
-			return nil
-		}, nil)
-	if err != nil {
-		return err
-	}
-	for slot, p := range players {
-		accs[p].merge(merged[slot])
-	}
-	return nil
+			d.player = players[rng.Intn(len(players))]
+			randPerm(rng, st.perm)
+			var err error
+			d.marginal, err = st.marginal(ctx, g, st.perm, d.player, rng)
+			return err
+		},
+		func(d *draw) { accs[d.player].add(d.marginal) })
 }

@@ -3,6 +3,7 @@ package shapley
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -137,5 +138,16 @@ func TestTopKDeterministicPerSeed(t *testing.T) {
 		if a.Top[i].Player != b.Top[i].Player || a.Top[i].Mean != b.Top[i].Mean {
 			t.Fatalf("nondeterministic result: %+v vs %+v", a.Top[i], b.Top[i])
 		}
+	}
+}
+
+// TestTopKRejectsOverflowingRound: a round's draw count is RoundSamples
+// times the active players; a product past math.MaxInt is an error, not a
+// wrapped count that would answer with zero-sample estimates.
+func TestTopKRejectsOverflowingRound(t *testing.T) {
+	g := Deterministic{G: paperConstraintGame()}
+	res, err := TopK(context.Background(), g, TopKOptions{K: 1, RoundSamples: math.MaxInt/4 + 1, Seed: 1})
+	if err == nil {
+		t.Fatalf("TopK accepted an overflowing round: %+v", res.All)
 	}
 }
