@@ -89,9 +89,10 @@ func TestTopKWorkerCountDeterminism(t *testing.T) {
 }
 
 // TestUnitStreamsIndependent: no two units share a draw among their first
-// 64, across the units of seeds s, s+1 and s+stride, where stride is the golden-ratio step an arithmetic
-// seed + unit·stride derivation would use. Under such a derivation, unit
-// j+1 of seed s would replay unit j of seed s+stride draw for draw.
+// 64, across the units of seeds s, s+1 and s+stride, where stride is the
+// golden-ratio step an arithmetic seed + unit·stride derivation would use.
+// Under such a derivation, unit j+1 of seed s would replay unit j of seed
+// s+stride draw for draw.
 func TestUnitStreamsIndependent(t *testing.T) {
 	const (
 		s      = 11
